@@ -91,7 +91,7 @@ def _cmd_analyze(args) -> int:
     doc = {
         "n": g.n_vertices,
         "m": g.n_edges,
-        "trace_pi": tp.trace(),
+        "trace_pi": float(diag.sum()),
         "spectral_norm_abs_pi": spectral.value,
         "max_colsum_abs_pi": float(colsums.max()),
         "sum_delta": float(delta.sum()) if unweighted else None,
@@ -301,6 +301,9 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("numerical error: out of memory; the graph is too large for the dense n x n arrays", file=sys.stderr)
         return EXIT_NUMERIC
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -207,6 +207,16 @@ class TestExitCodes:
         assert code == 2
         assert "disconnected" in err
 
+    def test_memory_error_is_numerical_failure(self, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_graph", exhausted)
+        code, _, err = run(capsys, "analyze", "--graph", "torus:4")
+        assert code == 2
+        assert err.startswith("numerical error:") and "out of memory" in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

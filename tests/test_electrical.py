@@ -3,13 +3,16 @@ import pytest
 
 import ohmgraph.electrical as electrical
 from ohmgraph import (
+    ABS_ZERO_TOL,
     DisconnectedGraphError,
+    LaplacianSystem,
     bfs_distance,
     build_graph,
     complete,
     delta_edge,
     delta_summary,
     effective_resistance,
+    hypercube,
     incidence_transpose_apply,
     is_connected,
     parallel_paths,
@@ -180,6 +183,56 @@ class TestTransferImpedance:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             transfer_impedance(triangle(), mode="sideways")
+
+
+def _log_uniform_expander(n, seed):
+    g = random_regular_expander(n, 4, seed=seed)
+    conds = np.exp(np.random.default_rng(seed).uniform(np.log(1e-2), np.log(1e2), g.n_edges))
+    return build_graph([(t, h, float(c)) for (t, h, _), c in zip(g.edge_list(), conds)], n_vertices=n)
+
+
+def _oracle_impedance(g):
+    """Column f from a fresh unit-flow solve across edge f: Pi_ef = sqrt(c_f/c_e) flow_e."""
+    c = g.conductances
+    cols = [np.sqrt(c[f] / c) * unit_flow(g, int(g.tails[f]), int(g.heads[f])) for f in range(g.n_edges)]
+    return np.column_stack(cols)
+
+
+class TestImpedanceOracle:
+    # block size 7 divides neither n nor m of any graph below
+    GRAPHS = [torus(6), hypercube(4), _log_uniform_expander(40, 5)]
+
+    @pytest.mark.parametrize("mode", ["dense", "streaming"])
+    @pytest.mark.parametrize("g", GRAPHS, ids=["torus6", "hypercube4", "weighted_expander40"])
+    def test_matches_unit_flow_oracle(self, g, mode):
+        assert g.n_vertices % 7 and g.n_edges % 7
+        tp = transfer_impedance(g, mode=mode, block_size=7)
+        built = np.hstack([blk for _, _, blk in tp.iter_blocks()])
+        assert np.abs(built - _oracle_impedance(g)).max() <= 1e-12
+
+    def test_path_impedance_is_identity(self):
+        g = path(2000)
+        tp = transfer_impedance(g, mode="streaming")
+        identity = np.eye(g.n_edges)
+        for lo, hi, block in tp.iter_blocks():
+            assert np.abs(block - identity[:, lo:hi]).max() < ABS_ZERO_TOL
+
+    def test_streaming_solves_n_columns_once(self, monkeypatch):
+        solved = []
+        original = LaplacianSystem.solve_columns
+
+        def spy(self, B):
+            solved.append(np.shape(B)[1])
+            return original(self, B)
+
+        monkeypatch.setattr(LaplacianSystem, "solve_columns", spy)
+        g = _log_uniform_expander(40, 5)
+        tp = transfer_impedance(g, mode="streaming", block_size=7)
+        tp.per_edge_stats()
+        tp.trace()
+        result = tp.abs_spectral_norm()
+        assert result.iterations > 2
+        assert sum(solved) == g.n_vertices
 
 
 class TestAbsNorms:
