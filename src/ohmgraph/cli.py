@@ -169,8 +169,8 @@ def _cmd_verify(args) -> int:
         size = int(rng.integers(2, n + 1))
         S = np.sort(rng.choice(n, size=size, replace=False))
         terminals = [int(v) for v in S]
+        system = schur_complement(g, S)
         if "sum_potentials" in props:
-            system = schur_complement(g, S)
             e = int(rng.integers(g.n_edges))
             lhs = check_sum_potentials(system, e)
             records.append(
@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
         if "norm_energy" in props:
             v = int(S[rng.integers(size)])
             p = float(rng.uniform(0.05, 0.95))
-            lhs, rhs = check_norm_energy(g, S, v, p)
+            lhs, rhs = check_norm_energy(system, v, p)
             records.append(
                 {
                     "prop": "norm_energy",
@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
             )
         if "schur_conductance" in props:
             v = int(S[rng.integers(size)])
-            lhs, rhs = check_schur_conductance(g, S, v)
+            lhs, rhs = check_schur_conductance(system, v)
             records.append(
                 {
                     "prop": "schur_conductance",

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import ABS_ZERO_TOL, quadratic_form_abs
+from .electrical import ABS_ZERO_TOL, DENSE_EDGE_CAP, quadratic_form_abs
 from .graph import Graph, is_connected, laplacian_matrix
-from .schur import _block_prob_map, _validate_terminals
+from .schur import _block_prob_map, _eliminate_pivot, _validate_terminals
 from .solver import DisconnectedGraphError, LaplacianSystem
 
 __all__ = [
@@ -36,6 +36,16 @@ __all__ = [
 _DEGENERATE_DENOM = 1e-30
 
 _VI_BLOCK = 1024
+
+# Degrees within this relative distance of the minimum tie; the smallest id
+# among them is the pivot, so roundoff in the degrees cannot reorder pivots.
+_TIE_RTOL = 1e-12
+
+# Largest admissible gap between the incrementally updated quantities and
+# their from-scratch recomputation at the terminal pair: absolute on the
+# probability map, relative on V_T.
+_ORACLE_PM_TOL = 1e-9
+_ORACLE_VI_RTOL = 1e-8
 
 
 class LocalizationError(RuntimeError):
@@ -94,9 +104,8 @@ def _bucket_count(s: int) -> int:
     return int(s - 1).bit_length()
 
 
-def _degree_vector(graph: Graph, S: np.ndarray, w: np.ndarray, prob_map=None):
-    if prob_map is None:
-        prob_map, _ = _block_prob_map(graph, S)
+def _degree_vector(graph: Graph, prob_map: np.ndarray, w: np.ndarray):
+    """Degree of every row of ``prob_map`` (one row per terminal)."""
     q = np.abs(prob_map[:, graph.tails] - prob_map[:, graph.heads])
     z = w * np.sqrt(graph.conductances)
     num = (q @ z) ** 2
@@ -117,7 +126,7 @@ def degree(graph: Graph, terminals, u: int, w) -> float:
     pos = int(np.searchsorted(S, u))
     if pos >= S.size or S[pos] != u:
         raise ValueError(f"vertex {u} is not in the terminal set")
-    degrees, _, _ = _degree_vector(graph, S, w)
+    degrees, _, _ = _degree_vector(graph, _block_prob_map(graph, S)[0], w)
     return float(degrees[pos])
 
 
@@ -127,7 +136,7 @@ def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     w = _check_weights(graph, w)
     if not is_connected(graph):
         raise DisconnectedGraphError("degree profile requires a connected graph")
-    degrees, _, degenerate = _degree_vector(graph, S, w)
+    degrees, _, degenerate = _degree_vector(graph, _block_prob_map(graph, S)[0], w)
     bound = (6 * _bucket_count(S.size) + 6) * float(w @ w)
     return DegreeProfile(
         vertices=S,
@@ -138,83 +147,139 @@ def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     )
 
 
-def _abs_quadratic(A: np.ndarray, system: LaplacianSystem, z: np.ndarray, block: int) -> float:
-    """z^T |A^T L^+ A| z accumulated over column blocks (never materializes m x m)."""
-    Y = system.solve_columns(A)
+def _abs_form(M: np.ndarray, z: np.ndarray, a: np.ndarray | None = None, d: float = 1.0) -> float:
+    """z^T |M| z with entries below ``ABS_ZERO_TOL`` zeroed.  With ``a``,
+    first downdate ``M -= a a^T / d`` in place.  Works in row blocks, so
+    temporaries stay at ``_VI_BLOCK`` rows and each row is read once."""
     total = 0.0
-    m = A.shape[1]
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        M = A.T @ Y[:, lo:hi]
-        np.abs(M, out=M)
-        M[M < ABS_ZERO_TOL] = 0.0
-        total += float(z @ (M @ z[lo:hi]))
+    for lo in range(0, M.shape[0], _VI_BLOCK):
+        hi = lo + _VI_BLOCK
+        rows = M[lo:hi]
+        if a is not None:
+            rows -= np.outer(a[lo:hi] / d, a)
+        blk = np.abs(rows)
+        blk[blk < ABS_ZERO_TOL] = 0.0
+        total += float(z[lo:hi] @ (blk @ z))
     return total
+
+
+def _abs_quadratic(A: np.ndarray, system: LaplacianSystem, z: np.ndarray) -> float:
+    """z^T |A^T L^+ A| z from one fresh solve."""
+    return _abs_form(A.T @ system.solve_columns(A), z)
+
+
+def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
+    """Smallest alive id whose degree is within ``_TIE_RTOL`` (relative) of
+    the minimum alive degree."""
+    ids = np.flatnonzero(alive)
+    deg = degrees[ids]
+    lowest = deg.min()
+    return int(ids[np.argmax(deg <= lowest + _TIE_RTOL * abs(lowest))])
 
 
 def run_elimination(
     graph: Graph,
     w,
     compute_vi: bool = True,
-    block_size: int = _VI_BLOCK,
     identity_tol: float = 1e-8,
 ) -> EliminationTrace:
     """Run the greedy elimination loop down to two terminals.
 
-    At every step the pivot is the terminal of minimum degree (ties broken by
-    smallest vertex id, so traces are deterministic), the Laplacian is updated
-    by the pivot's star-clique elimination, and with ``compute_vi`` the
-    absolute quadratic form is recomputed from scratch on the shrunken system.
-    Each step verifies that the eliminated rank-one term equals the pivot's
-    degree to ``identity_tol`` and records the slack of the step inequality
-    ``V_i <= V_{i+1} + degree``.
+    At every step the pivot is the terminal of minimum degree.  Degrees
+    within a relative 1e-12 of the minimum count as tied and the smallest
+    vertex id among them wins, so traces are deterministic and do not depend
+    on roundoff.  Each step verifies that the eliminated rank-one term
+    ``(|a_k| . z)^2 / L[k, k]`` equals the pivot's degree to ``identity_tol``
+    and, with ``compute_vi``, records the slack of the step inequality
+    ``V_i <= V_{i+1} + degree``.  A non-positive pivot diagonal raises
+    :class:`LocalizationError`.
+
+    Nothing is rebuilt per step.  The Laplacian and the probability map stay
+    full-size (n x n) under an alive mask and are updated in place by the
+    one-step pivot identities of :func:`ohmgraph.schur._eliminate_pivot`;
+    only the rows of the pivot's current neighbours change, and only their
+    degrees are recomputed.  A step costs O(deg_k * (n + m)), where deg_k is
+    the pivot's neighbour count in the eliminated network so far.
+
+    With ``compute_vi`` the edge-space matrix ``M_0 = A_0^T L^+ A_0`` is
+    built once from one ``solve_columns`` over the m incidence columns and
+    then updated as ``M_{i+1} = M_i - a_k a_k^T / L[k, k]``, where ``a_k`` is
+    the pivot's probability drop across every edge.  ``V_i = z^T |M_i| z``
+    zeroes entries below ``ABS_ZERO_TOL`` as the direct computation does.
+    This adds O(m^2) time per step and holds one m x m array, so it is
+    refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
+
+    At the terminal pair the surviving probability rows are compared against
+    a from-scratch block elimination, and V_T against a from-scratch solve;
+    a gap beyond 1e-9 absolute or 1e-8 relative raises
+    :class:`LocalizationError`.
 
     With ``compute_vi=False`` only pivots and degrees are recorded (cheap mode
     for larger runs).
     """
     w = _check_weights(graph, w)
-    if graph.n_vertices < 2:
+    n, m = graph.n_vertices, graph.n_edges
+    if n < 2:
         raise ValueError("elimination requires at least 2 vertices")
     if not is_connected(graph):
         raise DisconnectedGraphError("elimination requires a connected graph")
+    if compute_vi and m > DENSE_EDGE_CAP:
+        raise ValueError(
+            f"tracking V_i holds an m x m matrix and caps at m={DENSE_EDGE_CAP} "
+            f"(got m={m}); use compute_vi=False (--skip-vi on the command line)"
+        )
+    tails, heads = graph.tails, graph.heads
     z = w * np.sqrt(graph.conductances)
     w_norm_sq = float(w @ w)
 
-    L_cur = laplacian_matrix(graph)
-    verts = np.arange(graph.n_vertices, dtype=np.int64)
+    L = laplacian_matrix(graph)
+    pm = np.eye(n)
+    alive = np.ones(n, dtype=bool)
+    degrees, _, _ = _degree_vector(graph, pm, w)
+    v_vals: list[float] = []
+    if compute_vi:
+        Y = LaplacianSystem(L).solve_columns(pm[:, tails] - pm[:, heads])
+        M = Y[tails] - Y[heads]  # A_0^T L^+ A_0, A_0 the incidence matrix
+        v_vals.append(_abs_form(M, z))
     pivots: list[int] = []
     degree_vals: list[float] = []
     rank_one_vals: list[float] = []
-    v_vals: list[float] = []
 
-    while True:
-        prob_map, _ = _block_prob_map(graph, verts)
-        degrees, _, _ = _degree_vector(graph, verts, w, prob_map=prob_map)
-        if compute_vi:
-            A = prob_map[:, graph.tails] - prob_map[:, graph.heads]
-            v_vals.append(_abs_quadratic(A, LaplacianSystem(L_cur), z, block_size))
-        if verts.size == 2:
-            break
-        k = int(np.argmin(degrees))  # first minimum = smallest id (verts sorted)
-        m_i = float(L_cur[k, k])
-        if m_i <= 0:
-            raise LocalizationError(f"pivot diagonal {m_i:.3e} is not positive")
-        q_pivot = np.abs(prob_map[k, graph.tails] - prob_map[k, graph.heads])
-        rank_one = float(q_pivot @ z) ** 2 / m_i
+    for _ in range(n - 2):
+        k = _pick_pivot(degrees, alive)
+        d = float(L[k, k])
+        if d <= 0:
+            raise LocalizationError(f"pivot diagonal {d:.3e} is not positive")
+        a = pm[k, tails] - pm[k, heads]
+        rank_one = float(np.abs(a) @ z) ** 2 / d
         if abs(rank_one - float(degrees[k])) > identity_tol:
             raise LocalizationError(
                 f"rank-one correction {rank_one!r} disagrees with degree "
                 f"{float(degrees[k])!r} beyond {identity_tol:.0e} at step {len(pivots)}"
             )
-        pivots.append(int(verts[k]))
+        pivots.append(k)
         degree_vals.append(float(degrees[k]))
         rank_one_vals.append(rank_one)
-        col = L_cur[:, k]
-        L_cur = L_cur - np.outer(col, col) / m_i
-        keep = np.arange(verts.size) != k
-        L_cur = L_cur[np.ix_(keep, keep)]
-        L_cur = (L_cur + L_cur.T) / 2.0
-        verts = verts[keep]
+        nb = _eliminate_pivot(L, pm, alive, k)
+        degrees[nb] = _degree_vector(graph, pm[nb], w)[0]
+        if compute_vi:
+            v_vals.append(_abs_form(M, z, a, d))
+
+    verts = np.flatnonzero(alive)
+    pm_ref, schur_ref = _block_prob_map(graph, verts)
+    drift = float(np.abs(pm[verts] - pm_ref).max())
+    if drift > _ORACLE_PM_TOL:
+        raise LocalizationError(
+            f"incremental probability map differs from the from-scratch map by {drift:.3e} "
+            f"at the terminal pair, beyond {_ORACLE_PM_TOL:.0e}"
+        )
+    if compute_vi:
+        v_ref = _abs_quadratic(pm_ref[:, tails] - pm_ref[:, heads], LaplacianSystem(schur_ref), z)
+        if abs(v_vals[-1] - v_ref) > _ORACLE_VI_RTOL * abs(v_ref):
+            raise LocalizationError(
+                f"incremental V_T = {v_vals[-1]!r} differs from the from-scratch value {v_ref!r} "
+                f"beyond {_ORACLE_VI_RTOL:.0e} relative"
+            )
 
     steps = []
     for i, pivot in enumerate(pivots):

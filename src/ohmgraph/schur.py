@@ -111,18 +111,17 @@ def _materialize(schur: np.ndarray, prune_tol: float) -> Graph:
             f"self-loop residue {residue:.3e} exceeds {SELF_LOOP_RESIDUE_TOL:.0e}; "
             "the eliminated matrix is not numerically a pure Laplacian"
         )
-    edges = []
-    for i in range(s):
-        for j in range(i + 1, s):
-            w = -schur[i, j]
-            if w > prune_tol:
-                edges.append((i, j, float(w)))
-            elif w < -prune_tol:
-                raise SchurResidueError(
-                    f"positive off-diagonal {schur[i, j]:.3e} at ({i}, {j}); "
-                    "elimination produced a non-Laplacian matrix"
-                )
-    return build_graph(edges, n_vertices=s)
+    rows, cols = np.triu_indices(s, k=1)  # row-major pair order
+    w = -schur[rows, cols]
+    positive = np.flatnonzero(w < -prune_tol)
+    if positive.size:
+        i, j = int(rows[positive[0]]), int(cols[positive[0]])
+        raise SchurResidueError(
+            f"positive off-diagonal {schur[i, j]:.3e} at ({i}, {j}); "
+            "elimination produced a non-Laplacian matrix"
+        )
+    keep = w > prune_tol
+    return build_graph(zip(rows[keep].tolist(), cols[keep].tolist(), w[keep].tolist()), n_vertices=s)
 
 
 def schur_complement(graph: Graph, terminals, prune_tol: float = PRUNE_TOL) -> SchurSystem:
@@ -145,33 +144,51 @@ def schur_complement(graph: Graph, terminals, prune_tol: float = PRUNE_TOL) -> S
     )
 
 
-def eliminate_one(system: SchurSystem, v: int, prune_tol: float = PRUNE_TOL) -> SchurSystem:
-    """Eliminate a single terminal by a star-clique update of the current Laplacian.
+def _eliminate_pivot(L: np.ndarray, pm: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
+    """Eliminate alive row ``k`` in place by one star-clique step.
 
-    Equals the from-scratch elimination onto the smaller terminal set; the
-    probability map is recomputed from the block formula (correctness first at
-    desk scale; the incremental one-step update is a future optimization).
+    ``L`` is a Laplacian indexed like ``alive`` and ``pm`` its probability
+    map, one row per index.  Only the alive neighbours ``nb`` of ``k``
+    (``L[nb, k] != 0``) change: ``L[nb, nb] -= L[nb, k] L[k, nb] / L[k, k]``
+    and ``pm[nb] += (-L[nb, k] / L[k, k]) pm[k]``, since a walk that would
+    first hit ``k`` now moves on to neighbour j with probability
+    ``-L[j, k] / L[k, k]``.  Row and column ``k`` are left stale and
+    ``alive[k]`` is cleared.  Returns ``nb``.
+    """
+    d = L[k, k]
+    if d <= 0:
+        raise SchurResidueError(f"pivot diagonal {d:.3e} is not positive")
+    alive[k] = False
+    col = L[:, k]
+    nb = np.flatnonzero((col != 0) & alive)
+    c = col[nb]
+    L[np.ix_(nb, nb)] -= np.outer(c, c) / d  # (c_i c_j) / d keeps L exactly symmetric
+    pm[nb] += np.outer(-c / d, pm[k])
+    return nb
+
+
+def eliminate_one(system: SchurSystem, v: int, prune_tol: float = PRUNE_TOL) -> SchurSystem:
+    """Eliminate a single terminal by a star-clique update of the current
+    Laplacian and the matching one-step update of the probability map.
+
+    Equals the from-scratch elimination onto the smaller terminal set.  Runs
+    the same pivot update as :func:`ohmgraph.localization.run_elimination`
+    on copies of the system's arrays, so nothing is re-solved.
     """
     if system.size <= 2:
         raise ValueError("cannot eliminate below 2 terminals (termination state)")
     k = system.local_index(v)
-    L = system.laplacian
-    d = L[k, k]
-    if d <= 0:
-        raise SchurResidueError(f"pivot diagonal {d:.3e} is not positive")
-    col = L[:, k]
-    updated = L - np.outer(col, col) / d
-    keep = np.arange(system.size) != k
-    updated = updated[np.ix_(keep, keep)]
-    updated = (updated + updated.T) / 2.0
-    vertices = system.vertices[keep]
-    pm, _ = _block_prob_map(system.base, vertices)
+    L = system.laplacian.copy()
+    pm = system.prob_map.copy()
+    keep = np.ones(system.size, dtype=bool)
+    _eliminate_pivot(L, pm, keep, k)
+    updated = L[np.ix_(keep, keep)]
     return SchurSystem(
         base=system.base,
-        vertices=vertices,
+        vertices=system.vertices[keep],
         laplacian=updated,
         graph=_materialize(updated, prune_tol),
-        prob_map=pm,
+        prob_map=pm[keep],
     )
 
 
@@ -299,16 +316,17 @@ def check_sum_potentials(system: SchurSystem, edge_index: int) -> float:
     return float(r.sum())
 
 
-def check_norm_energy(graph: Graph, terminals, v: int, p: float) -> tuple[float, float]:
+def check_norm_energy(system: SchurSystem, v: int, p: float) -> tuple[float, float]:
     """Energy of the low-potential edge set versus its fraction bound.
 
-    ``lhs`` is the conductance-weighted square of the probability drops over
-    edges whose endpoint probabilities both stay at or below ``p``; ``rhs`` is
-    ``p`` times the total drop energy.  The contract is ``lhs <= rhs``.
+    ``lhs`` is the conductance-weighted square of ``v``'s probability drops
+    over base edges whose endpoint probabilities both stay at or below ``p``;
+    ``rhs`` is ``p`` times the total drop energy.  The contract is
+    ``lhs <= rhs``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must lie in (0, 1)")
-    system = schur_complement(graph, terminals)
+    graph = system.base
     stats = edge_stats(system, v)
     i = system.local_index(v)
     row = system.prob_map[i]
@@ -319,18 +337,17 @@ def check_norm_energy(graph: Graph, terminals, v: int, p: float) -> tuple[float,
     return lhs, rhs
 
 
-def check_schur_conductance(graph: Graph, terminals, v: int) -> tuple[float, float]:
+def check_schur_conductance(system: SchurSystem, v: int) -> tuple[float, float]:
     """Weighted degree of a terminal after elimination versus the drop energy.
 
     ``lhs`` sums the conductances incident to ``v`` in the eliminated network;
     ``rhs`` is the conductance-weighted square of ``v``'s probability drops
     over the base edges.  The two agree to solver accuracy.
     """
-    system = schur_complement(graph, terminals)
     i = system.local_index(v)
     sg = system.graph
     incident = (sg.tails == i) | (sg.heads == i)
     lhs = float(sg.conductances[incident].sum())
     stats = edge_stats(system, v)
-    rhs = float((graph.conductances * stats.q**2).sum())
+    rhs = float((system.base.conductances * stats.q**2).sum())
     return lhs, rhs

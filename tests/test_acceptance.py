@@ -146,10 +146,10 @@ def test_criterion_4_section2_proposition_sweeps():
             failures += 1
         v = int(S[rng.integers(S.size)])
         p = float(rng.uniform(0.05, 0.95))
-        lhs, rhs = check_norm_energy(g, S, v, p)
+        lhs, rhs = check_norm_energy(system, v, p)
         if lhs > rhs + 1e-9:
             failures += 1
-        lhs, rhs = check_schur_conductance(g, S, v)
+        lhs, rhs = check_schur_conductance(system, v)
         if abs(lhs - rhs) > 1e-8 * max(rhs, 1e-12):
             failures += 1
     _report(

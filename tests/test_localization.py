@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
+import ohmgraph.localization as localization
 from ohmgraph import (
+    LaplacianSystem,
+    LocalizationError,
     build_graph,
     complete,
     degree,
     degree_profile,
+    eliminate_one,
     parallel_paths,
     path,
     quadratic_form_abs,
     random_regular_expander,
     run_elimination,
     harmonic_bound_check,
+    schur_complement,
     torus,
 )
+from ohmgraph.localization import _abs_quadratic, _degree_vector
+from ohmgraph.schur import _block_prob_map
 
 from conftest import random_connected_graph, single_edge, triangle
 
@@ -125,6 +132,79 @@ class TestRunElimination:
         assert trace.v_terminal <= trace.w_norm_sq + 1e-8
         direct = quadratic_form_abs(g, w)
         assert abs(trace.v_initial - direct) <= 1e-6 * max(direct, 1e-12)
+
+
+def _from_scratch(g, verts, w):
+    """Probability map, degrees and V on the surviving set, rebuilt from the
+    base graph by block elimination and a fresh solve."""
+    pm, schur = _block_prob_map(g, verts)
+    degrees = _degree_vector(g, pm, w)[0]
+    z = w * np.sqrt(g.conductances)
+    v = _abs_quadratic(pm[:, g.tails] - pm[:, g.heads], LaplacianSystem(schur), z)
+    return pm, degrees, v
+
+
+class TestIncrementalEngine:
+    @pytest.mark.parametrize("instance", ["torus6", "weighted", "expander32"])
+    def test_every_step_matches_from_scratch(self, instance, rng):
+        if instance == "torus6":
+            g = torus(6)
+            w = np.ones(g.n_edges)
+        elif instance == "weighted":
+            g = random_connected_graph(rng, weighted=True)
+            w = rng.uniform(0, 2, size=g.n_edges)
+        else:
+            g = random_regular_expander(32, 4, seed=0)
+            w = np.ones(g.n_edges)
+        trace = run_elimination(g, w)
+        system = schur_complement(g, range(g.n_vertices))
+        verts = np.arange(g.n_vertices)
+        for step in trace.steps:
+            pm, degrees, v = _from_scratch(g, verts, w)
+            ref = degrees[np.searchsorted(verts, step.pivot)]
+            assert abs(step.degree_value - ref) <= 1e-10 * abs(ref)
+            assert abs(step.v_i - v) <= 1e-9 * v
+            # eliminate_one runs the same pivot update as run_elimination
+            assert np.abs(system.prob_map - pm).max() <= 1e-9
+            assert np.abs(system.prob_map.sum(axis=0) - 1.0).max() <= 1e-9
+            system = eliminate_one(system, step.pivot)
+            verts = verts[verts != step.pivot]
+        assert list(trace.terminal_pair) == verts.tolist()
+        _, _, v = _from_scratch(g, verts, w)
+        assert abs(trace.v_terminal - v) <= 1e-9 * v
+
+    def test_tied_pivots_take_smallest_id(self):
+        # torus(10) has degrees tied up to roundoff, first at step 62
+        g = torus(10)
+        w = np.ones(g.n_edges)
+        trace = run_elimination(g, w, compute_vi=False)
+        verts = np.arange(g.n_vertices)
+        for step in trace.steps:
+            degrees = _degree_vector(g, _block_prob_map(g, verts)[0], w)[0]
+            lowest = degrees.min()
+            tied = verts[degrees <= lowest + 1e-12 * abs(lowest)]
+            assert step.pivot == tied.min()
+            verts = verts[verts != step.pivot]
+
+    def test_tracked_vi_refused_above_edge_cap(self, monkeypatch):
+        monkeypatch.setattr(localization, "DENSE_EDGE_CAP", 17)
+        with pytest.raises(ValueError, match="--skip-vi"):
+            run_elimination(torus(3), np.ones(18))
+        assert len(run_elimination(torus(3), np.ones(18), compute_vi=False).steps) == 7
+
+    def test_oracle_rejects_probability_map_drift(self, monkeypatch):
+        def shifted(graph, S):
+            pm, schur = _block_prob_map(graph, S)
+            return pm + 1e-6, schur
+
+        monkeypatch.setattr(localization, "_block_prob_map", shifted)
+        with pytest.raises(LocalizationError, match="from-scratch map"):
+            run_elimination(torus(3), np.ones(18), compute_vi=False)
+
+    def test_oracle_rejects_vi_drift(self, monkeypatch):
+        monkeypatch.setattr(localization, "_abs_quadratic", lambda *a: 1.0001 * _abs_quadratic(*a))
+        with pytest.raises(LocalizationError, match="from-scratch value"):
+            run_elimination(torus(3), np.ones(18))
 
 
 class TestHarmonicBoundCheck:

@@ -3,6 +3,7 @@ import pytest
 
 from ohmgraph import (
     DisconnectedGraphError,
+    SchurResidueError,
     build_graph,
     check_norm_energy,
     check_schur_conductance,
@@ -18,6 +19,8 @@ from ohmgraph import (
     schur_complement,
     torus,
 )
+
+from ohmgraph.schur import PRUNE_TOL, _materialize
 
 from conftest import oracle_pinv_quad, random_connected_graph, triangle
 
@@ -71,6 +74,42 @@ class TestSchurComplement:
         g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError):
             schur_complement(g, [0, 2])
+
+
+def _materialize_loop(schur, prune_tol):
+    """Reference: the pairwise loop over the upper triangle in row-major order."""
+    edges = []
+    for i in range(schur.shape[0]):
+        for j in range(i + 1, schur.shape[0]):
+            if -schur[i, j] > prune_tol:
+                edges.append((i, j, float(-schur[i, j])))
+    return edges
+
+
+class TestMaterialize:
+    def test_matches_pairwise_loop_and_prunes(self):
+        L = schur_complement(random_regular_expander(24, 4, seed=2), range(0, 24, 2)).laplacian.copy()
+        for i, j, c in ((0, 5, 0.1 * PRUNE_TOL), (2, 9, 3 * PRUNE_TOL)):
+            moved = -L[i, j] - c  # reset conductance (i, j) to c, keeping zero row sums
+            L[i, j] = L[j, i] = -c
+            L[i, i] -= moved
+            L[j, j] -= moved
+        edges = _materialize(L, PRUNE_TOL).edge_list()
+        assert edges == _materialize_loop(L, PRUNE_TOL)
+        pairs = {(t, h): c for t, h, c in edges}
+        assert (0, 5) not in pairs
+        assert pairs[(2, 9)] == 3 * PRUNE_TOL
+
+    def test_first_positive_off_diagonal_rejected(self):
+        L = np.array(
+            [[1.0, -1.5, 0.5, 0.0], [-1.5, 2.0, -0.5, 0.0], [0.5, -0.5, 0.5, -0.5], [0.0, 0.0, -0.5, 0.5]]
+        )
+        with pytest.raises(SchurResidueError, match=r"positive off-diagonal 5\.000e-01 at \(0, 2\)"):
+            _materialize(L, PRUNE_TOL)
+
+    def test_row_sum_residue_rejected(self):
+        with pytest.raises(SchurResidueError, match="self-loop residue"):
+            _materialize(np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-6]]), PRUNE_TOL)
 
 
 class TestEliminateOne:
@@ -197,18 +236,19 @@ class TestSumPotentials:
 
 class TestNormEnergy:
     def test_path4_worked_example(self):
-        lhs, rhs = check_norm_energy(path(4), [0, 3], 0, 0.5)
+        lhs, rhs = check_norm_energy(schur_complement(path(4), [0, 3]), 0, 0.5)
         assert lhs == pytest.approx(1 / 9, abs=1e-10)
         assert rhs == pytest.approx(1 / 6, abs=1e-10)
 
     def test_threshold_near_one_covers_everything(self):
-        lhs, rhs = check_norm_energy(path(4), [0, 3], 0, 0.999)
+        lhs, rhs = check_norm_energy(schur_complement(path(4), [0, 3]), 0, 0.999)
         assert lhs <= rhs
 
     def test_invalid_threshold(self):
+        sys = schur_complement(path(4), [0, 3])
         for p in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                check_norm_energy(path(4), [0, 3], 0, p)
+                check_norm_energy(sys, 0, p)
 
     def test_torus_sweep(self, rng):
         g = torus(4)
@@ -217,25 +257,26 @@ class TestNormEnergy:
             S = np.sort(rng.choice(16, size=size, replace=False))
             v = int(S[rng.integers(size)])
             p = float(rng.uniform(0.05, 0.95))
-            lhs, rhs = check_norm_energy(g, S, v, p)
+            lhs, rhs = check_norm_energy(schur_complement(g, S), v, p)
             assert lhs <= rhs + 1e-12
 
 
 class TestSchurConductance:
     def test_full_set_gives_weighted_degree(self):
         g = build_graph([(0, 1, 2.0), (1, 2, 3.0), (2, 0, 5.0)])
-        lhs, rhs = check_schur_conductance(g, range(3), 1)
+        lhs, rhs = check_schur_conductance(schur_complement(g, range(3)), 1)
         assert lhs == pytest.approx(5.0, abs=1e-12)
         assert rhs == pytest.approx(5.0, abs=1e-12)
 
     def test_path4_series(self):
-        lhs, rhs = check_schur_conductance(path(4), [0, 3], 0)
+        lhs, rhs = check_schur_conductance(schur_complement(path(4), [0, 3]), 0)
         assert lhs == pytest.approx(1 / 3, abs=1e-10)
         assert rhs == pytest.approx(1 / 3, abs=1e-10)
 
     def test_expander_sweep(self, rng):
         g = random_regular_expander(32, 4, seed=6)
         S = np.sort(rng.choice(32, size=8, replace=False))
+        sys = schur_complement(g, S)
         for v in S:
-            lhs, rhs = check_schur_conductance(g, S, int(v))
+            lhs, rhs = check_schur_conductance(sys, int(v))
             assert abs(lhs - rhs) <= 1e-8 * rhs
