@@ -1,79 +1,13 @@
 """Electrical flows, transfer impedance, Schur-complement elimination, and
-oblivious-routing diagnostics on weighted graphs."""
+oblivious-routing diagnostics on weighted graphs.
 
-from .graph import (
-    Graph,
-    GraphFormatError,
-    bfs_distance,
-    build_graph,
-    complete,
-    erdos_renyi,
-    generate_family,
-    hypercube,
-    incidence_apply,
-    incidence_transpose_apply,
-    is_connected,
-    laplacian_matrix,
-    parallel_paths,
-    parse_family_spec,
-    path,
-    random_regular_expander,
-    read_graph,
-    torus,
-    weighted_adjacency,
-    write_graph,
-)
-from .solver import (
-    ConvergenceError,
-    DisconnectedGraphError,
-    LaplacianSystem,
-    PowerIterationResult,
-    pinv_apply,
-    spectral_norm_nonneg,
-)
-from .electrical import (
-    ABS_ZERO_TOL,
-    DENSE_EDGE_CAP,
-    FlowSummary,
-    TransferImpedance,
-    abs_impedance_max_colsum,
-    abs_impedance_spectral_norm,
-    delta_edge,
-    delta_summary,
-    effective_resistance,
-    quadratic_form_abs,
-    transfer_impedance,
-    unit_flow,
-)
-from .schur import (
-    EdgeStats,
-    SchurResidueError,
-    SchurSystem,
-    check_norm_energy,
-    check_schur_conductance,
-    check_sum_potentials,
-    edge_stats,
-    eliminate_one,
-    hitting_probabilities,
-    schur_complement,
-)
-from .localization import (
-    DegreeProfile,
-    EliminationStep,
-    EliminationTrace,
-    LocalizationError,
-    HarmonicBoundReport,
-    degree,
-    degree_profile,
-    run_elimination,
-    harmonic_bound_check,
-)
-from .routing import (
-    Demand,
-    RoutingReport,
-    competitive_ratio_bound,
-    parse_demands,
-    route_demands,
-)
+The package re-exports the ``__all__`` of each module."""
+
+from .graph import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .electrical import *  # noqa: F403
+from .schur import *  # noqa: F403
+from .localization import *  # noqa: F403
+from .routing import *  # noqa: F403
 
 __version__ = "0.1.0"

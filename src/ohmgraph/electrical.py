@@ -3,8 +3,6 @@ transfer impedance projection with its entrywise-absolute norms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph, bfs_distance
@@ -13,15 +11,10 @@ from .solver import LaplacianSystem, PowerIterationResult, spectral_norm_nonneg
 __all__ = [
     "DENSE_EDGE_CAP",
     "ABS_ZERO_TOL",
-    "FlowSummary",
     "TransferImpedance",
     "unit_flow",
     "effective_resistance",
     "delta_edge",
-    "delta_summary",
-    "transfer_impedance",
-    "abs_impedance_spectral_norm",
-    "abs_impedance_max_colsum",
     "quadratic_form_abs",
 ]
 
@@ -33,42 +26,59 @@ DENSE_EDGE_CAP = 4000
 # absolute values, so sign noise on symmetric families does not inflate norms.
 ABS_ZERO_TOL = 1e-12
 
+# Columns per block, for the solves behind L^+ and for every pass over Pi.
 _DEFAULT_BLOCK = 512
 
 
-def _require_unweighted(graph: Graph, what: str) -> None:
-    if not graph.is_unweighted:
-        raise ValueError(
-            f"{what} is defined for unweighted graphs only (all conductances 1); "
-            "this graph carries non-unit conductances"
-        )
+def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``|x|`` with entries below ``ABS_ZERO_TOL`` set to exactly zero."""
+    out = np.abs(x, out=out)
+    out[out < ABS_ZERO_TOL] = 0.0
+    return out
+
+
+def _check_weights(graph: Graph, w) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.shape != (graph.n_edges,):
+        raise ValueError(f"expected an edge weight vector of length {graph.n_edges}, got shape {w.shape}")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and entrywise nonnegative")
+    return w
+
+
+def _pseudoinverse(system: LaplacianSystem) -> np.ndarray:
+    """Dense ``L^+`` whose row j is the solve against the unit vector e_j."""
+    n = system.n
+    lplus = np.empty((n, n))
+    for lo in range(0, n, _DEFAULT_BLOCK):
+        hi = min(lo + _DEFAULT_BLOCK, n)
+        rhs = np.zeros((n, hi - lo))
+        rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+        lplus[lo:hi] = system.solve_columns(rhs).T
+    return lplus
 
 
 class TransferImpedance:
-    """The edge-space projection ``sqrt(C) B L^+ B^T sqrt(C)``.
+    """The edge-space projection ``Pi = sqrt(C) B L^+ B^T sqrt(C)``.
 
     Construction solves for the dense n x n pseudoinverse ``L^+`` once, n
-    columns in blocks of ``block_size``.  Every column block of the impedance
-    is then two row gathers of ``L^+`` and no further solve: column f is
+    columns in blocks, and keeps it.  Every column block of the impedance is
+    then two row gathers of ``L^+`` and no further solve: column f is
     ``sqrt(C) B`` applied to the unit-flow potentials
     ``sqrt(c_f) L^+ (e_tail(f) - e_head(f))``.
 
-    ``mode='dense'`` stores the full m x m matrix (allowed for
-    ``m <= DENSE_EDGE_CAP``) and frees ``L^+`` once it is built;
-    ``mode='streaming'`` keeps ``L^+`` and recomputes column blocks on demand,
-    holding O(n^2 + m * block_size) memory and never an m x m array.  Entries
-    are differences of ``L^+`` entries, so their absolute error scales with
+    The norms read ``|Pi|``, with entries below ``ABS_ZERO_TOL`` zeroed, in
+    column blocks.  ``mode='dense'`` (allowed for ``m <= DENSE_EDGE_CAP``)
+    computes ``|Pi|`` and the diagonal once at construction and caches them
+    in one m x m array, so every later pass reads the cache;
+    ``mode='streaming'`` recomputes each block on every pass, holding
+    O(n^2 + m * block) memory and never an m x m array.  Entries are
+    differences of ``L^+`` entries, so their absolute error scales with
     machine epsilon times ``max |L^+|`` (about n/3 on a path).  Column blocks
     are pure functions of the cached ``L^+`` and safe to compute concurrently.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        mode: str = "auto",
-        block_size: int = _DEFAULT_BLOCK,
-        zero_tol: float = ABS_ZERO_TOL,
-    ):
+    def __init__(self, graph: Graph, mode: str = "auto"):
         m = graph.n_edges
         if m < 1:
             raise ValueError("graph has no edges")
@@ -83,47 +93,22 @@ class TransferImpedance:
             )
         self.graph = graph
         self.mode = mode
-        self.block_size = int(block_size)
-        self.zero_tol = float(zero_tol)
         self._sqrt_c = np.sqrt(graph.conductances)
-        self._lplus = self._pseudoinverse(LaplacianSystem.from_graph(graph))
-        self._matrix = None
-        self._abs_matrix = None
+        self._lplus = _pseudoinverse(LaplacianSystem.from_graph(graph))
+        self._abs_cache = None
         if mode == "dense":
-            matrix = np.empty((m, m))
-            for lo, hi, block in self._iter_raw_blocks():
-                matrix[:, lo:hi] = block
-            self._matrix = matrix
-            self._lplus = None
+            abs_pi, diag = np.empty((m, m)), np.empty(m)
+            for lo, hi, ab, d in self._abs_blocks():
+                abs_pi[:, lo:hi] = ab
+                diag[lo:hi] = d
+            self._abs_cache = (abs_pi, diag)
 
     @property
     def n_edges(self) -> int:
         return self.graph.n_edges
 
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            raise ValueError("impedance matrix is not materialized in streaming mode")
-        return self._matrix
-
     def column_block(self, lo: int, hi: int) -> np.ndarray:
-        """Exact impedance columns ``lo..hi-1`` as an (m, hi-lo) array."""
-        if self._matrix is not None:
-            return self._matrix[:, lo:hi]
-        return self._compute_block(lo, hi)
-
-    def _pseudoinverse(self, system: LaplacianSystem) -> np.ndarray:
-        """Dense ``L^+`` whose row j is the solve against the unit vector e_j."""
-        n = system.n
-        lplus = np.empty((n, n))
-        for lo in range(0, n, self.block_size):
-            hi = min(lo + self.block_size, n)
-            rhs = np.zeros((n, hi - lo))
-            rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-            lplus[lo:hi] = system.solve_columns(rhs).T
-        return lplus
-
-    def _compute_block(self, lo: int, hi: int) -> np.ndarray:
+        """Exact signed impedance columns ``lo..hi-1`` as an (m, hi-lo) array."""
         g = self.graph
         # row f: sqrt(c_f) times the potentials of a unit flow across edge f
         flow_potentials = self._sqrt_c[lo:hi, None] * (
@@ -133,100 +118,50 @@ class TransferImpedance:
         d = np.ascontiguousarray(flow_potentials.T)
         return self._sqrt_c[:, None] * (d[g.tails] - d[g.heads])
 
-    def _iter_raw_blocks(self):
+    def _abs_blocks(self):
+        """Yield ``(lo, hi, |Pi| columns lo..hi-1, Pi diagonal lo..hi-1)``, the
+        absolute block with entries below ``ABS_ZERO_TOL`` zeroed."""
         m = self.n_edges
-        for lo in range(0, m, self.block_size):
-            hi = min(lo + self.block_size, m)
-            yield lo, hi, self._compute_block(lo, hi)
-
-    def iter_blocks(self):
-        """Yield ``(lo, hi, block)`` over exact column blocks."""
-        if self._matrix is not None:
-            m = self.n_edges
-            for lo in range(0, m, self.block_size):
-                hi = min(lo + self.block_size, m)
-                yield lo, hi, self._matrix[:, lo:hi]
-        else:
-            yield from self._iter_raw_blocks()
-
-    def _abs_block(self, block: np.ndarray) -> np.ndarray:
-        out = np.abs(block)
-        out[out < self.zero_tol] = 0.0
-        return out
-
-    def _abs_dense(self) -> np.ndarray:
-        if self._abs_matrix is None:
-            self._abs_matrix = self._abs_block(self.matrix)
-        return self._abs_matrix
-
-    def trace(self) -> float:
-        if self._matrix is not None:
-            return float(np.trace(self._matrix))
-        total = 0.0
-        for lo, hi, block in self.iter_blocks():
-            total += float(np.trace(block[lo:hi, :]))
-        return total
+        for lo in range(0, m, _DEFAULT_BLOCK):
+            hi = min(lo + _DEFAULT_BLOCK, m)
+            if self._abs_cache is not None:
+                abs_pi, diag = self._abs_cache
+                yield lo, hi, abs_pi[:, lo:hi], diag[lo:hi]
+            else:
+                block = self.column_block(lo, hi)
+                diag = block[np.arange(lo, hi), np.arange(hi - lo)]
+                yield lo, hi, _abs_zeroed(block, out=block), diag
 
     def abs_matvec(self, v) -> np.ndarray:
         """Entrywise-absolute impedance applied to ``v``."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_edges,):
             raise ValueError(f"expected an edge vector of length {self.n_edges}")
-        if self._matrix is not None:
-            return self._abs_dense() @ v
         acc = np.zeros(self.n_edges)
-        for lo, hi, block in self.iter_blocks():
-            acc += self._abs_block(block) @ v[lo:hi]
+        for lo, hi, ab, _ in self._abs_blocks():
+            acc += ab @ v[lo:hi]
         return acc
 
-    def abs_colsums(self) -> np.ndarray:
-        """Per-column sums of the entrywise-absolute impedance.
-
-        For an unweighted graph, column f sums to the l1 norm of the unit
-        electrical flow between the endpoints of edge f.
-        """
-        if self._matrix is not None:
-            return self._abs_dense().sum(axis=0)
-        out = np.empty(self.n_edges)
-        for lo, hi, block in self.iter_blocks():
-            out[lo:hi] = self._abs_block(block).sum(axis=0)
-        return out
-
     def per_edge_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pass returning (abs column sums, flow l1 norms, diagonal)."""
+        """One pass returning (abs column sums, flow l1 norms, diagonal).
+
+        For an unweighted graph, column f of ``|Pi|`` sums to the l1 norm of
+        the unit electrical flow between the endpoints of edge f, its flow
+        stretch; the diagonal sums to the trace, n - 1 on a connected graph.
+        """
         m = self.n_edges
         colsums = np.empty(m)
         l1 = np.empty(m)
         diag = np.empty(m)
-        for lo, hi, block in self.iter_blocks():
-            ab = self._abs_block(block)
+        for lo, hi, ab, d in self._abs_blocks():
             colsums[lo:hi] = ab.sum(axis=0)
             # |flow on e for unit injection across f| = sqrt(c_e/c_f) |Pi_ef|
             l1[lo:hi] = (self._sqrt_c @ ab) / self._sqrt_c[lo:hi]
-            diag[lo:hi] = block[np.arange(lo, hi), np.arange(hi - lo)]
+            diag[lo:hi] = d
         return colsums, l1, diag
 
     def abs_spectral_norm(self, tol: float = 1e-10, max_iter: int | None = None) -> PowerIterationResult:
         return spectral_norm_nonneg(self.abs_matvec, self.n_edges, tol=tol, max_iter=max_iter)
-
-    def abs_quadratic_form(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        return float(w @ self.abs_matvec(w))
-
-
-@dataclass(frozen=True)
-class FlowSummary:
-    """Per-edge flow stretch of an unweighted graph: delta = l1 / hop distance,
-    and the endpoints of every edge are adjacent, so delta equals l1 here."""
-
-    delta: np.ndarray
-    l1: np.ndarray
-    mean_delta: float
-    max_delta: float
-
-    @property
-    def sum_delta(self) -> float:
-        return float(self.delta.sum())
 
 
 def unit_flow(graph: Graph, u: int, v: int) -> np.ndarray:
@@ -265,68 +200,25 @@ def effective_resistance(graph: Graph, u: int, v: int) -> float:
 
 def delta_edge(graph: Graph, edge_index: int) -> float:
     """Flow stretch of one edge: l1 norm of the endpoint unit flow over hop distance."""
-    _require_unweighted(graph, "flow stretch (delta)")
+    if not graph.is_unweighted:
+        raise ValueError(
+            "flow stretch (delta) is defined for unweighted graphs only (all conductances 1); "
+            "this graph carries non-unit conductances"
+        )
     if not (0 <= edge_index < graph.n_edges):
         raise ValueError(f"edge index {edge_index} out of range for m={graph.n_edges}")
     t = int(graph.tails[edge_index])
     h = int(graph.heads[edge_index])
     f = unit_flow(graph, t, h)
-    f[np.abs(f) < ABS_ZERO_TOL] = 0.0
-    return float(np.abs(f).sum()) / bfs_distance(graph, t, h)
+    return float(_abs_zeroed(f).sum()) / bfs_distance(graph, t, h)
 
 
-def delta_summary(graph: Graph, mode: str = "auto", block_size: int = _DEFAULT_BLOCK) -> FlowSummary:
-    """Flow stretch for every edge of an unweighted graph."""
-    _require_unweighted(graph, "flow stretch (delta)")
-    tp = TransferImpedance(graph, mode=mode, block_size=block_size)
-    l1 = tp.abs_colsums()
-    # every edge's endpoints are adjacent, so the hop distance in the ratio is 1
-    delta = l1
-    return FlowSummary(
-        delta=delta,
-        l1=l1,
-        mean_delta=float(delta.mean()),
-        max_delta=float(delta.max()),
-    )
-
-
-def transfer_impedance(graph: Graph, mode: str = "auto", block_size: int = _DEFAULT_BLOCK) -> TransferImpedance:
-    """Construct the transfer impedance for ``graph``; see :class:`TransferImpedance`."""
-    return TransferImpedance(graph, mode=mode, block_size=block_size)
-
-
-def abs_impedance_spectral_norm(
-    graph: Graph,
-    mode: str = "auto",
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    block_size: int = _DEFAULT_BLOCK,
-) -> float:
-    """Spectral norm of the entrywise-absolute impedance, via power iteration."""
-    tp = TransferImpedance(graph, mode=mode, block_size=block_size)
-    return tp.abs_spectral_norm(tol=tol, max_iter=max_iter).value
-
-
-def abs_impedance_max_colsum(graph: Graph, mode: str = "auto", block_size: int = _DEFAULT_BLOCK) -> float:
-    """Maximum column sum of the entrywise-absolute impedance.
-
-    On unweighted graphs this equals the maximum flow stretch over edges, and
-    it is the competitive ratio of electrical-flow oblivious routing.
-    """
-    tp = TransferImpedance(graph, mode=mode, block_size=block_size)
-    return float(tp.abs_colsums().max())
-
-
-def quadratic_form_abs(graph: Graph, w, mode: str = "auto", block_size: int = _DEFAULT_BLOCK) -> float:
-    """Quadratic form of the entrywise-absolute impedance on a nonnegative vector.
+def quadratic_form_abs(graph: Graph, w) -> float:
+    """Quadratic form of the entrywise-absolute impedance on a finite
+    nonnegative vector, in one streaming pass over Pi.
 
     With all-ones ``w`` on an unweighted graph this equals the sum of per-edge
     flow stretches.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (graph.n_edges,):
-        raise ValueError(f"expected an edge vector of length {graph.n_edges}, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be entrywise nonnegative")
-    tp = TransferImpedance(graph, mode=mode, block_size=block_size)
-    return tp.abs_quadratic_form(w)
+    w = _check_weights(graph, w)
+    return float(w @ TransferImpedance(graph, mode="streaming").abs_matvec(w))

@@ -79,6 +79,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _edge_error(t: int, h: int, c: float) -> str | None:
+    """Why ``(t, h, c)`` is not a valid edge, or None when it is."""
+    if t == h:
+        return f"self-loop at vertex {t} is not allowed"
+    if t < 0 or h < 0:
+        return f"negative vertex id in ({t}, {h})"
+    if not math.isfinite(c) or c <= 0.0:
+        return f"conductance must be a positive finite real, got {c}"
+    return None
+
+
 def build_graph(edges, n_vertices: int | None = None) -> Graph:
     """Build a :class:`Graph` from ``(tail, head, conductance)`` triples.
 
@@ -98,12 +109,9 @@ def build_graph(edges, n_vertices: int | None = None) -> Graph:
         except (TypeError, ValueError):
             raise ValueError(f"edge {i}: expected a (tail, head, conductance) triple, got {edge!r}")
         t, h, c = int(t), int(h), float(c)
-        if t == h:
-            raise ValueError(f"edge {i}: self-loop at vertex {t} is not allowed")
-        if t < 0 or h < 0:
-            raise ValueError(f"edge {i}: negative vertex id in ({t}, {h})")
-        if not math.isfinite(c) or c <= 0.0:
-            raise ValueError(f"edge {i}: conductance must be a positive finite real, got {c}")
+        error = _edge_error(t, h, c)
+        if error:
+            raise ValueError(f"edge {i}: {error}")
         tails[i], heads[i], conds[i] = t, h, c
     max_id = int(max(tails.max(), heads.max())) if edges else -1
     if n_vertices is None:
@@ -281,7 +289,6 @@ _FAMILIES = {
     "torus": (torus, "n"),
     "hypercube": (hypercube, "d"),
     "expander": (random_regular_expander, "n d [seed]"),
-    "random_regular_expander": (random_regular_expander, "n d [seed]"),
     "path": (path, "n"),
     "complete": (complete, "n"),
     "erdos_renyi": (erdos_renyi, "n p [seed]"),
@@ -350,12 +357,9 @@ def read_graph(path_: str) -> Graph:
                 t, h, c = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise GraphFormatError(f"{path_}:{lineno}: could not parse fields in {raw.rstrip()!r}")
-            if t == h:
-                raise GraphFormatError(f"{path_}:{lineno}: self-loop at vertex {t}")
-            if t < 0 or h < 0:
-                raise GraphFormatError(f"{path_}:{lineno}: negative vertex id")
-            if not math.isfinite(c) or c <= 0.0:
-                raise GraphFormatError(f"{path_}:{lineno}: conductance must be positive, got {parts[2]}")
+            error = _edge_error(t, h, c)
+            if error:
+                raise GraphFormatError(f"{path_}:{lineno}: {error}")
             edges.append((t, h, c))
     if not edges:
         raise GraphFormatError(f"{path_}: no edges found")

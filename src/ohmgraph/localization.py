@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import ABS_ZERO_TOL, DENSE_EDGE_CAP, quadratic_form_abs
+from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, quadratic_form_abs
 from .graph import Graph, is_connected, laplacian_matrix
 from .schur import _block_prob_map, _eliminate_pivot, _validate_terminals
 from .solver import DisconnectedGraphError, LaplacianSystem
@@ -25,7 +25,6 @@ __all__ = [
     "EliminationStep",
     "EliminationTrace",
     "HarmonicBoundReport",
-    "degree",
     "degree_profile",
     "run_elimination",
     "harmonic_bound_check",
@@ -90,15 +89,6 @@ class HarmonicBoundReport:
     ok: bool
 
 
-def _check_weights(graph: Graph, w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (graph.n_edges,):
-        raise ValueError(f"expected an edge weight vector of length {graph.n_edges}, got shape {w.shape}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and entrywise nonnegative")
-    return w
-
-
 def _bucket_count(s: int) -> int:
     # ceil(log2 s) for s >= 2, integer-exact at powers of two
     return int(s - 1).bit_length()
@@ -113,21 +103,6 @@ def _degree_vector(graph: Graph, prob_map: np.ndarray, w: np.ndarray):
     degenerate = den <= _DEGENERATE_DENOM
     degrees = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
     return degrees, den, degenerate
-
-
-def degree(graph: Graph, terminals, u: int, w) -> float:
-    """Sparsity score of one terminal: squared weighted l1 of its probability
-    drops over the drop energy.  With the full vertex set, unit weights, and
-    unit conductances this is just the vertex degree."""
-    S = _validate_terminals(graph, terminals)
-    w = _check_weights(graph, w)
-    if not is_connected(graph):
-        raise DisconnectedGraphError("degree requires a connected graph")
-    pos = int(np.searchsorted(S, u))
-    if pos >= S.size or S[pos] != u:
-        raise ValueError(f"vertex {u} is not in the terminal set")
-    degrees, _, _ = _degree_vector(graph, _block_prob_map(graph, S)[0], w)
-    return float(degrees[pos])
 
 
 def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
@@ -157,9 +132,7 @@ def _abs_form(M: np.ndarray, z: np.ndarray, a: np.ndarray | None = None, d: floa
         rows = M[lo:hi]
         if a is not None:
             rows -= np.outer(a[lo:hi] / d, a)
-        blk = np.abs(rows)
-        blk[blk < ABS_ZERO_TOL] = 0.0
-        total += float(z[lo:hi] @ (blk @ z))
+        total += float(z[lo:hi] @ (_abs_zeroed(rows) @ z))
     return total
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import abs_impedance_max_colsum
+from .electrical import TransferImpedance
 from .graph import Graph
 from .solver import LaplacianSystem
 
@@ -70,7 +70,7 @@ def _validate_demands(graph: Graph, demands: list[Demand]) -> None:
             raise ValueError(f"demand {i}: amount must be positive, got {d.amount}")
 
 
-def route_demands(graph: Graph, demands, include_bound: bool = True, mode: str = "auto") -> RoutingReport:
+def route_demands(graph: Graph, demands, include_bound: bool = True) -> RoutingReport:
     """Route every demand along its electrical flow and superpose them signed.
 
     Opposite-direction demands may cancel on an edge; congestion is taken on
@@ -94,7 +94,7 @@ def route_demands(graph: Graph, demands, include_bound: bool = True, mode: str =
     congestion = np.abs(flow) / graph.conductances
     bound = None
     if include_bound and graph.is_unweighted:
-        bound = competitive_ratio_bound(graph, mode=mode)
+        bound = competitive_ratio_bound(graph)
     return RoutingReport(
         flow=flow,
         congestion=congestion,
@@ -103,13 +103,15 @@ def route_demands(graph: Graph, demands, include_bound: bool = True, mode: str =
     )
 
 
-def competitive_ratio_bound(graph: Graph, mode: str = "auto") -> float:
+def competitive_ratio_bound(graph: Graph) -> float:
     """Exact competitive ratio of electrical routing on an unweighted graph:
     the maximum column sum of the entrywise-absolute impedance, equivalently
-    the maximum per-edge flow stretch."""
+    the maximum per-edge flow stretch.  The column sums come from one
+    streaming pass over Pi, so no m x m array is held."""
     if not graph.is_unweighted:
         raise ValueError(
             "the competitive-ratio identity holds for unweighted graphs only; "
             "for weighted graphs route_demands reports raw congestion without a bound"
         )
-    return abs_impedance_max_colsum(graph, mode=mode)
+    colsums, _, _ = TransferImpedance(graph, mode="streaming").per_edge_stats()
+    return float(colsums.max())

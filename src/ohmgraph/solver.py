@@ -20,7 +20,6 @@ __all__ = [
     "DisconnectedGraphError",
     "ConvergenceError",
     "LaplacianSystem",
-    "pinv_apply",
     "PowerIterationResult",
     "spectral_norm_nonneg",
 ]
@@ -114,11 +113,6 @@ class LaplacianSystem:
         X[1:, :] = scipy.linalg.cho_solve(self._factorization(), Z[1:, :], check_finite=False)
         X -= X.mean(axis=0, keepdims=True)
         return X
-
-
-def pinv_apply(system: LaplacianSystem, b) -> np.ndarray:
-    """Apply the Laplacian pseudoinverse to ``b`` (projected off the constants)."""
-    return system.solve(b)
 
 
 class PowerIterationResult(NamedTuple):

@@ -18,7 +18,6 @@ from ohmgraph import (
     complete,
     degree_profile,
     delta_edge,
-    delta_summary,
     erdos_renyi,
     hitting_probabilities,
     hypercube,
@@ -31,7 +30,7 @@ from ohmgraph import (
     run_elimination,
     schur_complement,
     torus,
-    transfer_impedance,
+    TransferImpedance,
     LaplacianSystem,
 )
 
@@ -92,8 +91,8 @@ def test_criterion_1_projection_identities():
     worst_trace = 0.0
     worst_proj = 0.0
     for name, g in _named_zoo():
-        tp = transfer_impedance(g, mode="dense")
-        M = tp.matrix
+        tp = TransferImpedance(g, mode="dense")
+        M = tp.column_block(0, g.n_edges)
         worst_trace = max(worst_trace, abs(float(np.trace(M)) - (g.n_vertices - 1)))
         worst_proj = max(worst_proj, float(np.abs(M @ M - M).max()))
     elapsed = time.perf_counter() - start
@@ -229,9 +228,9 @@ def test_criterion_7_scaling_bounded_growth():
         norm_ratios = []
         for g in graphs:
             n, m = g.n_vertices, g.n_edges
-            tp = transfer_impedance(g, mode="streaming")
+            tp = TransferImpedance(g, mode="streaming")
             log_sq = np.log(n) ** 2
-            stretch_ratios.append(float(tp.abs_colsums().sum()) / (m * log_sq))
+            stretch_ratios.append(float(tp.per_edge_stats()[0].sum()) / (m * log_sq))
             norm_ratios.append(tp.abs_spectral_norm().value / log_sq)
         sequences[f"{label} stretch"] = stretch_ratios
         sequences[f"{label} norm"] = norm_ratios

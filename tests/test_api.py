@@ -1,0 +1,36 @@
+import pytest
+
+import ohmgraph
+from ohmgraph import TransferImpedance, electrical, graph, localization, routing, schur, solver
+
+MODULES = [graph, solver, electrical, schur, localization, routing]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_package_exports_every_module_name(module):
+    for name in module.__all__:
+        assert getattr(ohmgraph, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "transfer_impedance",
+        "abs_impedance_spectral_norm",
+        "abs_impedance_max_colsum",
+        "delta_summary",
+        "FlowSummary",
+        "pinv_apply",
+        "degree",
+    ],
+)
+def test_removed_wrappers_are_gone(name):
+    assert not hasattr(ohmgraph, name)
+    assert all(not hasattr(m, name) for m in MODULES)
+
+
+@pytest.mark.parametrize(
+    "name", ["matrix", "trace", "abs_colsums", "abs_quadratic_form", "iter_blocks", "block_size", "zero_tol"]
+)
+def test_transfer_impedance_has_one_pi_surface(name):
+    assert not hasattr(TransferImpedance(ohmgraph.complete(3)), name)

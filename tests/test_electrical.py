@@ -6,11 +6,11 @@ from ohmgraph import (
     ABS_ZERO_TOL,
     DisconnectedGraphError,
     LaplacianSystem,
+    TransferImpedance,
     bfs_distance,
     build_graph,
     complete,
     delta_edge,
-    delta_summary,
     effective_resistance,
     hypercube,
     incidence_transpose_apply,
@@ -20,7 +20,6 @@ from ohmgraph import (
     quadratic_form_abs,
     random_regular_expander,
     torus,
-    transfer_impedance,
     unit_flow,
 )
 
@@ -123,66 +122,67 @@ class TestDelta:
         g = build_graph([(0, 1, 2.0), (1, 2, 1.0), (2, 0, 1.0)])
         with pytest.raises(ValueError, match="unweighted"):
             delta_edge(g, 0)
-        with pytest.raises(ValueError, match="unweighted"):
-            delta_summary(g)
 
     def test_summary_matches_per_edge_and_floor(self):
         g = torus(3)
-        summary = delta_summary(g)
+        delta, _, _ = TransferImpedance(g).per_edge_stats()
         for e in range(g.n_edges):
-            assert summary.delta[e] == pytest.approx(delta_edge(g, e), abs=1e-9)
-        assert np.all(summary.delta >= 1.0 - 1e-9)
-        assert summary.max_delta == pytest.approx(summary.delta.max())
-        assert summary.mean_delta == pytest.approx(summary.delta.mean())
+            assert delta[e] == pytest.approx(delta_edge(g, e), abs=1e-9)
+        assert np.all(delta >= 1.0 - 1e-9)
 
 
 class TestTransferImpedance:
     def test_single_edge_is_scalar_one(self):
-        tp = transfer_impedance(single_edge())
-        assert np.allclose(tp.matrix, [[1.0]], atol=1e-12)
+        tp = TransferImpedance(single_edge())
+        assert np.allclose(tp.column_block(0, 1), [[1.0]], atol=1e-12)
 
     def test_triangle_entries(self):
-        tp = transfer_impedance(triangle())
-        M = tp.matrix
+        tp = TransferImpedance(triangle())
+        M = tp.column_block(0, 3)
         assert np.allclose(np.diag(M), 2 / 3, atol=1e-12)
         off = M[~np.eye(3, dtype=bool)]
         assert np.allclose(np.abs(off), 1 / 3, atol=1e-12)
-        assert tp.trace() == pytest.approx(2.0, abs=1e-12)
+        assert tp.per_edge_stats()[2].sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_torus3_trace(self):
-        assert transfer_impedance(torus(3)).trace() == pytest.approx(8.0, abs=1e-8)
+        assert TransferImpedance(torus(3)).per_edge_stats()[2].sum() == pytest.approx(8.0, abs=1e-8)
 
     @pytest.mark.parametrize("g", TEST_GRAPHS)
     def test_projection_identities(self, g):
-        tp = transfer_impedance(g, mode="dense")
-        M = tp.matrix
+        tp = TransferImpedance(g, mode="dense")
+        M = tp.column_block(0, g.n_edges)
         assert np.abs(M @ M - M).max() <= 1e-8
         assert abs(np.trace(M) - (g.n_vertices - 1)) <= 1e-8
         assert np.abs(M - M.T).max() <= 1e-12
         assert np.all(np.diag(M) >= -1e-12) and np.all(np.diag(M) <= 1 + 1e-12)
         assert np.linalg.eigvalsh(M).max() == pytest.approx(1.0, abs=1e-10)
 
-    def test_streaming_matches_dense(self):
+    def test_streaming_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 5)
         g = torus(3)
-        dense = transfer_impedance(g, mode="dense")
-        streaming = transfer_impedance(g, mode="streaming", block_size=5)
-        rebuilt = np.hstack([blk for _, _, blk in streaming.iter_blocks()])
-        assert np.abs(rebuilt - dense.matrix).max() < 1e-12
-        assert streaming.trace() == pytest.approx(dense.trace(), abs=1e-10)
+        dense = TransferImpedance(g, mode="dense")
+        streaming = TransferImpedance(g, mode="streaming")
+        M = dense.column_block(0, g.n_edges)
+        rebuilt = np.hstack([streaming.column_block(lo, min(lo + 5, g.n_edges)) for lo in range(0, g.n_edges, 5)])
+        assert np.abs(rebuilt - M).max() < 1e-12
+        s_colsums, s_l1, s_diag = streaming.per_edge_stats()
+        d_colsums, d_l1, d_diag = dense.per_edge_stats()
+        assert s_diag.sum() == pytest.approx(np.trace(M), abs=1e-10)
+        assert s_diag.sum() == pytest.approx(d_diag.sum(), abs=1e-10)
         v = np.linspace(0.0, 1.0, g.n_edges)
         assert np.allclose(streaming.abs_matvec(v), dense.abs_matvec(v), atol=1e-12)
-        assert np.allclose(streaming.abs_colsums(), dense.abs_colsums(), atol=1e-12)
-        with pytest.raises(ValueError, match="not materialized"):
-            streaming.matrix
+        assert np.allclose(dense.abs_matvec(v), np.abs(M) @ v, atol=1e-12)
+        assert np.allclose(s_colsums, d_colsums, atol=1e-12)
+        assert np.allclose(s_l1, d_l1, atol=1e-12)
 
     def test_dense_cap_error_names_streaming(self, monkeypatch):
         monkeypatch.setattr(electrical, "DENSE_EDGE_CAP", 4)
         with pytest.raises(ValueError, match="streaming"):
-            transfer_impedance(torus(3), mode="dense")
+            TransferImpedance(torus(3), mode="dense")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            transfer_impedance(triangle(), mode="sideways")
+            TransferImpedance(triangle(), mode="sideways")
 
 
 def _log_uniform_expander(n, seed):
@@ -204,18 +204,25 @@ class TestImpedanceOracle:
 
     @pytest.mark.parametrize("mode", ["dense", "streaming"])
     @pytest.mark.parametrize("g", GRAPHS, ids=["torus6", "hypercube4", "weighted_expander40"])
-    def test_matches_unit_flow_oracle(self, g, mode):
+    def test_matches_unit_flow_oracle(self, g, mode, monkeypatch):
         assert g.n_vertices % 7 and g.n_edges % 7
-        tp = transfer_impedance(g, mode=mode, block_size=7)
-        built = np.hstack([blk for _, _, blk in tp.iter_blocks()])
-        assert np.abs(built - _oracle_impedance(g)).max() <= 1e-12
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        m = g.n_edges
+        tp = TransferImpedance(g, mode=mode)
+        built = np.hstack([tp.column_block(lo, min(lo + 7, m)) for lo in range(0, m, 7)])
+        oracle = _oracle_impedance(g)
+        assert np.abs(built - oracle).max() <= 1e-12
+        _, _, diag = tp.per_edge_stats()
+        assert np.abs(diag - np.diag(oracle)).max() <= 1e-12
 
     def test_path_impedance_is_identity(self):
         g = path(2000)
-        tp = transfer_impedance(g, mode="streaming")
-        identity = np.eye(g.n_edges)
-        for lo, hi, block in tp.iter_blocks():
-            assert np.abs(block - identity[:, lo:hi]).max() < ABS_ZERO_TOL
+        tp = TransferImpedance(g, mode="streaming")
+        m = g.n_edges
+        identity = np.eye(m)
+        for lo in range(0, m, electrical._DEFAULT_BLOCK):
+            hi = min(lo + electrical._DEFAULT_BLOCK, m)
+            assert np.abs(tp.column_block(lo, hi) - identity[:, lo:hi]).max() < ABS_ZERO_TOL
 
     def test_streaming_solves_n_columns_once(self, monkeypatch):
         solved = []
@@ -226,10 +233,10 @@ class TestImpedanceOracle:
             return original(self, B)
 
         monkeypatch.setattr(LaplacianSystem, "solve_columns", spy)
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
         g = _log_uniform_expander(40, 5)
-        tp = transfer_impedance(g, mode="streaming", block_size=7)
+        tp = TransferImpedance(g, mode="streaming")
         tp.per_edge_stats()
-        tp.trace()
         result = tp.abs_spectral_norm()
         assert result.iterations > 2
         assert sum(solved) == g.n_vertices
@@ -237,18 +244,18 @@ class TestImpedanceOracle:
 
 class TestAbsNorms:
     def test_single_edge_both_one(self):
-        tp = transfer_impedance(single_edge())
+        tp = TransferImpedance(single_edge())
         assert tp.abs_spectral_norm().value == pytest.approx(1.0, abs=1e-10)
-        assert tp.abs_colsums().max() == pytest.approx(1.0, abs=1e-12)
+        assert tp.per_edge_stats()[0].max() == pytest.approx(1.0, abs=1e-12)
 
     def test_triangle_colsum(self):
-        tp = transfer_impedance(triangle())
-        assert np.allclose(tp.abs_colsums(), 4 / 3, atol=1e-12)
+        tp = TransferImpedance(triangle())
+        assert np.allclose(tp.per_edge_stats()[0], 4 / 3, atol=1e-12)
 
     def test_expander_colsum_logarithmic(self):
         g = random_regular_expander(256, 4, seed=0)
-        tp = transfer_impedance(g)
-        assert tp.abs_colsums().max() <= 4 * np.log(256)
+        tp = TransferImpedance(g)
+        assert tp.per_edge_stats()[0].max() <= 4 * np.log(256)
 
 
 class TestQuadraticFormAbs:
@@ -261,18 +268,23 @@ class TestQuadraticFormAbs:
     def test_matches_delta_sum_on_torus8(self):
         g = torus(8)
         total = quadratic_form_abs(g, np.ones(g.n_edges))
-        summary = delta_summary(g)
-        assert abs(total - summary.delta.sum()) <= 1e-6 * total
+        delta, _, _ = TransferImpedance(g).per_edge_stats()
+        assert abs(total - delta.sum()) <= 1e-6 * total
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             quadratic_form_abs(triangle(), [1.0, -1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_form_abs(triangle(), [bad, 1.0, 1.0])
+
     def test_bounded_by_spectral_norm(self, rng):
         for _ in range(5):
             g = random_connected_graph(rng)
-            tp = transfer_impedance(g)
+            tp = TransferImpedance(g)
             norm = tp.abs_spectral_norm().value
             for _ in range(5):
                 w = rng.uniform(0, 2, size=g.n_edges)
-                assert tp.abs_quadratic_form(w) <= norm * (w @ w) + 1e-8
+                assert w @ tp.abs_matvec(w) <= norm * (w @ w) + 1e-8

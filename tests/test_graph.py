@@ -195,12 +195,13 @@ class TestIO:
             ("0 one 1.0\n", "parse"),
             ("0 0 1.0\n", "self-loop"),
             ("0 1 -2\n", "positive"),
+            ("0 -1 1.0\n", "negative"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, fragment):
         p = tmp_path / "g.txt"
         p.write_text("# header\n" + content)
-        with pytest.raises(GraphFormatError, match=":2:"):
+        with pytest.raises(GraphFormatError, match=f":2:.*{fragment}"):
             read_graph(str(p))
 
     @settings(max_examples=40, deadline=None)

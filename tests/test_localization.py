@@ -7,7 +7,6 @@ from ohmgraph import (
     LocalizationError,
     build_graph,
     complete,
-    degree,
     degree_profile,
     eliminate_one,
     parallel_paths,
@@ -33,22 +32,19 @@ class TestDegree:
     def test_star_center_full_set_is_plain_degree(self):
         g = star(5)
         w = np.ones(g.n_edges)
-        assert degree(g, range(6), 0, w) == pytest.approx(5.0, abs=1e-10)
-        assert degree(g, range(6), 1, w) == pytest.approx(1.0, abs=1e-10)
+        degrees = degree_profile(g, range(6), w).degrees
+        assert degrees[0] == pytest.approx(5.0, abs=1e-10)
+        assert degrees[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_path4_two_terminals(self):
-        assert degree(path(4), [0, 3], 0, np.ones(3)) == pytest.approx(3.0, abs=1e-10)
+        assert degree_profile(path(4), [0, 3], np.ones(3)).degrees[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_zero_weights_give_zero(self):
-        assert degree(path(4), [0, 3], 0, np.zeros(3)) == 0.0
-
-    def test_vertex_outside_terminals_rejected(self):
-        with pytest.raises(ValueError, match="not in the terminal set"):
-            degree(path(4), [0, 3], 1, np.ones(3))
+        assert degree_profile(path(4), [0, 3], np.zeros(3)).degrees[0] == 0.0
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            degree(path(4), [0, 3], 0, [-1.0, 0.0, 0.0])
+            degree_profile(path(4), [0, 3], [-1.0, 0.0, 0.0])
 
 
 class TestDegreeProfile:

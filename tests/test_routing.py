@@ -3,6 +3,7 @@ import pytest
 
 from ohmgraph import (
     Demand,
+    TransferImpedance,
     build_graph,
     competitive_ratio_bound,
     delta_edge,
@@ -81,6 +82,21 @@ class TestCompetitiveRatioBound:
     def test_equals_max_delta(self, g):
         expected = max(delta_edge(g, e) for e in range(g.n_edges))
         assert competitive_ratio_bound(g) == pytest.approx(expected, abs=1e-9)
+
+    def test_bound_streams_pi(self, monkeypatch):
+        modes = []
+        original = TransferImpedance.__init__
+
+        def spy(self, graph, *args, **kwargs):
+            original(self, graph, *args, **kwargs)
+            modes.append(self.mode)
+
+        monkeypatch.setattr(TransferImpedance, "__init__", spy)
+        g = torus(6)
+        report = route_demands(g, [Demand(0, 21, 1.0)])
+        assert modes == ["streaming"]
+        dense = np.abs(TransferImpedance(g, mode="dense").column_block(0, g.n_edges))
+        assert abs(report.competitive_ratio_bound - dense.sum(axis=0).max()) <= 1e-12
 
     def test_weighted_rejected_with_explanation(self):
         g = build_graph([(0, 1, 2.0), (1, 2, 1.0), (2, 0, 1.0)])
