@@ -76,11 +76,18 @@ def route_demands(graph: Graph, demands, include_bound: bool = True) -> RoutingR
     Opposite-direction demands may cancel on an edge; congestion is taken on
     the superposed flow, which is the congestion the routed traffic actually
     produces.  Per-pair solves are independent (batched here) and the report
-    is a single associative reduction.
+    is a single associative reduction.  When the bound is reported, the
+    demands are solved on the Laplacian factorization of the impedance that
+    yields it, so the graph is factored once.
     """
     demands = list(demands)
     _validate_demands(graph, demands)
-    system = LaplacianSystem.from_graph(graph)
+    impedance = None
+    if include_bound and graph.is_unweighted:
+        impedance = TransferImpedance(graph, mode="streaming")
+        system = impedance.system
+    else:
+        system = LaplacianSystem.from_graph(graph)
     rhs = np.zeros((graph.n_vertices, len(demands)))
     for j, d in enumerate(demands):
         rhs[d.source, j] = 1.0
@@ -92,15 +99,16 @@ def route_demands(graph: Graph, demands, include_bound: bool = True) -> RoutingR
     amounts = np.array([d.amount for d in demands])
     flow = per_pair @ amounts
     congestion = np.abs(flow) / graph.conductances
-    bound = None
-    if include_bound and graph.is_unweighted:
-        bound = competitive_ratio_bound(graph)
     return RoutingReport(
         flow=flow,
         congestion=congestion,
         max_congestion=float(congestion.max()),
-        competitive_ratio_bound=bound,
+        competitive_ratio_bound=None if impedance is None else _max_colsum(impedance),
     )
+
+
+def _max_colsum(impedance: TransferImpedance) -> float:
+    return float(impedance.per_edge_stats()[0].max())
 
 
 def competitive_ratio_bound(graph: Graph) -> float:
@@ -113,5 +121,4 @@ def competitive_ratio_bound(graph: Graph) -> float:
             "the competitive-ratio identity holds for unweighted graphs only; "
             "for weighted graphs route_demands reports raw congestion without a bound"
         )
-    colsums, _, _ = TransferImpedance(graph, mode="streaming").per_edge_stats()
-    return float(colsums.max())
+    return _max_colsum(TransferImpedance(graph, mode="streaming"))

@@ -1,10 +1,19 @@
-"""Dense pseudoinverse solves against graph Laplacians, plus a Perron-style
-power iteration for entrywise-nonnegative symmetric operators.
+"""Dense pseudoinverse solves against graph Laplacians, plus a Lanczos
+eigensolver with a certified bracket for entrywise-nonnegative symmetric
+operators.
 
 The pseudoinverse grounds vertex 0, Cholesky-factors the remaining principal
 submatrix, and re-centers the solution; exact nullspace handling for connected
 graphs without a full eigendecomposition.  Desk-scale dense path: intended for
 n up to a few thousand vertices.
+
+The eigensolver runs Lanczos from the normalized all-ones vector with full
+reorthogonalization.  A breakdown (the next Krylov direction vanishes) means
+the basis spans an invariant subspace and the Ritz value is exact; a basis
+that reaches ``KRYLOV_CAP`` vectors restarts from the current Ritz vector, so
+memory stays O(KRYLOV_CAP * m).  Every result carries the Collatz-Wielandt
+bracket ``[min_i (Ay)_i / y_i, max_i (Ay)_i / y_i]`` of the all-ones vector,
+tightened by the final Ritz vector when it is entrywise positive.
 """
 
 from __future__ import annotations
@@ -28,13 +37,20 @@ SYMMETRY_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
 POWER_TOL = 1e-10
 
+# Largest Krylov basis kept before restarting from the Ritz vector.
+KRYLOV_CAP = 32
+
+# A next Krylov direction this small relative to the product it came from is
+# a breakdown: the basis spans an invariant subspace up to roundoff.
+BREAKDOWN_TOL = 1e-13
+
 
 class DisconnectedGraphError(RuntimeError):
     """The operation needs a connected graph (rank n-1 Laplacian)."""
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration ran out of iterations; carries the last estimate."""
+    """The eigensolver ran out of iterations; carries the last estimate."""
 
     def __init__(self, message: str, estimate: float | None, iterations: int):
         super().__init__(message)
@@ -116,8 +132,18 @@ class LaplacianSystem:
 
 
 class PowerIterationResult(NamedTuple):
+    """Top eigenvalue estimate, operator products used, and the certified
+    bracket ``lower <= spectral radius <= upper``."""
+
     value: float
     iterations: int
+    lower: float
+    upper: float
+
+
+def _collatz_wielandt(y: np.ndarray, ay: np.ndarray) -> tuple[float, float]:
+    ratios = ay / y
+    return float(ratios.min()), float(ratios.max())
 
 
 def spectral_norm_nonneg(
@@ -125,13 +151,25 @@ def spectral_norm_nonneg(
     m: int,
     tol: float = POWER_TOL,
     max_iter: int | None = None,
+    first_product: np.ndarray | None = None,
 ) -> PowerIterationResult:
     """Dominant eigenvalue of a symmetric entrywise-nonnegative operator.
 
-    Power iteration from the (positive) normalized all-ones vector; for such
-    operators the spectral radius equals the top eigenvalue and the positive
-    start vector cannot be orthogonal to its eigenspace.  Stops when the
-    relative change of the Rayleigh-quotient estimate drops below ``tol``.
+    Lanczos with full reorthogonalization from the (positive) normalized
+    all-ones vector; for such operators the spectral radius equals the top
+    eigenvalue and the positive start vector cannot be orthogonal to its
+    eigenspace.  Each step takes one product and reports the top Ritz value
+    of the Krylov basis; it stops when that value changes by at most ``tol``
+    relative, or at a breakdown, where the basis spans an invariant subspace
+    and the Ritz value is exact.  When the basis holds ``KRYLOV_CAP`` vectors
+    it restarts from the current Ritz vector, whose product is a combination
+    of the stored ones, so a restart costs no product.
+
+    The bracket ``[lower, upper]`` is the Collatz-Wielandt bracket of the
+    all-ones vector, its extreme column sums, tightened by that of the final
+    Ritz vector when it is entrywise positive; its product, too, comes from
+    the stored ones.  For a nonnegative operator the spectral radius lies in
+    every such bracket.
 
     Parameters
     ----------
@@ -140,29 +178,68 @@ def spectral_norm_nonneg(
     m : int
         Operator dimension.
     tol : float
-        Relative change threshold on the Rayleigh quotient.
+        Relative change threshold on the top Ritz value.
     max_iter : int, optional
-        Defaults to ``10*m + 1000``; exceeding it raises
-        :class:`ConvergenceError` carrying the last estimate.
+        Maximum number of products, counting ``first_product``.  Defaults to
+        ``10*m + 1000``; exceeding it raises :class:`ConvergenceError`
+        carrying the last estimate.
+    first_product : array_like, optional
+        The operator applied to the normalized all-ones vector, when the
+        caller already holds it; it counts as the first iteration.
     """
     if m < 1:
         raise ValueError("operator dimension must be positive")
     if max_iter is None:
         max_iter = 10 * m + 1000
+    cap = min(KRYLOV_CAP, m)
+    basis = np.empty((cap, m))
+    products = np.empty((cap, m))
+    h = np.zeros((cap, cap))  # projected operator basis @ products.T
     v = np.full(m, 1.0 / np.sqrt(m))
+    av = matvec(v) if first_product is None else np.array(first_product, dtype=float)
+    if av.shape != (m,):
+        raise ValueError(f"expected a first product of length {m}, got shape {av.shape}")
+    lower, upper = _collatz_wielandt(v, av)
+    k = 0
     last = None
     for iteration in range(1, max_iter + 1):
-        av = matvec(v)
-        lam = float(v @ av)
-        nrm = float(np.linalg.norm(av))
-        if nrm == 0.0:
-            return PowerIterationResult(0.0, iteration)
-        v = av / nrm
-        if last is not None and abs(lam - last) <= tol * max(abs(lam), np.finfo(float).tiny):
-            return PowerIterationResult(lam, iteration)
-        last = lam
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations",
-        estimate=last,
-        iterations=max_iter,
-    )
+        if iteration > 1:
+            av = matvec(v)
+        basis[k], products[k] = v, av
+        coeffs = basis[: k + 1] @ av
+        h[k, : k + 1] = coeffs
+        h[: k + 1, k] = coeffs
+        k += 1
+        ritz_values, ritz_vectors = np.linalg.eigh(h[:k, :k])
+        value, s = float(ritz_values[-1]), ritz_vectors[:, -1]
+        if last is not None and abs(value - last) <= tol * max(abs(value), np.finfo(float).tiny):
+            break
+        last = value
+        if k == cap:
+            y, ay = s @ basis[:k], s @ products[:k]
+            scale = np.linalg.norm(y)
+            basis[0], products[0] = y / scale, ay / scale
+            h[0, 0] = basis[0] @ products[0]
+            k, s = 1, np.ones(1)
+        # next Krylov direction: the last product, orthogonalized twice
+        q = basis[:k]
+        w = products[k - 1].copy()
+        for _ in range(2):
+            w -= (q @ w) @ q
+        beta = float(np.linalg.norm(w))
+        if beta <= BREAKDOWN_TOL * float(np.linalg.norm(products[k - 1])):
+            break
+        v = w / beta
+    else:
+        raise ConvergenceError(
+            f"Lanczos did not converge within {max_iter} iterations",
+            estimate=last,
+            iterations=max_iter,
+        )
+    y, ay = s @ basis[:k], s @ products[:k]
+    if y.sum() < 0:
+        y, ay = -y, -ay
+    if np.all(y > 0):
+        y_lower, y_upper = _collatz_wielandt(y, ay)
+        lower, upper = max(lower, y_lower), min(upper, y_upper)
+    return PowerIterationResult(value, iteration, lower, upper)

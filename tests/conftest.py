@@ -65,6 +65,13 @@ def random_connected_graph(rng, max_n=24, weighted=False):
     return g
 
 
+def log_uniform_expander(n, seed):
+    """Random 4-regular expander with conductances log-uniform in [1e-2, 1e2]."""
+    g = random_regular_expander(n, 4, seed=seed)
+    conds = np.exp(np.random.default_rng(seed).uniform(np.log(1e-2), np.log(1e2), g.n_edges))
+    return build_graph([(t, h, float(c)) for (t, h, _), c in zip(g.edge_list(), conds)], n_vertices=n)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

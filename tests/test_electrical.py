@@ -15,6 +15,7 @@ from ohmgraph import (
     hypercube,
     incidence_transpose_apply,
     is_connected,
+    laplacian_matrix,
     parallel_paths,
     path,
     quadratic_form_abs,
@@ -23,7 +24,7 @@ from ohmgraph import (
     unit_flow,
 )
 
-from conftest import indicator_drop, random_connected_graph, single_edge, triangle
+from conftest import indicator_drop, log_uniform_expander, random_connected_graph, single_edge, triangle
 
 TEST_GRAPHS = [triangle(), torus(3), parallel_paths(3), complete(4), random_regular_expander(16, 4, seed=2)]
 
@@ -185,12 +186,6 @@ class TestTransferImpedance:
             TransferImpedance(triangle(), mode="sideways")
 
 
-def _log_uniform_expander(n, seed):
-    g = random_regular_expander(n, 4, seed=seed)
-    conds = np.exp(np.random.default_rng(seed).uniform(np.log(1e-2), np.log(1e2), g.n_edges))
-    return build_graph([(t, h, float(c)) for (t, h, _), c in zip(g.edge_list(), conds)], n_vertices=n)
-
-
 def _oracle_impedance(g):
     """Column f from a fresh unit-flow solve across edge f: Pi_ef = sqrt(c_f/c_e) flow_e."""
     c = g.conductances
@@ -200,7 +195,7 @@ def _oracle_impedance(g):
 
 class TestImpedanceOracle:
     # block size 7 divides neither n nor m of any graph below
-    GRAPHS = [torus(6), hypercube(4), _log_uniform_expander(40, 5)]
+    GRAPHS = [torus(6), hypercube(4), log_uniform_expander(40, 5)]
 
     @pytest.mark.parametrize("mode", ["dense", "streaming"])
     @pytest.mark.parametrize("g", GRAPHS, ids=["torus6", "hypercube4", "weighted_expander40"])
@@ -214,6 +209,13 @@ class TestImpedanceOracle:
         assert np.abs(built - oracle).max() <= 1e-12
         _, _, diag = tp.per_edge_stats()
         assert np.abs(diag - np.diag(oracle)).max() <= 1e-12
+
+    def test_pseudoinverse_from_partial_solve_blocks(self, monkeypatch):
+        # 8 * 3 = 24-column solves: one full block and one partial block of 16
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 3)
+        g = log_uniform_expander(40, 5)
+        lplus = electrical._pseudoinverse(LaplacianSystem.from_graph(g))
+        assert np.abs(lplus - np.linalg.pinv(laplacian_matrix(g))).max() <= 1e-10 * np.abs(lplus).max()
 
     def test_path_impedance_is_identity(self):
         g = path(2000)
@@ -234,7 +236,7 @@ class TestImpedanceOracle:
 
         monkeypatch.setattr(LaplacianSystem, "solve_columns", spy)
         monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
-        g = _log_uniform_expander(40, 5)
+        g = log_uniform_expander(40, 5)
         tp = TransferImpedance(g, mode="streaming")
         tp.per_edge_stats()
         result = tp.abs_spectral_norm()
@@ -256,6 +258,45 @@ class TestAbsNorms:
         g = random_regular_expander(256, 4, seed=0)
         tp = TransferImpedance(g)
         assert tp.per_edge_stats()[0].max() <= 4 * np.log(256)
+
+    def test_stats_pass_is_the_first_lanczos_product(self, monkeypatch):
+        calls = []
+        original = TransferImpedance.abs_matvec
+
+        def spy(self, v):
+            calls.append(1)
+            return original(self, v)
+
+        monkeypatch.setattr(TransferImpedance, "abs_matvec", spy)
+        g = torus(8)
+        tp = TransferImpedance(g, mode="streaming")
+        tp.per_edge_stats()
+        result = tp.abs_spectral_norm()
+        assert calls == []
+        expected = float(np.linalg.eigvalsh(np.abs(tp.column_block(0, g.n_edges))).max())
+        assert abs(result.value - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("mode", ["dense", "streaming"])
+    def test_per_edge_stats_run_once(self, mode, monkeypatch):
+        g = log_uniform_expander(40, 5)
+        tp = TransferImpedance(g, mode=mode)
+        blocks = []
+        original = TransferImpedance._abs_blocks
+
+        def spy(self):
+            blocks.append(1)
+            return original(self)
+
+        monkeypatch.setattr(TransferImpedance, "_abs_blocks", spy)
+        first = tp.per_edge_stats()
+        result = tp.abs_spectral_norm()
+        # one stats pass, then one pass per product after the first
+        assert len(blocks) == result.iterations
+        assert all(a is b for a, b in zip(first, tp.per_edge_stats()))
+        assert len(blocks) == result.iterations
+        for a in first:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestQuadraticFormAbs:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ohmgraph import (
     Demand,
@@ -97,6 +98,24 @@ class TestCompetitiveRatioBound:
         assert modes == ["streaming"]
         dense = np.abs(TransferImpedance(g, mode="dense").column_block(0, g.n_edges))
         assert abs(report.competitive_ratio_bound - dense.sum(axis=0).max()) <= 1e-12
+
+    def test_route_factors_once(self, monkeypatch):
+        g = torus(6)
+        demands = [Demand(0, 21, 1.0), Demand(5, 30, 2.5), Demand(17, 3, 0.5)]
+        factored = []
+        original = scipy.linalg.cho_factor
+
+        def spy(a, *args, **kwargs):
+            factored.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+        report = route_demands(g, demands)
+        assert factored == [(g.n_vertices - 1, g.n_vertices - 1)]
+        unbounded = route_demands(g, demands, include_bound=False)
+        assert unbounded.competitive_ratio_bound is None
+        assert np.abs(report.flow - unbounded.flow).max() <= 1e-12 * np.abs(unbounded.flow).max()
+        assert report.competitive_ratio_bound == competitive_ratio_bound(g)
 
     def test_weighted_rejected_with_explanation(self):
         g = build_graph([(0, 1, 2.0), (1, 2, 1.0), (2, 0, 1.0)])
