@@ -18,26 +18,27 @@ __all__ = [
     "quadratic_form_abs",
 ]
 
-# Dense mode materializes the m x m impedance matrix; above this edge count
-# only the column-streaming mode is allowed.
+# Dense mode caches the upper triangle of the m x m |Pi|, about m^2/2 entries;
+# above this edge count only the streaming mode is allowed.
 DENSE_EDGE_CAP = 4000
 
 # Entries below this magnitude are treated as exact zeros before taking
 # absolute values, so sign noise on symmetric families does not inflate norms.
 ABS_ZERO_TOL = 1e-12
 
-# Rows per block for every pass over Pi.  A block makes two (block, m)
-# gathers; at m=2048 and 64 rows they fit a 2 MB L2 cache, and a pass took
-# about a fifth less time than with 128 rows (one BLAS thread, 2-core Xeon
-# VM).  The solves behind L^+ take blocks eight times as wide: a triangular
-# solve gains from wide right-hand sides and runs once per instance.
+# Rows per block of every pass over Pi, and columns per block of the solves
+# that build Y.  On a 1024-vertex weighted expander (m=2048, one BLAS thread,
+# 2-core Xeon VM) one streaming pass took 15 ms with 32 or 64 rows, 17-18 ms
+# with 128 and 24-26 ms with 256; solve blocks from 64 to 1024 columns all
+# took 0.12-0.14 s for the n=1023 grounded system, and narrow blocks keep the
+# solve temporaries small.
 _DEFAULT_BLOCK = 64
 
 
 def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``|x|`` with entries below ``ABS_ZERO_TOL`` set to exactly zero."""
     out = np.abs(x, out=out)
-    out[out < ABS_ZERO_TOL] = 0.0
+    np.copyto(out, 0.0, where=out < ABS_ZERO_TOL)
     return out
 
 
@@ -50,43 +51,57 @@ def _check_weights(graph: Graph, w) -> np.ndarray:
     return w
 
 
-def _pseudoinverse(system: LaplacianSystem) -> np.ndarray:
-    """Dense ``L^+`` whose row j is the solve against the unit vector e_j."""
+def _edge_potentials(system: LaplacianSystem, graph: Graph) -> np.ndarray:
+    """``Y = L^+ B^T sqrt(C)`` as an (n, m) array.
+
+    Column e is sqrt(c_e) times the potentials of a unit flow across edge e.
+    Each block of solves gives ``L^+`` columns lo..hi-1, which by symmetry
+    are also its rows lo..hi-1, so they yield ``Y[lo:hi]`` directly and the
+    full n x n ``L^+`` never exists.
+    """
     n = system.n
-    step = 8 * _DEFAULT_BLOCK
-    lplus = np.empty((n, n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    sqrt_c = np.sqrt(graph.conductances)[:, None]
+    y = np.empty((n, graph.n_edges))
+    for lo in range(0, n, _DEFAULT_BLOCK):
+        hi = min(lo + _DEFAULT_BLOCK, n)
         rhs = np.zeros((n, hi - lo))
         rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        lplus[lo:hi] = system.solve_columns(rhs).T
-    return lplus
+        x = system.solve_columns(rhs)
+        y[lo:hi] = (sqrt_c * (x[graph.tails] - x[graph.heads])).T
+    return y
 
 
 class TransferImpedance:
     """The edge-space projection ``Pi = sqrt(C) B L^+ B^T sqrt(C)``.
 
-    Construction factors the grounded Laplacian once (kept as ``system``),
-    solves for the dense n x n pseudoinverse ``L^+`` in column blocks, and
-    keeps it.  Pi is symmetric, so row f is also column f, and every block of
-    the impedance is read as a block of rows with no further solve: rows
-    ``lo..hi-1`` are ``X = sqrt(c_f) (L^+[tail(f)] - L^+[head(f)])``, two
-    contiguous row gathers giving the unit-flow potentials of each edge f,
-    followed by the per-edge differences ``sqrt(c_e) (X[:, tail(e)] -
-    X[:, head(e)])``.
+    Construction factors the grounded Laplacian once (kept as ``system``)
+    and solves, in column blocks, for the n x m edge-potential matrix
+    ``Y = L^+ B^T sqrt(C)``, whose column e is sqrt(c_e) times the
+    potentials of a unit flow across edge e; it keeps Y, never the full
+    ``L^+``.  Row f of Pi is then ``sqrt(c_f) (Y[tail(f)] - Y[head(f)])``:
+    every block of rows is two contiguous row gathers of Y, with no solve
+    and no column gather, and the diagonal costs O(m).
 
-    The norms read ``|Pi|``, with entries below ``ABS_ZERO_TOL`` zeroed, in
-    row blocks.  ``mode='dense'`` (allowed for ``m <= DENSE_EDGE_CAP``)
-    computes ``|Pi|`` and the diagonal once at construction and caches them
-    in one m x m array, so every later pass reads the cache;
-    ``mode='streaming'`` recomputes each block on every pass, holding
-    O(n^2 + m * block) memory and never an m x m array.  The instance is
-    immutable, so :meth:`per_edge_stats` is computed once and memoized; its
-    column sums are ``|Pi| 1``, which :meth:`abs_spectral_norm` takes as its
-    first product instead of making another pass.  Entries are differences
-    of ``L^+`` entries, so their absolute error scales with machine epsilon
-    times ``max |L^+|`` (about n/3 on a path).  Blocks are pure functions of
-    the cached ``L^+`` and safe to compute concurrently.
+    The norms read ``|Pi|``, with entries below ``ABS_ZERO_TOL`` zeroed.  Pi
+    is symmetric, so a pass reads only its upper triangle: row block
+    lo..hi-1 over columns lo..m-1, applied once as rows and once, past its
+    leading square, as columns.  The leading square is symmetrized (the
+    mean of itself and its transpose) before the absolute value, so every
+    pass applies an exactly symmetric ``|Pi|``.  ``mode='dense'`` (allowed
+    for ``m <= DENSE_EDGE_CAP``) computes these blocks once at construction
+    and caches them, about m^2/2 entries, so every later pass reads the
+    cache and gives bitwise the same result as a streaming pass;
+    ``mode='streaming'`` recomputes them on every pass, holding
+    O(n * m + m * block) memory and never an m x m array; on a d-regular
+    graph n * m is (d/2) n^2.
+
+    The instance is immutable, so :meth:`per_edge_stats` is computed once
+    and memoized; its column sums are ``|Pi| 1``, which
+    :meth:`abs_spectral_norm` takes as its first product instead of making
+    another pass.  Entries are differences of ``L^+`` entries, so their
+    absolute error scales with machine epsilon times ``max |L^+|`` (about
+    n/3 on a path).  Blocks are pure functions of the cached Y and safe to
+    compute concurrently.
     """
 
     def __init__(self, graph: Graph, mode: str = "auto"):
@@ -99,64 +114,63 @@ class TransferImpedance:
             raise ValueError(f"unknown mode {mode!r}; use 'dense', 'streaming', or 'auto'")
         if mode == "dense" and m > DENSE_EDGE_CAP:
             raise ValueError(
-                f"dense mode materializes an m x m matrix and caps at m={DENSE_EDGE_CAP} "
+                f"dense mode caches half of an m x m matrix and caps at m={DENSE_EDGE_CAP} "
                 f"(got m={m}); use mode='streaming'"
             )
         self.graph = graph
         self.mode = mode
         self.system = LaplacianSystem.from_graph(graph)
         self._sqrt_c = np.sqrt(graph.conductances)
-        self._lplus = _pseudoinverse(self.system)
+        self._y = _edge_potentials(self.system, graph)
         self._abs_cache = None
         self._stats = None
         if mode == "dense":
-            abs_pi, diag = np.empty((m, m)), np.empty(m)
-            for lo, hi, ab, d in self._abs_blocks():
-                abs_pi[lo:hi] = ab
-                diag[lo:hi] = d
-            self._abs_cache = (abs_pi, diag)
+            self._abs_cache = list(self._upper_blocks())
 
     @property
     def n_edges(self) -> int:
         return self.graph.n_edges
 
-    def _row_block(self, lo: int, hi: int) -> np.ndarray:
-        """Exact signed impedance rows ``lo..hi-1`` as an (hi-lo, m) array."""
-        g = self.graph
-        # row f: sqrt(c_f) times the potentials of a unit flow across edge f
-        x = self._sqrt_c[lo:hi, None] * (self._lplus[g.tails[lo:hi]] - self._lplus[g.heads[lo:hi]])
-        rows = np.take(x, g.tails, axis=1)
-        rows -= np.take(x, g.heads, axis=1)
-        rows *= self._sqrt_c
+    def _rows(self, lo: int, hi: int, start: int = 0) -> np.ndarray:
+        """Exact signed impedance rows ``lo..hi-1`` over columns ``start..m-1``."""
+        g, y = self.graph, self._y
+        rows = y[g.tails[lo:hi], start:]
+        rows -= y[g.heads[lo:hi], start:]
+        rows *= self._sqrt_c[lo:hi, None]
         return rows
 
     def column_block(self, lo: int, hi: int) -> np.ndarray:
         """Exact signed impedance columns ``lo..hi-1`` as an (m, hi-lo) array."""
-        return self._row_block(lo, hi).T
+        return self._rows(lo, hi).T
 
-    def _abs_blocks(self):
-        """Yield ``(lo, hi, |Pi| rows lo..hi-1, Pi diagonal lo..hi-1)``, the
-        absolute block with entries below ``ABS_ZERO_TOL`` zeroed."""
+    def _upper_blocks(self):
+        """Yield ``(lo, hi, |Pi| rows lo..hi-1 over columns lo..m-1)`` with a
+        symmetrized leading square and entries below ``ABS_ZERO_TOL`` zeroed."""
+        if self._abs_cache is not None:
+            yield from self._abs_cache
+            return
         m = self.n_edges
         for lo in range(0, m, _DEFAULT_BLOCK):
             hi = min(lo + _DEFAULT_BLOCK, m)
-            if self._abs_cache is not None:
-                abs_pi, diag = self._abs_cache
-                yield lo, hi, abs_pi[lo:hi], diag[lo:hi]
-            else:
-                block = self._row_block(lo, hi)
-                diag = block[np.arange(hi - lo), np.arange(lo, hi)]
-                yield lo, hi, _abs_zeroed(block, out=block), diag
+            upper = self._rows(lo, hi, lo)
+            square = upper[:, : hi - lo]
+            square[...] = 0.5 * (square + square.T)
+            yield lo, hi, _abs_zeroed(upper, out=upper)
+
+    def _abs_apply(self, v: np.ndarray) -> np.ndarray:
+        """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), from the upper triangle."""
+        out = np.zeros(v.shape)
+        for lo, hi, upper in self._upper_blocks():
+            out[lo:hi] += upper @ v[lo:]
+            out[hi:] += upper[:, hi - lo :].T @ v[lo:hi]
+        return out
 
     def abs_matvec(self, v) -> np.ndarray:
         """Entrywise-absolute impedance applied to ``v``."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_edges,):
             raise ValueError(f"expected an edge vector of length {self.n_edges}")
-        acc = np.empty(self.n_edges)
-        for lo, hi, ab, _ in self._abs_blocks():
-            acc[lo:hi] = ab @ v
-        return acc
+        return self._abs_apply(v)
 
     def per_edge_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One pass returning (abs column sums, flow l1 norms, diagonal).
@@ -168,16 +182,14 @@ class TransferImpedance:
         read-only arrays.
         """
         if self._stats is None:
-            m = self.n_edges
-            colsums = np.empty(m)
-            l1 = np.empty(m)
-            diag = np.empty(m)
-            for lo, hi, ab, d in self._abs_blocks():
-                # |Pi| is symmetric, so row sums are column sums
-                colsums[lo:hi] = ab.sum(axis=1)
-                # |flow on e for unit injection across f| = sqrt(c_e/c_f) |Pi_fe|
-                l1[lo:hi] = (ab @ self._sqrt_c) / self._sqrt_c[lo:hi]
-                diag[lo:hi] = d
+            g, y, sqrt_c = self.graph, self._y, self._sqrt_c
+            # |Pi| is symmetric, so its row sums are its column sums, and
+            # |flow on e for unit injection across f| = sqrt(c_e/c_f) |Pi_fe|
+            sums = self._abs_apply(np.column_stack([np.ones(self.n_edges), sqrt_c]))
+            colsums = sums[:, 0].copy()
+            l1 = sums[:, 1] / sqrt_c
+            e = np.arange(self.n_edges)
+            diag = sqrt_c * (y[g.tails, e] - y[g.heads, e])
             for a in (colsums, l1, diag):
                 a.flags.writeable = False
             self._stats = (colsums, l1, diag)

@@ -113,7 +113,15 @@ def build_graph(edges, n_vertices: int | None = None) -> Graph:
         if error:
             raise ValueError(f"edge {i}: {error}")
         tails[i], heads[i], conds[i] = t, h, c
-    max_id = int(max(tails.max(), heads.max())) if edges else -1
+    return _graph_from_arrays(tails, heads, conds, n_vertices)
+
+
+def _graph_from_arrays(
+    tails: np.ndarray, heads: np.ndarray, conds: np.ndarray, n_vertices: int | None
+) -> Graph:
+    """Freeze already validated edge arrays into a :class:`Graph`, inferring
+    or range-checking the vertex count."""
+    max_id = int(max(tails.max(), heads.max())) if tails.size else -1
     if n_vertices is None:
         n_vertices = max_id + 1
     elif n_vertices <= max_id:
@@ -341,7 +349,7 @@ def parse_family_spec(spec: str) -> Graph:
 
 
 def read_graph(path_: str) -> Graph:
-    """Read a graph from the edge-list text format."""
+    """Read a graph from the edge-list text format, validating each edge once."""
     edges = []
     with open(path_, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -363,7 +371,10 @@ def read_graph(path_: str) -> Graph:
             edges.append((t, h, c))
     if not edges:
         raise GraphFormatError(f"{path_}: no edges found")
-    return build_graph(edges)
+    tails, heads, conds = zip(*edges)
+    return _graph_from_arrays(
+        np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64), np.array(conds, dtype=np.float64), None
+    )
 
 
 def write_graph(graph: Graph, path_: str) -> None:

@@ -78,14 +78,17 @@ def route_demands(graph: Graph, demands, include_bound: bool = True) -> RoutingR
     produces.  Per-pair solves are independent (batched here) and the report
     is a single associative reduction.  When the bound is reported, the
     demands are solved on the Laplacian factorization of the impedance that
-    yields it, so the graph is factored once.
+    yields it, so the graph is factored once; the impedance is dropped once
+    the bound is read, before the demand solves.
     """
     demands = list(demands)
     _validate_demands(graph, demands)
-    impedance = None
+    bound = None
     if include_bound and graph.is_unweighted:
         impedance = TransferImpedance(graph, mode="streaming")
+        bound = _max_colsum(impedance)
         system = impedance.system
+        del impedance
     else:
         system = LaplacianSystem.from_graph(graph)
     rhs = np.zeros((graph.n_vertices, len(demands)))
@@ -103,7 +106,7 @@ def route_demands(graph: Graph, demands, include_bound: bool = True) -> RoutingR
         flow=flow,
         congestion=congestion,
         max_congestion=float(congestion.max()),
-        competitive_ratio_bound=None if impedance is None else _max_colsum(impedance),
+        competitive_ratio_bound=bound,
     )
 
 

@@ -210,12 +210,17 @@ class TestImpedanceOracle:
         _, _, diag = tp.per_edge_stats()
         assert np.abs(diag - np.diag(oracle)).max() <= 1e-12
 
-    def test_pseudoinverse_from_partial_solve_blocks(self, monkeypatch):
-        # 8 * 3 = 24-column solves: one full block and one partial block of 16
-        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 3)
+    def test_edge_potentials_from_partial_solve_blocks(self, monkeypatch):
+        # 7-column solves: five full blocks and one partial block of 5
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
         g = log_uniform_expander(40, 5)
-        lplus = electrical._pseudoinverse(LaplacianSystem.from_graph(g))
-        assert np.abs(lplus - np.linalg.pinv(laplacian_matrix(g))).max() <= 1e-10 * np.abs(lplus).max()
+        y = electrical._edge_potentials(LaplacianSystem.from_graph(g), g)
+        sqrt_c = np.sqrt(g.conductances)
+        bt = np.zeros((g.n_vertices, g.n_edges))
+        bt[g.tails, np.arange(g.n_edges)] = sqrt_c
+        bt[g.heads, np.arange(g.n_edges)] = -sqrt_c
+        oracle = np.linalg.pinv(laplacian_matrix(g)) @ bt
+        assert np.abs(y - oracle).max() <= 1e-10 * np.abs(y).max()
 
     def test_path_impedance_is_identity(self):
         g = path(2000)
@@ -242,6 +247,47 @@ class TestImpedanceOracle:
         result = tp.abs_spectral_norm()
         assert result.iterations > 2
         assert sum(solved) == g.n_vertices
+        assert max(solved) <= electrical._DEFAULT_BLOCK
+
+
+class TestUpperTriangleApply:
+    # block size 7 divides no m below, so every pass ends on a partial block
+    GRAPHS = TestImpedanceOracle.GRAPHS
+    IDS = ["torus6", "hypercube4", "weighted_expander40"]
+
+    @pytest.mark.parametrize("mode", ["dense", "streaming"])
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_matches_full_abs_matrix(self, g, mode, monkeypatch, rng):
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        m = g.n_edges
+        tp = TransferImpedance(g, mode=mode)
+        full = electrical._abs_zeroed(tp.column_block(0, m))
+        sqrt_c = np.sqrt(g.conductances)
+        colsums, l1, diag = tp.per_edge_stats()
+        assert np.abs(colsums - full.sum(axis=0)).max() <= 1e-12
+        assert np.abs(l1 - (full @ sqrt_c) / sqrt_c).max() <= 1e-12
+        assert np.abs(diag - np.diag(tp.column_block(0, m))).max() <= 1e-12
+        for _ in range(3):
+            v = rng.uniform(0, 1, size=m)
+            assert np.abs(tp.abs_matvec(v) - full @ v).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["dense", "streaming"])
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_applied_matrix_is_bitwise_symmetric(self, g, mode, monkeypatch):
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        tp = TransferImpedance(g, mode=mode)
+        applied = np.column_stack([tp.abs_matvec(e) for e in np.eye(g.n_edges)])
+        assert np.array_equal(applied, applied.T)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_dense_cache_gives_the_streaming_bits(self, g, monkeypatch, rng):
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        dense = TransferImpedance(g, mode="dense")
+        streaming = TransferImpedance(g, mode="streaming")
+        v = rng.uniform(0, 1, size=g.n_edges)
+        assert np.array_equal(dense.abs_matvec(v), streaming.abs_matvec(v))
+        for a, b in zip(dense.per_edge_stats(), streaming.per_edge_stats()):
+            assert np.array_equal(a, b)
 
 
 class TestAbsNorms:
@@ -281,13 +327,13 @@ class TestAbsNorms:
         g = log_uniform_expander(40, 5)
         tp = TransferImpedance(g, mode=mode)
         blocks = []
-        original = TransferImpedance._abs_blocks
+        original = TransferImpedance._abs_apply
 
-        def spy(self):
+        def spy(self, v):
             blocks.append(1)
-            return original(self)
+            return original(self, v)
 
-        monkeypatch.setattr(TransferImpedance, "_abs_blocks", spy)
+        monkeypatch.setattr(TransferImpedance, "_abs_apply", spy)
         first = tp.per_edge_stats()
         result = tp.abs_spectral_norm()
         # one stats pass, then one pass per product after the first

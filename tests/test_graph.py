@@ -25,6 +25,8 @@ from ohmgraph import (
     write_graph,
 )
 
+import ohmgraph.graph as graph_module
+
 from conftest import single_edge, triangle
 
 
@@ -179,6 +181,21 @@ class TestIO:
         p.write_text("# a comment\n\n0 1 1.0\n# another\n1 2 0.25\n")
         g = read_graph(str(p))
         assert g.n_edges == 2
+
+    def test_each_edge_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = graph_module._edge_error
+
+        def spy(t, h, c):
+            calls.append((t, h, c))
+            return original(t, h, c)
+
+        monkeypatch.setattr(graph_module, "_edge_error", spy)
+        p = tmp_path / "g.txt"
+        p.write_text("0 1 1.0\n1 2 0.5\n2 0 2.0\n")
+        g = read_graph(str(p))
+        assert g.edge_list() == [(0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0)]
+        assert len(calls) == 3
 
     def test_round_trip_identity(self, tmp_path):
         g = build_graph([(0, 2, 0.1), (2, 1, 1 / 3), (1, 0, 123456.789), (0, 2, 1e-7)])

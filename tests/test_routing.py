@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ohmgraph import (
     Demand,
+    LaplacianSystem,
     TransferImpedance,
     build_graph,
     competitive_ratio_bound,
@@ -116,6 +119,28 @@ class TestCompetitiveRatioBound:
         assert unbounded.competitive_ratio_bound is None
         assert np.abs(report.flow - unbounded.flow).max() <= 1e-12 * np.abs(unbounded.flow).max()
         assert report.competitive_ratio_bound == competitive_ratio_bound(g)
+
+    def test_impedance_released_before_demand_solves(self, monkeypatch):
+        refs, alive = [], []
+        original_init = TransferImpedance.__init__
+        original_solve = LaplacianSystem.solve_columns
+
+        def init_spy(self, graph, *args, **kwargs):
+            original_init(self, graph, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        def solve_spy(self, B):
+            alive.append(refs[0]() is not None if refs else None)
+            return original_solve(self, B)
+
+        monkeypatch.setattr(TransferImpedance, "__init__", init_spy)
+        monkeypatch.setattr(LaplacianSystem, "solve_columns", solve_spy)
+        g = torus(6)
+        report = route_demands(g, [Demand(0, 21, 1.0), Demand(5, 30, 2.5)])
+        assert report.competitive_ratio_bound is not None
+        # the impedance's own solves run inside its constructor; the demand
+        # solve runs last, after the impedance is gone
+        assert alive[-1] is False and None in alive[:-1]
 
     def test_weighted_rejected_with_explanation(self):
         g = build_graph([(0, 1, 2.0), (1, 2, 1.0), (2, 0, 1.0)])
