@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .electrical import TransferImpedance
-from .graph import Graph, GraphFormatError, parse_family_spec, read_graph
+from .graph import Graph, GraphFormatError, is_connected, parse_family_spec, read_graph
 from .localization import run_elimination
 from .routing import Demand, parse_demands, route_demands
 from .schur import (
@@ -23,6 +23,7 @@ from .schur import (
     check_sum_potentials,
     schur_complement,
 )
+from .solver import DisconnectedGraphError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,6 +165,8 @@ def _cmd_verify(args) -> int:
     n = g.n_vertices
     if n < 2:
         raise UsageError("verification requires a graph with at least 2 vertices")
+    if not is_connected(g):  # before any draw of up to n terminal ids
+        raise DisconnectedGraphError("verification requires a connected graph")
     records = []
     for _ in range(args.trials):
         size = int(rng.integers(2, n + 1))

@@ -1,4 +1,4 @@
-"""Weighted multigraph model, graph-family generators, and edge-list I/O.
+"""Weighted multigraph model, graph-family generators, edge-list reader, and BFS.
 
 Vertices are dense integer ids ``0..n-1``.  Every edge carries a fixed
 orientation ``(tail, head)`` assigned at construction and a positive
@@ -9,7 +9,6 @@ are rejected at input.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +17,7 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "build_graph",
-    "incidence_apply",
-    "incidence_transpose_apply",
     "laplacian_matrix",
-    "weighted_adjacency",
-    "generate_family",
     "parse_family_spec",
     "parallel_paths",
     "torus",
@@ -32,7 +27,6 @@ __all__ = [
     "complete",
     "erdos_renyi",
     "read_graph",
-    "write_graph",
     "bfs_distance",
     "is_connected",
 ]
@@ -85,6 +79,8 @@ def _edge_error(t: int, h: int, c: float) -> str | None:
         return f"self-loop at vertex {t} is not allowed"
     if t < 0 or h < 0:
         return f"negative vertex id in ({t}, {h})"
+    if t >= 2**63 or h >= 2**63:
+        return f"vertex id {max(t, h)} is beyond the int64 range"
     if not math.isfinite(c) or c <= 0.0:
         return f"conductance must be a positive finite real, got {c}"
     return None
@@ -129,24 +125,6 @@ def _graph_from_arrays(
     return Graph(int(n_vertices), _freeze(tails), _freeze(heads), _freeze(conds))
 
 
-def incidence_apply(graph: Graph, x) -> np.ndarray:
-    """Apply the signed incidence matrix: ``(Bx)_e = x[tail] - x[head]``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (graph.n_vertices,):
-        raise ValueError(f"expected a vertex vector of length {graph.n_vertices}, got shape {x.shape}")
-    return x[graph.tails] - x[graph.heads]
-
-
-def incidence_transpose_apply(graph: Graph, f) -> np.ndarray:
-    """Apply the transposed incidence matrix: net out-flow minus in-flow per vertex."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (graph.n_edges,):
-        raise ValueError(f"expected an edge vector of length {graph.n_edges}, got shape {f.shape}")
-    out = np.bincount(graph.tails, weights=f, minlength=graph.n_vertices)
-    inc = np.bincount(graph.heads, weights=f, minlength=graph.n_vertices)
-    return out - inc
-
-
 def laplacian_matrix(graph: Graph) -> np.ndarray:
     """Dense weighted Laplacian (conductance-weighted incidence Gram matrix)."""
     n = graph.n_vertices
@@ -157,15 +135,6 @@ def laplacian_matrix(graph: Graph) -> np.ndarray:
     np.add.at(L, (t, h), -c)
     np.add.at(L, (h, t), -c)
     return L
-
-
-def weighted_adjacency(graph: Graph) -> np.ndarray:
-    """Dense symmetric adjacency with parallel-edge conductances summed."""
-    n = graph.n_vertices
-    A = np.zeros((n, n))
-    np.add.at(A, (graph.tails, graph.heads), graph.conductances)
-    np.add.at(A, (graph.heads, graph.tails), graph.conductances)
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +217,9 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
         raise ValueError("erdos_renyi requires p in (0, 1]")
     rng = np.random.default_rng(seed)
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, 1.0))
+    for i in range(n - 1):  # row i draws for the pairs (i, i+1..n-1), in order
+        heads = np.flatnonzero(rng.random(n - i - 1) < p) + (i + 1)
+        edges.extend((i, j, 1.0) for j in heads.tolist())
     return build_graph(edges, n_vertices=n)
 
 
@@ -304,15 +272,6 @@ _FAMILIES = {
 }
 
 
-def generate_family(name: str, *params) -> Graph:
-    """Dispatch to a named generator; see :data:`_FAMILIES` for the catalogue."""
-    if name not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown graph family {name!r} (known: {known})")
-    builder, _ = _FAMILIES[name]
-    return builder(*params)
-
-
 def parse_family_spec(spec: str) -> Graph:
     """Parse a colon-separated family spec such as ``torus:8`` or ``expander:64:4:7``.
 
@@ -334,10 +293,10 @@ def parse_family_spec(spec: str) -> Graph:
                 args.append(int(token))
         except ValueError:
             raise ValueError(f"bad parameter {token!r} in family spec {spec!r}")
+    builder, usage = _FAMILIES[name]
     try:
-        return generate_family(name, *args)
+        return builder(*args)
     except TypeError:
-        _, usage = _FAMILIES[name]
         raise ValueError(f"family {name!r} expects parameters: {usage or '(none)'}")
 
 
@@ -377,23 +336,26 @@ def read_graph(path_: str) -> Graph:
     )
 
 
-def write_graph(graph: Graph, path_: str) -> None:
-    """Write the edge-list text format; read_graph(write_graph(g)) == g."""
-    with open(path_, "w", encoding="utf-8") as fh:
-        for t, h, c in graph.edge_list():
-            fh.write(f"{t} {h} {c!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # traversal
 
 
-def _adjacency_lists(graph: Graph) -> list[list[int]]:
+def _hops(graph: Graph, source: int) -> list[int]:
+    """Breadth-first hop counts from ``source``; -1 marks unreachable vertices."""
     adj: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    for t, h in zip(graph.tails, graph.heads):
-        adj[t].append(int(h))
-        adj[h].append(int(t))
-    return adj
+    for t, h in zip(graph.tails.tolist(), graph.heads.tolist()):
+        adj[t].append(h)
+        adj[h].append(t)
+    dist = [-1] * graph.n_vertices
+    dist[source] = 0
+    order = [source]
+    for x in order:  # the queue: vertices are appended as they are reached
+        d = dist[x] + 1
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = d
+                order.append(y)
+    return dist
 
 
 def bfs_distance(graph: Graph, u: int, v: int) -> int | float:
@@ -401,38 +363,17 @@ def bfs_distance(graph: Graph, u: int, v: int) -> int | float:
     n = graph.n_vertices
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex ids ({u}, {v}) out of range for n={n}")
-    if u == v:
-        return 0
-    adj = _adjacency_lists(graph)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return int(dist[y])
-                queue.append(y)
-    return math.inf
+    d = _hops(graph, u)[v]
+    return d if d >= 0 else math.inf
 
 
 def is_connected(graph: Graph) -> bool:
-    """BFS reachability of every vertex from vertex 0."""
+    """BFS reachability of every vertex from vertex 0.  Fewer than n-1 edges
+    cannot connect n vertices; that answer comes before anything of size n
+    is allocated."""
     n = graph.n_vertices
     if n <= 1:
         return True
-    adj = _adjacency_lists(graph)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    return count == n
+    if graph.n_edges < n - 1:
+        return False
+    return -1 not in _hops(graph, 0)

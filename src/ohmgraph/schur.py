@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, build_graph, is_connected, laplacian_matrix, weighted_adjacency
+from .graph import Graph, build_graph, is_connected, laplacian_matrix
 from .solver import DisconnectedGraphError, LaplacianSystem
 
 __all__ = [
@@ -23,11 +23,9 @@ __all__ = [
     "SELF_LOOP_RESIDUE_TOL",
     "SchurResidueError",
     "SchurSystem",
-    "EdgeStats",
     "schur_complement",
     "eliminate_one",
     "hitting_probabilities",
-    "edge_stats",
     "check_sum_potentials",
     "check_norm_energy",
     "check_schur_conductance",
@@ -233,7 +231,8 @@ def _walk_prob_map(graph: Graph, S: np.ndarray) -> np.ndarray:
     no Monte Carlo): transition probabilities proportional to conductances,
     terminals absorbing."""
     n = graph.n_vertices
-    A = weighted_adjacency(graph)
+    L = laplacian_matrix(graph)
+    A = np.diag(np.diag(L)) - L  # weighted adjacency, parallel edges summed
     deg = A.sum(axis=1)
     if np.any(deg <= 0):
         raise DisconnectedGraphError("isolated vertex: walk transition matrix undefined")
@@ -283,25 +282,13 @@ def hitting_probabilities(graph: Graph, terminals, method: str = "block") -> np.
     raise ValueError(f"unknown method {method!r}; use 'block', 'identify', or 'walk_oracle'")
 
 
-@dataclass(frozen=True)
-class EdgeStats:
-    """Per base-edge statistics of one terminal's probability row:
-    ``q`` is the absolute probability drop across the edge, ``r`` the larger
-    endpoint probability clamped below by 1/|S|."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-
-def edge_stats(system: SchurSystem, v: int) -> EdgeStats:
-    """Probability drop and clamped endpoint level per edge of the base graph."""
-    i = system.local_index(v)
-    row = system.prob_map[i]
+def _drops(system: SchurSystem, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per base edge, the drop ``|p(x) - p(y)|`` of ``v``'s hitting
+    probability across the edge and the larger endpoint probability."""
+    row = system.prob_map[system.local_index(v)]
     px = row[system.base.tails]
     py = row[system.base.heads]
-    q = np.abs(px - py)
-    r = np.maximum(np.maximum(px, py), 1.0 / system.size)
-    return EdgeStats(q=q, r=r)
+    return np.abs(px - py), np.maximum(px, py)
 
 
 def check_sum_potentials(system: SchurSystem, edge_index: int) -> float:
@@ -326,12 +313,8 @@ def check_norm_energy(system: SchurSystem, v: int, p: float) -> tuple[float, flo
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must lie in (0, 1)")
-    graph = system.base
-    stats = edge_stats(system, v)
-    i = system.local_index(v)
-    row = system.prob_map[i]
-    level = np.maximum(row[graph.tails], row[graph.heads])
-    energy = graph.conductances * stats.q**2
+    q, level = _drops(system, v)
+    energy = system.base.conductances * q**2
     lhs = float(energy[level <= p].sum())
     rhs = float(p * energy.sum())
     return lhs, rhs
@@ -348,6 +331,6 @@ def check_schur_conductance(system: SchurSystem, v: int) -> tuple[float, float]:
     sg = system.graph
     incident = (sg.tails == i) | (sg.heads == i)
     lhs = float(sg.conductances[incident].sum())
-    stats = edge_stats(system, v)
-    rhs = float((system.base.conductances * stats.q**2).sum())
+    q, _ = _drops(system, v)
+    rhs = float((system.base.conductances * q**2).sum())
     return lhs, rhs

@@ -59,7 +59,7 @@ class ConvergenceError(RuntimeError):
 
 
 class LaplacianSystem:
-    """A symmetric PSD Laplacian with a cached grounded factorization.
+    """A symmetric PSD Laplacian, kept only as its grounded factorization.
 
     Parameters
     ----------
@@ -67,14 +67,15 @@ class LaplacianSystem:
         Symmetric matrix with zero row sums (validated on entry, scaled
         tolerances ``SYMMETRY_TOL`` / ``ROW_SUM_TOL``).  Positive
         semidefiniteness is certified by the Cholesky factorization of the
-        grounded submatrix on first solve.
+        grounded submatrix at construction.
 
-    The factorization is created once and never mutated, so solves against a
-    shared system are safe to run concurrently.
+    The factor is a copy, so the caller may reuse ``matrix`` afterwards; it
+    is never mutated, so solves against a shared system are safe to run
+    concurrently.
     """
 
     def __init__(self, matrix):
-        matrix = np.array(matrix, dtype=float)
+        matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
         n = matrix.shape[0]
@@ -85,9 +86,14 @@ class LaplacianSystem:
             raise ValueError("matrix is not symmetric")
         if float(np.abs(matrix.sum(axis=1)).max()) > ROW_SUM_TOL * scale:
             raise ValueError("matrix does not have zero row sums")
-        self.matrix = matrix
         self.n = n
-        self._factor = None
+        try:
+            self._factor = scipy.linalg.cho_factor(matrix[1:, 1:], lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise DisconnectedGraphError(
+                "grounded Laplacian is not positive definite; "
+                "the underlying graph is disconnected or the matrix is not a Laplacian"
+            ) from exc
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "LaplacianSystem":
@@ -96,19 +102,6 @@ class LaplacianSystem:
                 "graph is disconnected; analyses require a single component"
             )
         return cls(laplacian_matrix(graph))
-
-    def _factorization(self):
-        if self._factor is None:
-            try:
-                self._factor = scipy.linalg.cho_factor(
-                    self.matrix[1:, 1:], lower=True, check_finite=False
-                )
-            except np.linalg.LinAlgError as exc:
-                raise DisconnectedGraphError(
-                    "grounded Laplacian is not positive definite; "
-                    "the underlying graph is disconnected or the matrix is not a Laplacian"
-                ) from exc
-        return self._factor
 
     def solve(self, b) -> np.ndarray:
         """Pseudoinverse solve: project ``b`` off the all-ones direction, solve,
@@ -126,7 +119,7 @@ class LaplacianSystem:
         Z = B - B.mean(axis=0, keepdims=True)
         X = np.empty_like(Z)
         X[0, :] = 0.0
-        X[1:, :] = scipy.linalg.cho_solve(self._factorization(), Z[1:, :], check_finite=False)
+        X[1:, :] = scipy.linalg.cho_solve(self._factor, Z[1:, :], check_finite=False)
         X -= X.mean(axis=0, keepdims=True)
         return X
 

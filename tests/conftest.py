@@ -32,6 +32,12 @@ def indicator_drop(n, u, v):
     return b
 
 
+def net_outflow(graph, f):
+    """B^T f: out-flow minus in-flow of the edge vector ``f`` at each vertex."""
+    n = graph.n_vertices
+    return np.bincount(graph.tails, weights=f, minlength=n) - np.bincount(graph.heads, weights=f, minlength=n)
+
+
 def single_edge():
     return build_graph([(0, 1, 1.0)])
 

@@ -1,7 +1,7 @@
 import pytest
 
 import ohmgraph
-from ohmgraph import TransferImpedance, electrical, graph, localization, routing, schur, solver
+from ohmgraph import LaplacianSystem, TransferImpedance, electrical, graph, localization, routing, schur, solver
 
 MODULES = [graph, solver, electrical, schur, localization, routing]
 
@@ -22,6 +22,13 @@ def test_package_exports_every_module_name(module):
         "FlowSummary",
         "pinv_apply",
         "degree",
+        "incidence_apply",
+        "incidence_transpose_apply",
+        "write_graph",
+        "generate_family",
+        "weighted_adjacency",
+        "edge_stats",
+        "EdgeStats",
     ],
 )
 def test_removed_wrappers_are_gone(name):
@@ -34,3 +41,7 @@ def test_removed_wrappers_are_gone(name):
 )
 def test_transfer_impedance_has_one_pi_surface(name):
     assert not hasattr(TransferImpedance(ohmgraph.complete(3)), name)
+
+
+def test_laplacian_system_keeps_only_its_factor():
+    assert not hasattr(LaplacianSystem.from_graph(ohmgraph.complete(3)), "matrix")

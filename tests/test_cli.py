@@ -1,10 +1,31 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ohmgraph.cli as cli
 from ohmgraph import read_graph
+
+
+# Runs every subcommand that needs a connected graph on the file named by
+# argv[1], in a process whose address space is capped at 1 GiB, and prints
+# [subcommand, exit code, stderr] per run as JSON.
+_CAPPED_CHILD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ohmgraph.cli import cli_main
+runs = []
+for cmd, *extra in (["analyze"], ["eliminate"], ["verify"], ["route", "--demands", "0 1 1"]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main([cmd, "--graph", sys.argv[1], *extra])
+    runs.append([cmd, code, err.getvalue()])
+print(json.dumps(runs))
+"""
 
 
 def run(capsys, *argv):
@@ -206,6 +227,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", "--graph", str(src))
         assert code == 2
         assert "disconnected" in err
+
+    def test_huge_vertex_id_fails_fast_on_connectivity(self, tmp_path):
+        # one edge naming vertex 10^9: nothing of size n may be allocated
+        src = tmp_path / "huge.txt"
+        src.write_text("0 1000000000 1\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CHILD, str(src)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        assert [cmd for cmd, _, _ in runs] == ["analyze", "eliminate", "verify", "route"]
+        for cmd, code, err in runs:
+            assert code == 2, (cmd, err)
+            assert "connected" in err and "out of memory" not in err, (cmd, err)
 
     def test_memory_error_is_numerical_failure(self, capsys, monkeypatch):
         def exhausted(spec):

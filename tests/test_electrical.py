@@ -13,7 +13,6 @@ from ohmgraph import (
     delta_edge,
     effective_resistance,
     hypercube,
-    incidence_transpose_apply,
     is_connected,
     laplacian_matrix,
     parallel_paths,
@@ -24,7 +23,14 @@ from ohmgraph import (
     unit_flow,
 )
 
-from conftest import indicator_drop, log_uniform_expander, random_connected_graph, single_edge, triangle
+from conftest import (
+    indicator_drop,
+    log_uniform_expander,
+    net_outflow,
+    random_connected_graph,
+    single_edge,
+    triangle,
+)
 
 TEST_GRAPHS = [triangle(), torus(3), parallel_paths(3), complete(4), random_regular_expander(16, 4, seed=2)]
 
@@ -45,7 +51,7 @@ class TestUnitFlow:
         for e in range(g.n_edges):
             u, v = int(g.tails[e]), int(g.heads[e])
             f = unit_flow(g, u, v)
-            resid = incidence_transpose_apply(g, f) - indicator_drop(g.n_vertices, u, v)
+            resid = net_outflow(g, f) - indicator_drop(g.n_vertices, u, v)
             assert np.abs(resid).max() <= 1e-9
 
     @pytest.mark.parametrize("g", TEST_GRAPHS)

@@ -10,10 +10,8 @@ from ohmgraph import (
     bfs_distance,
     build_graph,
     complete,
-    generate_family,
+    erdos_renyi,
     hypercube,
-    incidence_apply,
-    incidence_transpose_apply,
     is_connected,
     laplacian_matrix,
     parallel_paths,
@@ -22,10 +20,10 @@ from ohmgraph import (
     random_regular_expander,
     read_graph,
     torus,
-    write_graph,
 )
 
 import ohmgraph.graph as graph_module
+from ohmgraph.cli import cli_main
 
 from conftest import single_edge, triangle
 
@@ -67,37 +65,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([])
 
+    def test_rejects_id_beyond_int64(self):
+        with pytest.raises(ValueError, match="edge 1: .*int64"):
+            build_graph([(0, 1, 1.0), (0, 2**63, 1.0)])
+
     def test_arrays_immutable(self):
         g = triangle()
         with pytest.raises(ValueError):
             g.conductances[0] = 7.0
-
-
-class TestIncidence:
-    def test_path_edge_drop(self):
-        g = single_edge()
-        assert incidence_apply(g, [1.0, 0.0]).tolist() == [1.0]
-
-    def test_triangle_transpose_telescopes(self):
-        g = build_graph([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-        out = incidence_transpose_apply(g, np.ones(3))
-        assert abs(out.sum()) < 1e-12
-
-    def test_adjoint_identity_on_grid(self, rng):
-        g = torus(3)
-        for _ in range(50):
-            x = rng.normal(size=g.n_vertices)
-            f = rng.normal(size=g.n_edges)
-            lhs = incidence_apply(g, x) @ f
-            rhs = x @ incidence_transpose_apply(g, f)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_dimension_mismatch(self):
-        g = triangle()
-        with pytest.raises(ValueError):
-            incidence_apply(g, np.ones(5))
-        with pytest.raises(ValueError):
-            incidence_transpose_apply(g, np.ones(5))
 
 
 class TestFamilies:
@@ -143,13 +118,23 @@ class TestFamilies:
         assert np.abs(L.sum(axis=1)).max() < 1e-12
 
     def test_erdos_renyi_row_sums(self):
-        L = laplacian_matrix(generate_family("erdos_renyi", 20, 0.4, 3))
+        L = laplacian_matrix(erdos_renyi(20, 0.4, 3))
         assert np.abs(L.sum(axis=1)).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "n,p,seed", [(6, 1.0, 0), (8, 1e-9, 1), (2, 0.5, 2), (2, 0.5, 4), (30, 0.2, 5), (17, 0.6, 9)]
+    )
+    def test_erdos_renyi_matches_pairwise_draws(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        expected = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = erdos_renyi(n, p, seed)
+        assert g.n_vertices == n
+        assert g.edge_list() == expected
+
     def test_generate_family_dispatch(self):
-        assert generate_family("torus", 3).n_vertices == 9
+        assert parse_family_spec("torus:3").n_vertices == 9
         with pytest.raises(ValueError, match="unknown graph family"):
-            generate_family("moebius", 3)
+            parse_family_spec("moebius:3")
 
     def test_invalid_parameters(self):
         for call in [lambda: torus(1), lambda: hypercube(0), lambda: parallel_paths(0),
@@ -167,6 +152,15 @@ class TestFamilies:
             parse_family_spec("torus:three")
         with pytest.raises(ValueError):
             parse_family_spec("torus:3:4:5")
+
+
+def _round_trip(g, directory):
+    """Write ``g`` as an edge list, pass it through ``ohmgraph generate`` and
+    read the generated file back."""
+    src, out = directory / "in.txt", directory / "out.txt"
+    src.write_text("".join(f"{t} {h} {c!r}\n" for t, h, c in g.edge_list()))
+    assert cli_main(["generate", "--graph", str(src), "--out", str(out)]) == 0
+    return read_graph(str(out))
 
 
 class TestIO:
@@ -199,9 +193,7 @@ class TestIO:
 
     def test_round_trip_identity(self, tmp_path):
         g = build_graph([(0, 2, 0.1), (2, 1, 1 / 3), (1, 0, 123456.789), (0, 2, 1e-7)])
-        p = tmp_path / "g.txt"
-        write_graph(g, str(p))
-        h = read_graph(str(p))
+        h = _round_trip(g, tmp_path)
         assert h.n_vertices == g.n_vertices
         assert h.edge_list() == g.edge_list()
 
@@ -213,6 +205,7 @@ class TestIO:
             ("0 0 1.0\n", "self-loop"),
             ("0 1 -2\n", "positive"),
             ("0 -1 1.0\n", "negative"),
+            ("0 9223372036854775808 1\n", "int64"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, fragment):
@@ -235,9 +228,7 @@ class TestIO:
     )
     def test_round_trip_random_graphs(self, tmp_path_factory, edges):
         g = build_graph(edges)
-        p = tmp_path_factory.mktemp("io") / "g.txt"
-        write_graph(g, str(p))
-        h = read_graph(str(p))
+        h = _round_trip(g, tmp_path_factory.mktemp("io"))
         assert h.edge_list() == g.edge_list()
 
 

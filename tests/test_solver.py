@@ -68,7 +68,7 @@ class TestPinvApply:
     @pytest.mark.parametrize("g", SOLVE_GRAPHS)
     def test_residual_and_centering_on_random_inputs(self, g, rng):
         sys = LaplacianSystem.from_graph(g)
-        L = sys.matrix
+        L = laplacian_matrix(g)
         n = g.n_vertices
         for _ in range(100):
             b = rng.normal(size=n)
@@ -110,9 +110,17 @@ class TestPinvApply:
         L = np.zeros((4, 4))
         L[:2, :2] = [[1, -1], [-1, 1]]
         L[2:, 2:] = [[1, -1], [-1, 1]]
-        sys = LaplacianSystem(L)
         with pytest.raises(DisconnectedGraphError):
-            sys.solve(np.array([1.0, -1.0, 0.0, 0.0]))
+            LaplacianSystem(L)
+
+    def test_factor_taken_at_construction(self, rng):
+        g = torus(3)
+        L = laplacian_matrix(g)
+        sys = LaplacianSystem(L)
+        b = rng.normal(size=9)
+        b -= b.mean()
+        L[...] = np.nan  # the system keeps no reference to its input
+        assert np.allclose(sys.solve(b), oracle_pinv_apply(g, b), atol=1e-10)
 
     def test_validation_rejects_bad_matrices(self):
         with pytest.raises(ValueError, match="symmetric"):
