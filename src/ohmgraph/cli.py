@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .electrical import TransferImpedance
-from .graph import Graph, GraphFormatError, is_connected, parse_family_spec, read_graph
+from .graph import Graph, is_connected, parse_family_spec, read_graph
 from .localization import run_elimination
 from .routing import Demand, parse_demands, route_demands
 from .schur import (
@@ -296,12 +296,8 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # LinAlgError subclasses ValueError, so it must be caught before the
+    # ValueError clause below, which covers UsageError and GraphFormatError.
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -195,15 +195,16 @@ class TransferImpedance:
             self._stats = (colsums, l1, diag)
         return self._stats
 
-    def abs_spectral_norm(self, tol: float = 1e-10, max_iter: int | None = None) -> PowerIterationResult:
-        """Top eigenvalue of ``|Pi|`` with its Collatz-Wielandt bracket.
+    def abs_spectral_norm(self) -> PowerIterationResult:
+        """Top eigenvalue of ``|Pi|`` with its Collatz-Wielandt bracket, at
+        the tolerance and iteration cap of :func:`spectral_norm_nonneg`.
 
         Lanczos starts from the normalized all-ones vector, whose product is
         the memoized column sums, so the first step costs no pass over Pi.
         """
         m = self.n_edges
         first = self.per_edge_stats()[0] / np.sqrt(m)
-        return spectral_norm_nonneg(self.abs_matvec, m, tol=tol, max_iter=max_iter, first_product=first)
+        return spectral_norm_nonneg(self.abs_matvec, m, first_product=first)
 
 
 def unit_flow(graph: Graph, u: int, v: int) -> np.ndarray:

@@ -223,7 +223,11 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     return build_graph(edges, n_vertices=n)
 
 
-def random_regular_expander(n: int, d: int, seed: int = 0, max_tries: int = 1000) -> Graph:
+# Resamples per matching, and per whole construction, in random_regular_expander.
+_EXPANDER_TRIES = 1000
+
+
+def random_regular_expander(n: int, d: int, seed: int = 0) -> Graph:
     """Random ``d``-regular graph as a union of ``d`` perfect matchings.
 
     Matchings that would duplicate an existing edge are resampled, and the
@@ -237,12 +241,12 @@ def random_regular_expander(n: int, d: int, seed: int = 0, max_tries: int = 1000
     if d >= n:
         raise ValueError("random_regular_expander requires d < n")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_EXPANDER_TRIES):
         seen: set[tuple[int, int]] = set()
         edges: list[tuple[int, int, float]] = []
         ok = True
         for _ in range(d):
-            for _ in range(max_tries):
+            for _ in range(_EXPANDER_TRIES):
                 perm = rng.permutation(n)
                 pairs = [tuple(sorted((int(perm[2 * i]), int(perm[2 * i + 1])))) for i in range(n // 2)]
                 if len(set(pairs)) == len(pairs) and not any(p in seen for p in pairs):

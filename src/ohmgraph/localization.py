@@ -46,6 +46,12 @@ _TIE_RTOL = 1e-12
 _ORACLE_PM_TOL = 1e-9
 _ORACLE_VI_RTOL = 1e-8
 
+# Largest admissible gap between each step's rank-one term and the pivot's
+# degree (absolute), and between the trace's V_0 and the direct quadratic
+# form in harmonic_bound_check (relative).
+_IDENTITY_TOL = 1e-8
+_V0_RTOL = 1e-6
+
 
 class LocalizationError(RuntimeError):
     """A per-step consistency identity of the elimination run failed."""
@@ -150,19 +156,14 @@ def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
     return int(ids[np.argmax(deg <= lowest + _TIE_RTOL * abs(lowest))])
 
 
-def run_elimination(
-    graph: Graph,
-    w,
-    compute_vi: bool = True,
-    identity_tol: float = 1e-8,
-) -> EliminationTrace:
+def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrace:
     """Run the greedy elimination loop down to two terminals.
 
     At every step the pivot is the terminal of minimum degree.  Degrees
     within a relative 1e-12 of the minimum count as tied and the smallest
     vertex id among them wins, so traces are deterministic and do not depend
     on roundoff.  Each step verifies that the eliminated rank-one term
-    ``(|a_k| . z)^2 / L[k, k]`` equals the pivot's degree to ``identity_tol``
+    ``(|a_k| . z)^2 / L[k, k]`` equals the pivot's degree to 1e-8
     and, with ``compute_vi``, records the slack of the step inequality
     ``V_i <= V_{i+1} + degree``.  A non-positive pivot diagonal raises
     :class:`LocalizationError`.
@@ -225,10 +226,10 @@ def run_elimination(
             raise LocalizationError(f"pivot diagonal {d:.3e} is not positive")
         a = pm[k, tails] - pm[k, heads]
         rank_one = float(np.abs(a) @ z) ** 2 / d
-        if abs(rank_one - float(degrees[k])) > identity_tol:
+        if abs(rank_one - float(degrees[k])) > _IDENTITY_TOL:
             raise LocalizationError(
                 f"rank-one correction {rank_one!r} disagrees with degree "
-                f"{float(degrees[k])!r} beyond {identity_tol:.0e} at step {len(pivots)}"
+                f"{float(degrees[k])!r} beyond {_IDENTITY_TOL:.0e} at step {len(pivots)}"
             )
         pivots.append(k)
         degree_vals.append(float(degrees[k]))
@@ -282,28 +283,23 @@ def _harmonic_sum(n: int) -> float:
     return sum((6 * _bucket_count(s) + 6) / s for s in range(n, 2, -1))
 
 
-def harmonic_bound_check(
-    graph: Graph,
-    w,
-    verify_trace: bool = True,
-    rel_tol: float = 1e-6,
-) -> HarmonicBoundReport:
+def harmonic_bound_check(graph: Graph, w, verify_trace: bool = True) -> HarmonicBoundReport:
     """Compare the absolute-impedance quadratic form against the assembled
     elimination bound ``||w||^2 * (1 + sum_i (6*ceil(log2 |S_i|) + 6)/|S_i|)``.
 
     With ``verify_trace`` the left side is also recomputed through the full
     elimination trace and must agree with the direct streaming computation to
-    ``rel_tol`` relative (two independent code paths for the same quantity).
+    1e-6 relative (two independent code paths for the same quantity).
     """
     w = _check_weights(graph, w)
     lhs = quadratic_form_abs(graph, w)
     if verify_trace:
         trace = run_elimination(graph, w)
         v0 = trace.v_initial
-        if abs(v0 - lhs) > rel_tol * max(abs(lhs), 1e-30):
+        if abs(v0 - lhs) > _V0_RTOL * max(abs(lhs), 1e-30):
             raise LocalizationError(
                 f"trace V_0 = {v0!r} disagrees with the direct quadratic form {lhs!r} "
-                f"beyond {rel_tol:.0e} relative"
+                f"beyond {_V0_RTOL:.0e} relative"
             )
         lhs = v0
     bound = float(w @ w) * (1.0 + _harmonic_sum(graph.n_vertices))

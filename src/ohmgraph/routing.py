@@ -70,21 +70,22 @@ def _validate_demands(graph: Graph, demands: list[Demand]) -> None:
             raise ValueError(f"demand {i}: amount must be positive, got {d.amount}")
 
 
-def route_demands(graph: Graph, demands, include_bound: bool = True) -> RoutingReport:
+def route_demands(graph: Graph, demands) -> RoutingReport:
     """Route every demand along its electrical flow and superpose them signed.
 
     Opposite-direction demands may cancel on an edge; congestion is taken on
     the superposed flow, which is the congestion the routed traffic actually
     produces.  Per-pair solves are independent (batched here) and the report
-    is a single associative reduction.  When the bound is reported, the
-    demands are solved on the Laplacian factorization of the impedance that
-    yields it, so the graph is factored once; the impedance is dropped once
-    the bound is read, before the demand solves.
+    is a single associative reduction.  An unweighted graph also gets its
+    competitive-ratio bound: the demands are solved on the Laplacian
+    factorization of the impedance that yields it, so the graph is factored
+    once; the impedance is dropped once the bound is read, before the demand
+    solves.
     """
     demands = list(demands)
     _validate_demands(graph, demands)
     bound = None
-    if include_bound and graph.is_unweighted:
+    if graph.is_unweighted:
         impedance = TransferImpedance(graph, mode="streaming")
         bound = _max_colsum(impedance)
         system = impedance.system

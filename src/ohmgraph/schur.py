@@ -3,9 +3,12 @@ maps computed by three independent routes, plus checkers for the
 distribution, energy-fraction, and conductance-preservation identities.
 
 A :class:`SchurSystem` is an immutable snapshot of a terminal set ``S``: the
-eliminated Laplacian on ``S``, its materialized graph, and the probability
-map ``prob_map[i, x]`` = probability that a random walk from ``x`` hits
-terminal ``vertices[i]`` before any other terminal.
+eliminated Laplacian on ``S`` and the probability map ``prob_map[i, x]`` =
+probability that a random walk from ``x`` hits terminal ``vertices[i]``
+before any other terminal.  The eliminated Laplacian is the whole eliminated
+network: its off-diagonal entries are the negated conductances.  It scales
+linearly with the base conductances while the probability map does not
+change, so its checks are relative to ``scale = max(1, max|L|)``.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, build_graph, is_connected, laplacian_matrix
+from .graph import Graph, _graph_from_arrays, is_connected, laplacian_matrix
 from .solver import DisconnectedGraphError, LaplacianSystem
 
 __all__ = [
-    "PRUNE_TOL",
     "SELF_LOOP_RESIDUE_TOL",
     "SchurResidueError",
     "SchurSystem",
@@ -31,13 +33,14 @@ __all__ = [
     "check_schur_conductance",
 ]
 
-# Conductances below this threshold after elimination are numerical noise and
-# are pruned when the Schur graph is materialized.
-PRUNE_TOL = 1e-12
-
 # Elimination of a pure Laplacian leaves only roundoff on the diagonal
-# surplus; anything larger signals lost mass and is an error, not a warning.
+# surplus; anything larger, relative to the matrix scale, signals lost mass
+# and is an error, not a warning.
 SELF_LOOP_RESIDUE_TOL = 1e-9
+
+# An off-diagonal entry above this, relative to the matrix scale, is a
+# negative conductance rather than roundoff.
+_POSITIVE_OFFDIAG_TOL = 1e-12
 
 
 class SchurResidueError(RuntimeError):
@@ -51,7 +54,6 @@ class SchurSystem:
     base: Graph
     vertices: np.ndarray  # sorted original ids retained, shape (s,)
     laplacian: np.ndarray  # (s, s) Laplacian of the eliminated network
-    graph: Graph  # materialized network on local ids 0..s-1
     prob_map: np.ndarray  # (s, n_base)
 
     @property
@@ -101,28 +103,30 @@ def _block_prob_map(graph: Graph, S: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pm, schur
 
 
-def _materialize(schur: np.ndarray, prune_tol: float) -> Graph:
-    s = schur.shape[0]
-    residue = float(np.abs(schur.sum(axis=1)).max())
-    if residue > SELF_LOOP_RESIDUE_TOL:
+def _check_schur(L: np.ndarray) -> None:
+    """Raise :class:`SchurResidueError` unless ``L`` is numerically a
+    Laplacian: zero row sums up to ``SELF_LOOP_RESIDUE_TOL`` and no
+    off-diagonal entry above ``_POSITIVE_OFFDIAG_TOL``, both relative to
+    ``max(1, max|L|)``, the rule :class:`LaplacianSystem` applies.  The
+    comparisons are written so that NaN fails them."""
+    scale = max(1.0, float(np.abs(L).max()))
+    residue = float(np.abs(L.sum(axis=1)).max())
+    if not residue <= SELF_LOOP_RESIDUE_TOL * scale:
         raise SchurResidueError(
-            f"self-loop residue {residue:.3e} exceeds {SELF_LOOP_RESIDUE_TOL:.0e}; "
+            f"self-loop residue {residue:.3e} exceeds {SELF_LOOP_RESIDUE_TOL:.0e} x scale {scale:.3e}; "
             "the eliminated matrix is not numerically a pure Laplacian"
         )
-    rows, cols = np.triu_indices(s, k=1)  # row-major pair order
-    w = -schur[rows, cols]
-    positive = np.flatnonzero(w < -prune_tol)
-    if positive.size:
-        i, j = int(rows[positive[0]]), int(cols[positive[0]])
+    rows, cols = np.triu_indices(L.shape[0], k=1)  # row-major pair order
+    bad = np.flatnonzero(~(L[rows, cols] <= _POSITIVE_OFFDIAG_TOL * scale))
+    if bad.size:
+        i, j = int(rows[bad[0]]), int(cols[bad[0]])
         raise SchurResidueError(
-            f"positive off-diagonal {schur[i, j]:.3e} at ({i}, {j}); "
+            f"positive off-diagonal {L[i, j]:.3e} at ({i}, {j}); "
             "elimination produced a non-Laplacian matrix"
         )
-    keep = w > prune_tol
-    return build_graph(zip(rows[keep].tolist(), cols[keep].tolist(), w[keep].tolist()), n_vertices=s)
 
 
-def schur_complement(graph: Graph, terminals, prune_tol: float = PRUNE_TOL) -> SchurSystem:
+def schur_complement(graph: Graph, terminals) -> SchurSystem:
     """Eliminate every vertex outside ``terminals`` from the graph Laplacian.
 
     The result is electrically equivalent to the input on the terminal set:
@@ -133,13 +137,8 @@ def schur_complement(graph: Graph, terminals, prune_tol: float = PRUNE_TOL) -> S
     if not is_connected(graph):
         raise DisconnectedGraphError("Schur elimination requires a connected graph")
     pm, schur = _block_prob_map(graph, S)
-    return SchurSystem(
-        base=graph,
-        vertices=S,
-        laplacian=schur,
-        graph=_materialize(schur, prune_tol),
-        prob_map=pm,
-    )
+    _check_schur(schur)
+    return SchurSystem(base=graph, vertices=S, laplacian=schur, prob_map=pm)
 
 
 def _eliminate_pivot(L: np.ndarray, pm: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
@@ -165,7 +164,7 @@ def _eliminate_pivot(L: np.ndarray, pm: np.ndarray, alive: np.ndarray, k: int) -
     return nb
 
 
-def eliminate_one(system: SchurSystem, v: int, prune_tol: float = PRUNE_TOL) -> SchurSystem:
+def eliminate_one(system: SchurSystem, v: int) -> SchurSystem:
     """Eliminate a single terminal by a star-clique update of the current
     Laplacian and the matching one-step update of the probability map.
 
@@ -181,13 +180,8 @@ def eliminate_one(system: SchurSystem, v: int, prune_tol: float = PRUNE_TOL) -> 
     keep = np.ones(system.size, dtype=bool)
     _eliminate_pivot(L, pm, keep, k)
     updated = L[np.ix_(keep, keep)]
-    return SchurSystem(
-        base=system.base,
-        vertices=system.vertices[keep],
-        laplacian=updated,
-        graph=_materialize(updated, prune_tol),
-        prob_map=pm[keep],
-    )
+    _check_schur(updated)
+    return SchurSystem(base=system.base, vertices=system.vertices[keep], laplacian=updated, prob_map=pm[keep])
 
 
 def _identify_prob_map(graph: Graph, S: np.ndarray) -> np.ndarray:
@@ -205,19 +199,13 @@ def _identify_prob_map(graph: Graph, S: np.ndarray) -> np.ndarray:
         others = S[S != v]
         idmap = np.full(n, -1, dtype=np.int64)
         idmap[others] = 0
-        nxt = 1
-        for x in range(n):
-            if idmap[x] < 0:
-                idmap[x] = nxt
-                nxt += 1
+        rest = np.flatnonzero(idmap < 0)
+        idmap[rest] = np.arange(1, rest.size + 1)
         ma = idmap[graph.tails]
         mb = idmap[graph.heads]
         keep = ma != mb
-        merged = build_graph(
-            zip(ma[keep].tolist(), mb[keep].tolist(), graph.conductances[keep].tolist()),
-            n_vertices=nxt,
-        )
-        b = np.zeros(nxt)
+        merged = _graph_from_arrays(ma[keep], mb[keep], graph.conductances[keep], rest.size + 1)
+        b = np.zeros(merged.n_vertices)
         b[idmap[v]] = 1.0
         b[0] = -1.0
         phi = LaplacianSystem.from_graph(merged).solve(b)
@@ -323,14 +311,14 @@ def check_norm_energy(system: SchurSystem, v: int, p: float) -> tuple[float, flo
 def check_schur_conductance(system: SchurSystem, v: int) -> tuple[float, float]:
     """Weighted degree of a terminal after elimination versus the drop energy.
 
-    ``lhs`` sums the conductances incident to ``v`` in the eliminated network;
-    ``rhs`` is the conductance-weighted square of ``v``'s probability drops
-    over the base edges.  The two agree to solver accuracy.
+    ``lhs`` sums the conductances incident to ``v`` in the eliminated network,
+    read as the negated off-diagonal entries of ``v``'s row of the eliminated
+    Laplacian, none pruned; ``rhs`` is the conductance-weighted square of
+    ``v``'s probability drops over the base edges.  The two agree to solver
+    accuracy.
     """
     i = system.local_index(v)
-    sg = system.graph
-    incident = (sg.tails == i) | (sg.heads == i)
-    lhs = float(sg.conductances[incident].sum())
+    lhs = -float(np.delete(system.laplacian[i], i).sum())
     q, _ = _drops(system, v)
     rhs = float((system.base.conductances * q**2).sum())
     return lhs, rhs

@@ -14,12 +14,6 @@ from ohmgraph import (
 )
 
 
-def oracle_pinv_quad(graph, a, b):
-    """Independent oracle: quadratic form a^T L^+ b via numpy's dense SVD pinv."""
-    Lp = np.linalg.pinv(laplacian_matrix(graph))
-    return float(np.asarray(a) @ Lp @ np.asarray(b))
-
-
 def oracle_pinv_apply(graph, b):
     Lp = np.linalg.pinv(laplacian_matrix(graph))
     return Lp @ np.asarray(b)

@@ -261,9 +261,9 @@ def test_criterion_8_routing():
         pairs = rng.choice(9, size=(3, 2), replace=False)
         d1 = [Demand(int(pairs[0][0]), int(pairs[0][1]), 1.5)]
         d2 = [Demand(int(p[0]), int(p[1]), float(a)) for p, a in zip(pairs[1:], (0.5, 2.0))]
-        f1 = route_demands(g, d1, include_bound=False).flow
-        f2 = route_demands(g, d2, include_bound=False).flow
-        f12 = route_demands(g, d1 + d2, include_bound=False).flow
+        f1 = route_demands(g, d1).flow
+        f2 = route_demands(g, d2).flow
+        f12 = route_demands(g, d1 + d2).flow
         worst_super = max(worst_super, float(np.abs(f12 - (f1 + f2)).max()))
 
     ok = triangle_ok and worst_bound_gap <= 1e-9 and worst_super <= 1e-10

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import ohmgraph
@@ -29,6 +31,7 @@ def test_package_exports_every_module_name(module):
         "weighted_adjacency",
         "edge_stats",
         "EdgeStats",
+        "PRUNE_TOL",
     ],
 )
 def test_removed_wrappers_are_gone(name):
@@ -41,6 +44,11 @@ def test_removed_wrappers_are_gone(name):
 )
 def test_transfer_impedance_has_one_pi_surface(name):
     assert not hasattr(TransferImpedance(ohmgraph.complete(3)), name)
+
+
+def test_schur_system_is_its_laplacian():
+    fields = {f.name for f in dataclasses.fields(ohmgraph.SchurSystem)}
+    assert fields == {"base", "vertices", "laplacian", "prob_map"}  # no materialized `graph`
 
 
 def test_laplacian_system_keeps_only_its_factor():

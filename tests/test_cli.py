@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ohmgraph.cli as cli
-from ohmgraph import read_graph
+from ohmgraph import parse_family_spec, read_graph
 
 
 # Runs every subcommand that needs a connected graph on the file named by
@@ -158,6 +158,29 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--graph", "torus:3", "--trials", "3", "--seed", "5")
         assert out1 == out2
 
+    def test_scaled_conductances_verify_like_unscaled(self, capsys, tmp_path):
+        # the checks are relative to the conductance scale, so scaling every
+        # conductance changes no verdict and no drawn parameter
+        g = parse_family_spec("torus:6")
+        argv = ("verify", "--trials", "20", "--seed", "2")
+        code, out, _ = run(capsys, *argv, "--graph", "torus:6")
+        assert code == 0
+        reference = [(r["params"], r["ok"]) for r in map(json.loads, out.splitlines())]
+        for factor in (1e9, 1e12, 1e-20):
+            src = tmp_path / f"torus6_x{factor:g}.txt"
+            src.write_text("".join(f"{t} {h} {c * factor!r}\n" for t, h, c in g.edge_list()))
+            code, out, err = run(capsys, *argv, "--graph", str(src))
+            assert code == 0, (factor, err)
+            assert [(r["params"], r["ok"]) for r in map(json.loads, out.splitlines())] == reference
+
+    def test_overflowing_schur_complement_is_numerical_failure(self, capsys, tmp_path):
+        # degrees of 3e308 overflow inside the elimination; no input edge is at fault
+        src = tmp_path / "huge_conductances.txt"
+        src.write_text("0 1 1e308\n1 2 1e308\n2 3 1e308\n3 0 1e308\n0 2 1e308\n")
+        code, _, err = run(capsys, "verify", "--graph", str(src), "--trials", "3")
+        assert code == 2
+        assert "self-loop residue" in err
+
     def test_contract_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_sum_potentials", lambda sys_, e: 5.0)
         code, out, _ = run(
@@ -209,6 +232,9 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", "--graph", "family:moebius:3")
         assert code == 1
         assert "family" in err
+        code, _, err = run(capsys, "analyze", "--graph", "expander:64:4:7:1")
+        assert code == 1
+        assert "family 'expander' expects parameters: n d [seed]" in err
 
     def test_nonexistent_path(self, capsys):
         code, _, _ = run(capsys, "analyze", "--graph", "/nonexistent/graph.txt")

@@ -152,6 +152,8 @@ class TestFamilies:
             parse_family_spec("torus:three")
         with pytest.raises(ValueError):
             parse_family_spec("torus:3:4:5")
+        with pytest.raises(ValueError, match=r"family 'expander' expects parameters: n d \[seed\]"):
+            parse_family_spec("expander:64:4:7:1")
 
 
 def _round_trip(g, directory):

@@ -15,6 +15,7 @@ from ohmgraph import (
     parse_demands,
     route_demands,
     torus,
+    unit_flow,
 )
 
 from conftest import single_edge, triangle
@@ -40,16 +41,16 @@ class TestRouteDemands:
         g = torus(3)
         d1 = [Demand(0, 4, 1.3)]
         d2 = [Demand(2, 7, 0.7), Demand(5, 1, 2.0)]
-        f1 = route_demands(g, d1, include_bound=False).flow
-        f2 = route_demands(g, d2, include_bound=False).flow
-        f12 = route_demands(g, d1 + d2, include_bound=False).flow
+        f1 = route_demands(g, d1).flow
+        f2 = route_demands(g, d2).flow
+        f12 = route_demands(g, d1 + d2).flow
         assert np.abs(f12 - (f1 + f2)).max() <= 1e-10
 
     def test_single_edge_demand_total_flow_matches_delta(self):
         for g in (triangle(), torus(3)):
             for e in range(g.n_edges):
                 u, v = int(g.tails[e]), int(g.heads[e])
-                report = route_demands(g, [Demand(u, v, 1.0)], include_bound=False)
+                report = route_demands(g, [Demand(u, v, 1.0)])
                 assert np.abs(report.flow).sum() == pytest.approx(delta_edge(g, e), abs=1e-9)
 
     def test_weighted_graph_reports_congestion_without_bound(self):
@@ -115,9 +116,8 @@ class TestCompetitiveRatioBound:
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
         report = route_demands(g, demands)
         assert factored == [(g.n_vertices - 1, g.n_vertices - 1)]
-        unbounded = route_demands(g, demands, include_bound=False)
-        assert unbounded.competitive_ratio_bound is None
-        assert np.abs(report.flow - unbounded.flow).max() <= 1e-12 * np.abs(unbounded.flow).max()
+        superposed = sum(d.amount * unit_flow(g, d.source, d.sink) for d in demands)
+        assert np.abs(report.flow - superposed).max() <= 1e-12 * np.abs(superposed).max()
         assert report.competitive_ratio_bound == competitive_ratio_bound(g)
 
     def test_impedance_released_before_demand_solves(self, monkeypatch):

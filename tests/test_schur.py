@@ -19,9 +19,9 @@ from ohmgraph import (
     torus,
 )
 
-from ohmgraph.schur import PRUNE_TOL, _materialize
+from ohmgraph.schur import _check_schur
 
-from conftest import oracle_pinv_quad, random_connected_graph, triangle
+from conftest import random_connected_graph, triangle
 
 METHODS = ("block", "identify", "walk_oracle")
 
@@ -38,7 +38,6 @@ class TestSchurComplement:
     def test_path3_series_rule(self):
         sys = schur_complement(path(3), [0, 2])
         assert np.allclose(sys.laplacian, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
-        assert sys.graph.edge_list() == [(0, 1, pytest.approx(0.5, abs=1e-12))]
 
     def test_triangle_two_terminals(self):
         # direct unit edge in parallel with the series 1/2 route
@@ -61,7 +60,7 @@ class TestSchurComplement:
             x, y = rng.choice(size, size=2, replace=False)
             b_local = np.zeros(size)
             b_local[x], b_local[y] = 1.0, -1.0
-            quad_schur = oracle_pinv_quad(sys.graph, b_local, b_local)
+            quad_schur = float(b_local @ np.linalg.pinv(sys.laplacian) @ b_local)
             quad_base = effective_resistance(g, int(S[x]), int(S[y]))
             assert abs(quad_schur - quad_base) <= 1e-9 * max(1.0, abs(quad_base))
 
@@ -75,50 +74,59 @@ class TestSchurComplement:
             schur_complement(g, [0, 2])
 
 
-def _materialize_loop(schur, prune_tol):
-    """Reference: the pairwise loop over the upper triangle in row-major order."""
-    edges = []
-    for i in range(schur.shape[0]):
-        for j in range(i + 1, schur.shape[0]):
-            if -schur[i, j] > prune_tol:
-                edges.append((i, j, float(-schur[i, j])))
-    return edges
-
-
-class TestMaterialize:
-    def test_matches_pairwise_loop_and_prunes(self):
-        L = schur_complement(random_regular_expander(24, 4, seed=2), range(0, 24, 2)).laplacian.copy()
-        for i, j, c in ((0, 5, 0.1 * PRUNE_TOL), (2, 9, 3 * PRUNE_TOL)):
-            moved = -L[i, j] - c  # reset conductance (i, j) to c, keeping zero row sums
-            L[i, j] = L[j, i] = -c
-            L[i, i] -= moved
-            L[j, j] -= moved
-        edges = _materialize(L, PRUNE_TOL).edge_list()
-        assert edges == _materialize_loop(L, PRUNE_TOL)
-        pairs = {(t, h): c for t, h, c in edges}
-        assert (0, 5) not in pairs
-        assert pairs[(2, 9)] == 3 * PRUNE_TOL
-
+class TestCheckSchur:
     def test_first_positive_off_diagonal_rejected(self):
         L = np.array(
             [[1.0, -1.5, 0.5, 0.0], [-1.5, 2.0, -0.5, 0.0], [0.5, -0.5, 0.5, -0.5], [0.0, 0.0, -0.5, 0.5]]
         )
         with pytest.raises(SchurResidueError, match=r"positive off-diagonal 5\.000e-01 at \(0, 2\)"):
-            _materialize(L, PRUNE_TOL)
+            _check_schur(L)
 
     def test_row_sum_residue_rejected(self):
         with pytest.raises(SchurResidueError, match="self-loop residue"):
-            _materialize(np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-6]]), PRUNE_TOL)
+            _check_schur(np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-6]]))
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(SchurResidueError, match="self-loop residue"):
+            _check_schur(np.array([[1.0, -1.0], [-1.0, np.nan]]))
+        with pytest.raises(SchurResidueError, match="self-loop residue"):
+            _check_schur(np.full((3, 3), np.nan))
+
+    def test_tolerances_scale_with_the_matrix(self):
+        # scale 4e9: residue bound 4.0, positive off-diagonal bound 4e-3
+        big = laplacian_matrix(torus(4)) * 1e9
+        M = big.copy()
+        M[0, 0] += 1.0
+        _check_schur(M)
+        M[0, 0] += 9.0
+        with pytest.raises(SchurResidueError, match="self-loop residue"):
+            _check_schur(M)
+        M = big.copy()
+        M[0, 2] = M[2, 0] = 1e-3  # vertices 0 and 2 are not adjacent
+        _check_schur(M)
+        M[0, 2] = M[2, 0] = 1e-2
+        with pytest.raises(SchurResidueError, match=r"positive off-diagonal 1\.000e-02 at \(0, 2\)"):
+            _check_schur(M)
+
+    def test_scaled_conductances_scale_the_laplacian_only(self):
+        g = torus(8)
+        S = np.arange(0, 64, 3)
+        ref = schur_complement(g, S)
+        for k in (-13, 0, 6, 9):
+            scaled = build_graph([(t, h, c * 10.0**k) for t, h, c in g.edge_list()], n_vertices=g.n_vertices)
+            sys = schur_complement(scaled, S)
+            assert np.abs(sys.prob_map - ref.prob_map).max() <= 1e-12
+            gap = np.abs(sys.laplacian / 10.0**k - ref.laplacian).max()
+            assert gap <= 1e-12 * np.abs(ref.laplacian).max()
 
 
 class TestEliminateOne:
     def test_path4_series_step(self):
         sys = schur_complement(path(4), range(4))
         sys2 = eliminate_one(sys, 1)
-        edges = {(t, h): c for t, h, c in sys2.graph.edge_list()}
-        assert set(edges) == {(0, 1), (1, 2)}  # local ids for vertices {0, 2, 3}
-        assert edges[(0, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert edges[(1, 2)] == pytest.approx(1.0, abs=1e-12)
+        # local ids for vertices {0, 2, 3}: series 0-2 of 1/2, then the 2-3 edge
+        expected = [[0.5, -0.5, 0.0], [-0.5, 1.5, -1.0], [0.0, -1.0, 1.0]]
+        assert np.abs(sys2.laplacian - expected).max() <= 1e-12
 
     def test_complete4_clique_fill(self):
         # spec's worked example states 1 + 1/4 per pair, but the block-formula
