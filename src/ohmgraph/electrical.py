@@ -119,7 +119,7 @@ class TransferImpedance:
             )
         self.graph = graph
         self.mode = mode
-        self.system = LaplacianSystem.from_graph(graph)
+        self.system = LaplacianSystem(graph)
         self._sqrt_c = np.sqrt(graph.conductances)
         self._y = _edge_potentials(self.system, graph)
         self._abs_cache = None
@@ -207,37 +207,32 @@ class TransferImpedance:
         return spectral_norm_nonneg(self.abs_matvec, m, first_product=first)
 
 
+def _pair_potentials(graph: Graph, u: int, v: int) -> np.ndarray:
+    """Potentials of the unit current injected at ``u`` and extracted at ``v``."""
+    n = graph.n_vertices
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"vertex ids ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise ValueError("source and sink must be two distinct vertices")
+    b = np.zeros(n)
+    b[u] = 1.0
+    b[v] = -1.0
+    return LaplacianSystem(graph).solve(b)
+
+
 def unit_flow(graph: Graph, u: int, v: int) -> np.ndarray:
     """Unit electrical current from ``u`` to ``v`` as a signed per-edge vector.
 
     Satisfies flow conservation with a unit source/sink pair, and its energy
     equals the effective resistance between ``u`` and ``v``.
     """
-    n = graph.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex ids ({u}, {v}) out of range for n={n}")
-    if u == v:
-        raise ValueError("source and sink must differ")
-    system = LaplacianSystem.from_graph(graph)
-    b = np.zeros(n)
-    b[u] = 1.0
-    b[v] = -1.0
-    potential = system.solve(b)
+    potential = _pair_potentials(graph, u, v)
     return graph.conductances * (potential[graph.tails] - potential[graph.heads])
 
 
 def effective_resistance(graph: Graph, u: int, v: int) -> float:
     """Quadratic form of the Laplacian pseudoinverse on the u-v indicator drop."""
-    n = graph.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex ids ({u}, {v}) out of range for n={n}")
-    if u == v:
-        raise ValueError("effective resistance needs two distinct vertices")
-    system = LaplacianSystem.from_graph(graph)
-    b = np.zeros(n)
-    b[u] = 1.0
-    b[v] = -1.0
-    x = system.solve(b)
+    x = _pair_potentials(graph, u, v)
     return float(x[u] - x[v])
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, quadratic_form_abs
 from .graph import Graph, is_connected, laplacian_matrix
-from .schur import _block_prob_map, _eliminate_pivot, _validate_terminals
+from .schur import _block_prob_map, _check_schur, _eliminate_pivot, _validate_terminals
 from .solver import DisconnectedGraphError, LaplacianSystem
 
 __all__ = [
@@ -142,9 +142,9 @@ def _abs_form(M: np.ndarray, z: np.ndarray, a: np.ndarray | None = None, d: floa
     return total
 
 
-def _abs_quadratic(A: np.ndarray, system: LaplacianSystem, z: np.ndarray) -> float:
-    """z^T |A^T L^+ A| z from one fresh solve."""
-    return _abs_form(A.T @ system.solve_columns(A), z)
+def _abs_quadratic(A: np.ndarray, pinv: np.ndarray, z: np.ndarray) -> float:
+    """z^T |A^T L^+ A| z, given the pseudoinverse ``L^+``."""
+    return _abs_form(A.T @ (pinv @ A), z)
 
 
 def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
@@ -184,9 +184,10 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
 
     At the terminal pair the surviving probability rows are compared against
-    a from-scratch block elimination, and V_T against a from-scratch solve;
-    a gap beyond 1e-9 absolute or 1e-8 relative raises
-    :class:`LocalizationError`.
+    a from-scratch block elimination, and V_T against the exact
+    pseudoinverse of that elimination's two-vertex Laplacian, after
+    :func:`ohmgraph.schur._check_schur` accepts it; a gap beyond 1e-9
+    absolute or 1e-8 relative raises :class:`LocalizationError`.
 
     With ``compute_vi=False`` only pivots and degrees are recorded (cheap mode
     for larger runs).
@@ -212,7 +213,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     degrees, _, _ = _degree_vector(graph, pm, w)
     v_vals: list[float] = []
     if compute_vi:
-        Y = LaplacianSystem(L).solve_columns(pm[:, tails] - pm[:, heads])
+        Y = LaplacianSystem(graph).solve_columns(pm[:, tails] - pm[:, heads])
         M = Y[tails] - Y[heads]  # A_0^T L^+ A_0, A_0 the incidence matrix
         v_vals.append(_abs_form(M, z))
     pivots: list[int] = []
@@ -248,7 +249,10 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
             f"at the terminal pair, beyond {_ORACLE_PM_TOL:.0e}"
         )
     if compute_vi:
-        v_ref = _abs_quadratic(pm_ref[:, tails] - pm_ref[:, heads], LaplacianSystem(schur_ref), z)
+        # a two-vertex Laplacian c [[1, -1], [-1, 1]] has pseudoinverse L / trace(L)^2
+        _check_schur(schur_ref)
+        pinv = schur_ref / np.trace(schur_ref) ** 2
+        v_ref = _abs_quadratic(pm_ref[:, tails] - pm_ref[:, heads], pinv, z)
         if abs(v_vals[-1] - v_ref) > _ORACLE_VI_RTOL * abs(v_ref):
             raise LocalizationError(
                 f"incremental V_T = {v_vals[-1]!r} differs from the from-scratch value {v_ref!r} "

@@ -91,7 +91,7 @@ def route_demands(graph: Graph, demands) -> RoutingReport:
         system = impedance.system
         del impedance
     else:
-        system = LaplacianSystem.from_graph(graph)
+        system = LaplacianSystem(graph)
     rhs = np.zeros((graph.n_vertices, len(demands)))
     for j, d in enumerate(demands):
         rhs[d.source, j] = 1.0

@@ -107,8 +107,10 @@ def _check_schur(L: np.ndarray) -> None:
     """Raise :class:`SchurResidueError` unless ``L`` is numerically a
     Laplacian: zero row sums up to ``SELF_LOOP_RESIDUE_TOL`` and no
     off-diagonal entry above ``_POSITIVE_OFFDIAG_TOL``, both relative to
-    ``max(1, max|L|)``, the rule :class:`LaplacianSystem` applies.  The
-    comparisons are written so that NaN fails them."""
+    ``max(1, max|L|)``.  This is the library's one Laplacian check; it is
+    needed only for matrices produced by elimination, since a Laplacian
+    assembled from a graph's validated edges holds both by construction.
+    The comparisons are written so that NaN fails them."""
     scale = max(1.0, float(np.abs(L).max()))
     residue = float(np.abs(L.sum(axis=1)).max())
     if not residue <= SELF_LOOP_RESIDUE_TOL * scale:
@@ -208,7 +210,7 @@ def _identify_prob_map(graph: Graph, S: np.ndarray) -> np.ndarray:
         b = np.zeros(merged.n_vertices)
         b[idmap[v]] = 1.0
         b[0] = -1.0
-        phi = LaplacianSystem.from_graph(merged).solve(b)
+        phi = LaplacianSystem(merged).solve(b)
         denom = phi[idmap[v]] - phi[0]
         pm[i, :] = np.abs(phi[idmap] - phi[0]) / denom
     return pm

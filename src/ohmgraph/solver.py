@@ -1,11 +1,15 @@
-"""Dense pseudoinverse solves against graph Laplacians, plus a Lanczos
-eigensolver with a certified bracket for entrywise-nonnegative symmetric
-operators.
+"""Dense pseudoinverse solves against the Laplacian of a connected graph,
+plus a Lanczos eigensolver with a certified bracket for entrywise-nonnegative
+symmetric operators.
 
-The pseudoinverse grounds vertex 0, Cholesky-factors the remaining principal
-submatrix, and re-centers the solution; exact nullspace handling for connected
-graphs without a full eigendecomposition.  Desk-scale dense path: intended for
-n up to a few thousand vertices.
+A :class:`LaplacianSystem` is built from a :class:`~ohmgraph.graph.Graph`
+only.  Its edges were validated when the graph was built, so the assembled
+Laplacian is symmetric with zero row sums by construction; the one property
+left to check is connectivity, which makes the Laplacian rank n - 1.  The
+pseudoinverse grounds vertex 0, Cholesky-factors the remaining principal
+submatrix, and re-centers the solution; exact nullspace handling for
+connected graphs without a full eigendecomposition.  Desk-scale dense path:
+intended for n up to a few thousand vertices.
 
 The eigensolver runs Lanczos from the normalized all-ones vector with full
 reorthogonalization.  A breakdown (the next Krylov direction vanishes) means
@@ -33,8 +37,6 @@ __all__ = [
     "spectral_norm_nonneg",
 ]
 
-SYMMETRY_TOL = 1e-12
-ROW_SUM_TOL = 1e-10
 POWER_TOL = 1e-10
 
 # Largest Krylov basis kept before restarting from the Ritz vector.
@@ -59,49 +61,43 @@ class ConvergenceError(RuntimeError):
 
 
 class LaplacianSystem:
-    """A symmetric PSD Laplacian, kept only as its grounded factorization.
+    """The Laplacian of a connected graph, kept only as the Cholesky factor of
+    its grounded block (vertex 0 removed).
 
-    Parameters
-    ----------
-    matrix : array_like, shape (n, n)
-        Symmetric matrix with zero row sums (validated on entry, scaled
-        tolerances ``SYMMETRY_TOL`` / ``ROW_SUM_TOL``).  Positive
-        semidefiniteness is certified by the Cholesky factorization of the
-        grounded submatrix at construction.
-
-    The factor is a copy, so the caller may reuse ``matrix`` afterwards; it
-    is never mutated, so solves against a shared system are safe to run
-    concurrently.
+    Construction raises :class:`DisconnectedGraphError` on a disconnected
+    graph and ``ValueError`` below 2 vertices.  A factor whose diagonal is not
+    finite raises ``FloatingPointError``: a weighted degree that overflows to
+    inf factors to inf or NaN, which would otherwise solve to silent zeros.
+    A grounded block that is not numerically positive definite raises
+    ``LinAlgError`` from the factorization.  The factor is never mutated, so
+    solves against a shared system are safe to run concurrently.
     """
 
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-        n = matrix.shape[0]
-        if n < 2:
+    def __init__(self, graph: Graph):
+        if graph.n_vertices < 2:
             raise ValueError("LaplacianSystem requires at least 2 vertices")
-        scale = max(1.0, float(np.abs(matrix).max()))
-        if float(np.abs(matrix - matrix.T).max()) > SYMMETRY_TOL * scale:
-            raise ValueError("matrix is not symmetric")
-        if float(np.abs(matrix.sum(axis=1)).max()) > ROW_SUM_TOL * scale:
-            raise ValueError("matrix does not have zero row sums")
-        self.n = n
-        try:
-            self._factor = scipy.linalg.cho_factor(matrix[1:, 1:], lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise DisconnectedGraphError(
-                "grounded Laplacian is not positive definite; "
-                "the underlying graph is disconnected or the matrix is not a Laplacian"
-            ) from exc
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "LaplacianSystem":
         if not is_connected(graph):
             raise DisconnectedGraphError(
                 "graph is disconnected; analyses require a single component"
             )
-        return cls(laplacian_matrix(graph))
+        self.n = graph.n_vertices
+        # Move the grounded block L[1:, 1:] to the front of L's own buffer, row
+        # by row (each row's target ends before its source starts), and factor
+        # it there, so no second n x n array is allocated.  laplacian_matrix
+        # writes L[t, h] and L[h, t] from the same edges, so the block's C-order
+        # rows are also the Fortran-order columns LAPACK reads (to the last bit
+        # unless three or more parallel edges join one pair in both orientations).
+        L = laplacian_matrix(graph)
+        n = self.n
+        flat = L.reshape(-1)
+        for i in range(1, n):
+            flat[(i - 1) * (n - 1) : i * (n - 1)] = L[i, 1:]
+        grounded = flat[: (n - 1) ** 2].reshape(n - 1, n - 1).T
+        self._factor = scipy.linalg.cho_factor(grounded, lower=True, overwrite_a=True, check_finite=False)
+        if not np.all(np.isfinite(np.diagonal(self._factor[0]))):
+            raise FloatingPointError(
+                "Laplacian factor is not finite; the weighted degrees overflow double precision"
+            )
 
     def solve(self, b) -> np.ndarray:
         """Pseudoinverse solve: project ``b`` off the all-ones direction, solve,

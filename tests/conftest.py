@@ -14,9 +14,21 @@ from ohmgraph import (
 )
 
 
+def laplacian_pinv(L):
+    """Pseudoinverse of a connected graph's Laplacian: ground vertex 0, invert
+    the grounded block, and centre the result.  Exact on the all-ones
+    direction, which ``np.linalg.pinv`` can leave far from zero on an
+    ill-conditioned Laplacian."""
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    grounded = np.zeros((n, n))
+    grounded[1:, 1:] = np.linalg.inv(L[1:, 1:])
+    centre = np.eye(n) - 1.0 / n
+    return centre @ grounded @ centre
+
+
 def oracle_pinv_apply(graph, b):
-    Lp = np.linalg.pinv(laplacian_matrix(graph))
-    return Lp @ np.asarray(b)
+    return laplacian_pinv(laplacian_matrix(graph)) @ np.asarray(b)
 
 
 def indicator_drop(n, u, v):

@@ -279,7 +279,7 @@ def test_criterion_8_routing():
 def test_criterion_9_grid_potential_decay():
     side = 32
     g = torus(side)
-    system = LaplacianSystem.from_graph(g)
+    system = LaplacianSystem(g)
     b = np.zeros(g.n_vertices)
     b[0] = 1.0  # u = (0, 0)
     b[1] = -1.0  # v = (0, 1), a horizontal edge

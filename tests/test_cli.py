@@ -177,9 +177,29 @@ class TestVerify:
         # degrees of 3e308 overflow inside the elimination; no input edge is at fault
         src = tmp_path / "huge_conductances.txt"
         src.write_text("0 1 1e308\n1 2 1e308\n2 3 1e308\n3 0 1e308\n0 2 1e308\n")
-        code, _, err = run(capsys, "verify", "--graph", str(src), "--trials", "3")
-        assert code == 2
+        code, out, err = run(capsys, "verify", "--graph", str(src), "--trials", "3")
+        assert (code, out) == (2, "")
         assert "self-loop residue" in err
+        # every other subcommand factors the same overflowing Laplacian
+        for argv in (["analyze"], ["route", "--demands", "0 2 1"], ["eliminate"]):
+            code, out, err = run(capsys, *argv, "--graph", str(src))
+            assert (code, out) == (2, ""), (argv, out, err)
+            assert "numerical error" in err, (argv, err)
+
+    @pytest.mark.parametrize(
+        "prop, check, pair",
+        [
+            ("norm_energy", "check_norm_energy", (1e-17, 1e-20)),
+            ("schur_conductance", "check_schur_conductance", (2e-20, 1e-20)),
+        ],
+    )
+    def test_contract_failure_at_tiny_scale_exits_3(self, capsys, monkeypatch, prop, check, pair):
+        # lhs is 1000x and 2x its rhs: the tolerances are relative, so no
+        # conductance scale is small enough to pass it
+        monkeypatch.setattr(cli, check, lambda *args: pair)
+        code, out, _ = run(capsys, "verify", "--graph", "path:4", "--prop", prop, "--trials", "2")
+        assert code == 3
+        assert not any(json.loads(l)["ok"] for l in out.splitlines())
 
     def test_contract_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_sum_potentials", lambda sys_, e: 5.0)

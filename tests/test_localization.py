@@ -3,7 +3,6 @@ import pytest
 
 import ohmgraph.localization as localization
 from ohmgraph import (
-    LaplacianSystem,
     LocalizationError,
     build_graph,
     complete,
@@ -21,7 +20,7 @@ from ohmgraph import (
 from ohmgraph.localization import _abs_quadratic, _degree_vector
 from ohmgraph.schur import _block_prob_map
 
-from conftest import random_connected_graph, single_edge, triangle
+from conftest import laplacian_pinv, random_connected_graph, single_edge, triangle
 
 
 def star(k):
@@ -136,7 +135,7 @@ def _from_scratch(g, verts, w):
     pm, schur = _block_prob_map(g, verts)
     degrees = _degree_vector(g, pm, w)[0]
     z = w * np.sqrt(g.conductances)
-    v = _abs_quadratic(pm[:, g.tails] - pm[:, g.heads], LaplacianSystem(schur), z)
+    v = _abs_quadratic(pm[:, g.tails] - pm[:, g.heads], laplacian_pinv(schur), z)
     return pm, degrees, v
 
 
