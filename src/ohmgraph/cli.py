@@ -63,6 +63,27 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _dumps_table(head: dict, key: str, columns: dict) -> str:
+    """``json.dumps({**head, key: records}, indent=2)``, byte for byte.
+
+    Record i maps each name of ``columns`` to entry i of its 1-D array, or to
+    null for a ``None`` column; there is at least one record.  With
+    ``indent`` set, json runs its pure-Python encoder; here each column's
+    number text comes from one call of the C encoder and fills one fixed
+    record template.
+    """
+    fields, texts = [], []
+    for name, values in columns.items():
+        if values is None:
+            fields.append(f"      {json.dumps(name)}: null")
+        else:
+            fields.append(f"      {json.dumps(name)}: {{}}")
+            texts.append(json.dumps(values.tolist())[1:-1].split(", "))
+    record = "    {{\n" + ",\n".join(fields) + "\n    }}"
+    rows = ",\n".join(map(record.format, *texts))
+    return f"{json.dumps(head, indent=2)[:-2]},\n  {json.dumps(key)}: [\n{rows}\n  ]\n}}"
+
+
 def _cmd_generate(args) -> int:
     g = load_graph(args.graph)
     lines = [f"{t} {h} {c!r}" for t, h, c in g.edge_list()]
@@ -77,9 +98,9 @@ def _cmd_analyze(args) -> int:
     reff = diag / g.conductances
     unweighted = g.is_unweighted
     delta = colsums if unweighted else None
-    tails = g.tails.tolist()
-    heads = g.heads.tolist()
     if args.format == "csv":
+        tails = g.tails.tolist()
+        heads = g.heads.tolist()
         rows = ["tail,head,delta,l1,reff"]
         for e in range(g.n_edges):
             d = repr(float(delta[e])) if unweighted else ""
@@ -87,7 +108,7 @@ def _cmd_analyze(args) -> int:
         _emit("\n".join(rows), args.out)
         return EXIT_OK
     spectral = tp.abs_spectral_norm()
-    doc = {
+    head = {
         "n": g.n_vertices,
         "m": g.n_edges,
         "trace_pi": float(diag.sum()),
@@ -96,18 +117,9 @@ def _cmd_analyze(args) -> int:
         "sum_delta": float(delta.sum()) if unweighted else None,
         "mean_delta": float(delta.mean()) if unweighted else None,
         "max_delta": float(delta.max()) if unweighted else None,
-        "per_edge": [
-            {
-                "tail": tails[e],
-                "head": heads[e],
-                "delta": float(delta[e]) if unweighted else None,
-                "l1": float(l1[e]),
-                "reff": float(reff[e]),
-            }
-            for e in range(g.n_edges)
-        ],
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    columns = {"tail": g.tails, "head": g.heads, "delta": delta, "l1": l1, "reff": reff}
+    _emit(_dumps_table(head, "per_edge", columns), args.out)
     return EXIT_OK
 
 
@@ -226,20 +238,12 @@ def _cmd_route(args) -> int:
     if not demands:
         raise UsageError("route requires at least one demand (--demands or --demands-file)")
     report = route_demands(g, demands)
-    doc = {
+    head = {
         "max_congestion": report.max_congestion,
         "competitive_ratio_bound": report.competitive_ratio_bound,
-        "per_edge": [
-            {
-                "tail": int(t),
-                "head": int(h),
-                "flow": float(f),
-                "congestion": float(c),
-            }
-            for t, h, f, c in zip(g.tails, g.heads, report.flow, report.congestion)
-        ],
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    columns = {"tail": g.tails, "head": g.heads, "flow": report.flow, "congestion": report.congestion}
+    _emit(_dumps_table(head, "per_edge", columns), args.out)
     return EXIT_OK
 
 

@@ -26,13 +26,17 @@ DENSE_EDGE_CAP = 4000
 # absolute values, so sign noise on symmetric families does not inflate norms.
 ABS_ZERO_TOL = 1e-12
 
-# Rows per block of every pass over Pi, and columns per block of the solves
-# that build Y.  On a 1024-vertex weighted expander (m=2048, one BLAS thread,
-# 2-core Xeon VM) one streaming pass took 15 ms with 32 or 64 rows, 17-18 ms
-# with 128 and 24-26 ms with 256; solve blocks from 64 to 1024 columns all
-# took 0.12-0.14 s for the n=1023 grounded system, and narrow blocks keep the
-# solve temporaries small.
+# Rows per block of every pass over Pi, and columns per slice of the Y
+# gather.  On a 1024-vertex weighted expander (m=2048, one BLAS thread, 2-core
+# Xeon VM) one streaming pass took 15 ms with 32 or 64 rows, 17-18 ms with 128
+# and 24-26 ms with 256.
 _DEFAULT_BLOCK = 64
+
+# Columns per block of the solves that build Y.  On the same graph all 1023
+# columns of the grounded system took 0.108 s of cho_solve in 64-column
+# blocks and 0.091 s in 256-column blocks (mean of 6 alternating repetitions);
+# building Y took 0.156, 0.137, 0.122 and 0.125 s with 64, 128, 256 and 512.
+_SOLVE_BLOCK = 256
 
 
 def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -57,17 +61,25 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph) -> np.ndarray:
     Column e is sqrt(c_e) times the potentials of a unit flow across edge e.
     Each block of solves gives ``L^+`` columns lo..hi-1, which by symmetry
     are also its rows lo..hi-1, so they yield ``Y[lo:hi]`` directly and the
-    full n x n ``L^+`` never exists.
+    full n x n ``L^+`` never exists.  A block is gathered in slices of
+    ``_DEFAULT_BLOCK`` columns, so the gather temporaries stay that narrow.
     """
     n = system.n
     sqrt_c = np.sqrt(graph.conductances)[:, None]
     y = np.empty((n, graph.n_edges))
-    for lo in range(0, n, _DEFAULT_BLOCK):
-        hi = min(lo + _DEFAULT_BLOCK, n)
+    for lo in range(0, n, _SOLVE_BLOCK):
+        hi = min(lo + _SOLVE_BLOCK, n)
         rhs = np.zeros((n, hi - lo))
         rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
         x = system.solve_columns(rhs)
-        y[lo:hi] = (sqrt_c * (x[graph.tails] - x[graph.heads])).T
+        del rhs
+        for start in range(lo, hi, _DEFAULT_BLOCK):
+            cols = slice(start - lo, min(start + _DEFAULT_BLOCK, hi) - lo)
+            drop = x[graph.tails, cols]
+            drop -= x[graph.heads, cols]
+            drop *= sqrt_c
+            y[start : start + drop.shape[1]] = drop.T
+        del x, drop  # before the next block is allocated
     return y
 
 

@@ -126,14 +126,24 @@ def _graph_from_arrays(
 
 
 def laplacian_matrix(graph: Graph) -> np.ndarray:
-    """Dense weighted Laplacian (conductance-weighted incidence Gram matrix)."""
+    """Dense weighted Laplacian (conductance-weighted incidence Gram matrix).
+
+    Raises ``FloatingPointError`` when a weighted degree overflows double
+    precision.  Every off-diagonal entry is bounded by its row's diagonal
+    entry, so a finite diagonal means a finite Laplacian.
+    """
     n = graph.n_vertices
     t, h, c = graph.tails, graph.heads, graph.conductances
     L = np.zeros((n, n))
-    np.add.at(L, (t, t), c)
-    np.add.at(L, (h, h), c)
-    np.add.at(L, (t, h), -c)
-    np.add.at(L, (h, t), -c)
+    with np.errstate(over="ignore"):
+        np.add.at(L, (t, t), c)
+        np.add.at(L, (h, h), c)
+        np.add.at(L, (t, h), -c)
+        np.add.at(L, (h, t), -c)
+    if not np.all(np.isfinite(np.diagonal(L))):
+        raise FloatingPointError(
+            "Laplacian is not finite: the weighted degrees overflow double precision"
+        )
     return L
 
 

@@ -75,12 +75,13 @@ def route_demands(graph: Graph, demands) -> RoutingReport:
 
     Opposite-direction demands may cancel on an edge; congestion is taken on
     the superposed flow, which is the congestion the routed traffic actually
-    produces.  Per-pair solves are independent (batched here) and the report
-    is a single associative reduction.  An unweighted graph also gets its
+    produces.  Electrical flows superpose, so the whole demand set is one
+    solve: ``flow = C B L^+ r`` for the summed injections
+    ``r = sum_j a_j (e_s - e_t)``.  An unweighted graph also gets its
     competitive-ratio bound: the demands are solved on the Laplacian
     factorization of the impedance that yields it, so the graph is factored
     once; the impedance is dropped once the bound is read, before the demand
-    solves.
+    solve.
     """
     demands = list(demands)
     _validate_demands(graph, demands)
@@ -92,16 +93,12 @@ def route_demands(graph: Graph, demands) -> RoutingReport:
         del impedance
     else:
         system = LaplacianSystem(graph)
-    rhs = np.zeros((graph.n_vertices, len(demands)))
-    for j, d in enumerate(demands):
-        rhs[d.source, j] = 1.0
-        rhs[d.sink, j] = -1.0
-    potentials = system.solve_columns(rhs)
-    per_pair = graph.conductances[:, None] * (
-        potentials[graph.tails, :] - potentials[graph.heads, :]
-    )
-    amounts = np.array([d.amount for d in demands])
-    flow = per_pair @ amounts
+    injections = np.zeros(graph.n_vertices)
+    for d in demands:
+        injections[d.source] += d.amount
+        injections[d.sink] -= d.amount
+    potentials = system.solve(injections)
+    flow = graph.conductances * (potentials[graph.tails] - potentials[graph.heads])
     congestion = np.abs(flow) / graph.conductances
     return RoutingReport(
         flow=flow,

@@ -65,12 +65,14 @@ class LaplacianSystem:
     its grounded block (vertex 0 removed).
 
     Construction raises :class:`DisconnectedGraphError` on a disconnected
-    graph and ``ValueError`` below 2 vertices.  A factor whose diagonal is not
-    finite raises ``FloatingPointError``: a weighted degree that overflows to
-    inf factors to inf or NaN, which would otherwise solve to silent zeros.
-    A grounded block that is not numerically positive definite raises
-    ``LinAlgError`` from the factorization.  The factor is never mutated, so
-    solves against a shared system are safe to run concurrently.
+    graph and ``ValueError`` below 2 vertices.  A weighted degree that
+    overflows double precision raises ``FloatingPointError`` from
+    :func:`~ohmgraph.graph.laplacian_matrix`; a finite diagonal bounds every
+    entry of the Laplacian and of its factor (``|R_ij| <= sqrt(L_ii)``), so
+    the factor needs no check of its own.  A grounded block that is not
+    numerically positive definite raises ``LinAlgError`` from the
+    factorization.  The factor is never mutated, so solves against a shared
+    system are safe to run concurrently.
     """
 
     def __init__(self, graph: Graph):
@@ -94,10 +96,6 @@ class LaplacianSystem:
             flat[(i - 1) * (n - 1) : i * (n - 1)] = L[i, 1:]
         grounded = flat[: (n - 1) ** 2].reshape(n - 1, n - 1).T
         self._factor = scipy.linalg.cho_factor(grounded, lower=True, overwrite_a=True, check_finite=False)
-        if not np.all(np.isfinite(np.diagonal(self._factor[0]))):
-            raise FloatingPointError(
-                "Laplacian factor is not finite; the weighted degrees overflow double precision"
-            )
 
     def solve(self, b) -> np.ndarray:
         """Pseudoinverse solve: project ``b`` off the all-ones direction, solve,
@@ -108,15 +106,22 @@ class LaplacianSystem:
         return self.solve_columns(b[:, None])[:, 0]
 
     def solve_columns(self, B) -> np.ndarray:
-        """Vectorized :meth:`solve` over the columns of an ``(n, k)`` array."""
+        """Vectorized :meth:`solve` over the columns of an ``(n, k)`` array.
+
+        The grounded rows of the centred right-hand side are written into one
+        Fortran-order buffer that LAPACK solves in place, so the only n x k
+        arrays allocated are that buffer and the returned solution.
+        """
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.n:
             raise ValueError(f"expected shape ({self.n}, k), got {B.shape}")
-        Z = B - B.mean(axis=0, keepdims=True)
-        X = np.empty_like(Z)
-        X[0, :] = 0.0
-        X[1:, :] = scipy.linalg.cho_solve(self._factor, Z[1:, :], check_finite=False)
-        X -= X.mean(axis=0, keepdims=True)
+        grounded = np.array(B[1:], order="F")
+        grounded -= B.mean(axis=0)
+        grounded = scipy.linalg.cho_solve(self._factor, grounded, overwrite_b=True, check_finite=False)
+        X = np.empty_like(B)
+        X[0] = 0.0
+        X[1:] = grounded
+        X -= X.mean(axis=0)
         return X
 
 

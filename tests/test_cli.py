@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ohmgraph.cli as cli
-from ohmgraph import parse_family_spec, read_graph
+from ohmgraph import Demand, TransferImpedance, parse_family_spec, read_graph, route_demands
 
 
 # Runs every subcommand that needs a connected graph on the file named by
@@ -174,17 +175,18 @@ class TestVerify:
             assert [(r["params"], r["ok"]) for r in map(json.loads, out.splitlines())] == reference
 
     def test_overflowing_schur_complement_is_numerical_failure(self, capsys, tmp_path):
-        # degrees of 3e308 overflow inside the elimination; no input edge is at fault
+        # weighted degrees of 3e308 overflow; no input edge is at fault, and
+        # every subcommand assembles the same Laplacian
         src = tmp_path / "huge_conductances.txt"
         src.write_text("0 1 1e308\n1 2 1e308\n2 3 1e308\n3 0 1e308\n0 2 1e308\n")
-        code, out, err = run(capsys, "verify", "--graph", str(src), "--trials", "3")
-        assert (code, out) == (2, "")
-        assert "self-loop residue" in err
-        # every other subcommand factors the same overflowing Laplacian
-        for argv in (["analyze"], ["route", "--demands", "0 2 1"], ["eliminate"]):
-            code, out, err = run(capsys, *argv, "--graph", str(src))
+        for argv in (["verify", "--trials", "3"], ["analyze"], ["route", "--demands", "0 2 1"], ["eliminate"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, *argv, "--graph", str(src))
             assert (code, out) == (2, ""), (argv, out, err)
-            assert "numerical error" in err, (argv, err)
+            assert err.startswith("numerical error:") and err.count("\n") == 1, (argv, err)
+            assert "not finite" in err, (argv, err)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
 
     @pytest.mark.parametrize(
         "prop, check, pair",
@@ -237,6 +239,97 @@ class TestRoute:
         code, _, err = run(capsys, "route", "--graph", "triangle")
         assert code == 1
         assert "demand" in err
+
+
+def _analyze_doc(g):
+    """The analyze document as ``json.dumps(doc, indent=2)`` would print it."""
+    tp = TransferImpedance(g)
+    colsums, l1, diag = tp.per_edge_stats()
+    reff = diag / g.conductances
+    unweighted = g.is_unweighted
+    return {
+        "n": g.n_vertices,
+        "m": g.n_edges,
+        "trace_pi": float(diag.sum()),
+        "spectral_norm_abs_pi": tp.abs_spectral_norm().value,
+        "max_colsum_abs_pi": float(colsums.max()),
+        "sum_delta": float(colsums.sum()) if unweighted else None,
+        "mean_delta": float(colsums.mean()) if unweighted else None,
+        "max_delta": float(colsums.max()) if unweighted else None,
+        "per_edge": [
+            {
+                "tail": int(g.tails[e]),
+                "head": int(g.heads[e]),
+                "delta": float(colsums[e]) if unweighted else None,
+                "l1": float(l1[e]),
+                "reff": float(reff[e]),
+            }
+            for e in range(g.n_edges)
+        ],
+    }
+
+
+def _route_doc(g, demands):
+    report = route_demands(g, demands)
+    return {
+        "max_congestion": report.max_congestion,
+        "competitive_ratio_bound": report.competitive_ratio_bound,
+        "per_edge": [
+            {"tail": int(t), "head": int(h), "flow": float(f), "congestion": float(c)}
+            for t, h, f, c in zip(g.tails, g.heads, report.flow, report.congestion)
+        ],
+    }
+
+
+class TestTableWriter:
+    """The per-edge tables are byte-identical to ``json.dumps(doc, indent=2)``."""
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        # conductances 1e-7 and 3e5 give numbers whose repr has an exponent
+        edges = [(i, (i + 1) % 12, 1e-7 if i % 3 else 3e5) for i in range(12)]
+        edges += [(i, (i + 5) % 12, 2.5) for i in range(0, 12, 2)]
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(f"{t} {h} {c!r}\n" for t, h, c in edges))
+        return path
+
+    def test_analyze_unweighted(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--graph", "torus:5")
+        assert code == 0
+        expected = json.dumps(_analyze_doc(parse_family_spec("torus:5")), indent=2) + "\n"
+        assert '"delta": null' not in out
+        assert out == expected
+
+    def test_analyze_weighted_with_exponents(self, capsys, wide_file):
+        code, out, _ = run(capsys, "analyze", "--graph", str(wide_file))
+        assert code == 0
+        assert '"delta": null' in out and "e-06" in out
+        assert out == json.dumps(_analyze_doc(read_graph(str(wide_file))), indent=2) + "\n"
+
+    def test_route_weighted_and_unweighted(self, capsys, wide_file):
+        demands = [Demand(0, 6, 1.5), Demand(7, 3, 2.0), Demand(6, 0, 0.25)]
+        argv = ["--demands", "0 6 1.5; 7 3 2.0; 6 0 0.25"]
+        for spec, g in ((str(wide_file), read_graph(str(wide_file))), ("torus:4", parse_family_spec("torus:4"))):
+            code, out, _ = run(capsys, "route", "--graph", spec, *argv)
+            assert code == 0
+            doc = _route_doc(g, demands)
+            assert (doc["competitive_ratio_bound"] is None) == (spec != "torus:4")
+            assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_out_file(self, capsys, tmp_path):
+        dest = tmp_path / "analyze.json"
+        code, out, _ = run(capsys, "analyze", "--graph", "hypercube:3", "--out", str(dest))
+        assert (code, out) == (0, "")
+        expected = json.dumps(_analyze_doc(parse_family_spec("hypercube:3")), indent=2) + "\n"
+        assert dest.read_text(encoding="utf-8") == expected
+
+    def test_helper_matches_json_on_edge_cases(self):
+        head = {"a": 1, "b": None, "c": float("inf")}
+        columns = {"x": np.array([-0.0, 1e300, float("nan")]), "y": None, "z": np.array([3, -4, 5])}
+        records = [
+            {"x": x, "y": None, "z": z} for x, z in zip(columns["x"].tolist(), columns["z"].tolist())
+        ]
+        assert cli._dumps_table(head, "rows", columns) == json.dumps({**head, "rows": records}, indent=2)
 
 
 class TestExitCodes:

@@ -208,6 +208,7 @@ class TestImpedanceOracle:
     def test_matches_unit_flow_oracle(self, g, mode, monkeypatch):
         assert g.n_vertices % 7 and g.n_edges % 7
         monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
         m = g.n_edges
         tp = TransferImpedance(g, mode=mode)
         built = np.hstack([tp.column_block(lo, min(lo + 7, m)) for lo in range(0, m, 7)])
@@ -217,8 +218,10 @@ class TestImpedanceOracle:
         assert np.abs(diag - np.diag(oracle)).max() <= 1e-12
 
     def test_edge_potentials_from_partial_solve_blocks(self, monkeypatch):
-        # 7-column solves: five full blocks and one partial block of 5
-        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        # 7-column solves: five full blocks and one partial block of 5, each
+        # gathered in 3-column slices of which the last is partial
+        monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 3)
         g = log_uniform_expander(40, 5)
         y = electrical._edge_potentials(LaplacianSystem(g), g)
         sqrt_c = np.sqrt(g.conductances)
@@ -246,14 +249,14 @@ class TestImpedanceOracle:
             return original(self, B)
 
         monkeypatch.setattr(LaplacianSystem, "solve_columns", spy)
-        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
         g = log_uniform_expander(40, 5)
         tp = TransferImpedance(g, mode="streaming")
         tp.per_edge_stats()
         result = tp.abs_spectral_norm()
         assert result.iterations > 2
         assert sum(solved) == g.n_vertices
-        assert max(solved) <= electrical._DEFAULT_BLOCK
+        assert max(solved) <= electrical._SOLVE_BLOCK
 
 
 class TestUpperTriangleApply:

@@ -18,7 +18,7 @@ from ohmgraph import (
     unit_flow,
 )
 
-from conftest import single_edge, triangle
+from conftest import log_uniform_expander, net_outflow, single_edge, triangle
 
 
 class TestRouteDemands:
@@ -119,6 +119,32 @@ class TestCompetitiveRatioBound:
         superposed = sum(d.amount * unit_flow(g, d.source, d.sink) for d in demands)
         assert np.abs(report.flow - superposed).max() <= 1e-12 * np.abs(superposed).max()
         assert report.competitive_ratio_bound == competitive_ratio_bound(g)
+
+    def test_summed_injections_superpose_unit_flows(self, monkeypatch):
+        # opposite-direction and repeated pairs on a weighted graph: one solve
+        # against the summed injections is the amount-weighted sum of unit flows
+        g = log_uniform_expander(30, 4)
+        demands = [Demand(0, 17, 1.5), Demand(17, 0, 0.25), Demand(3, 11, 2.0), Demand(3, 11, 0.75),
+                   Demand(11, 3, 0.5), Demand(29, 0, 1.0)]
+        solved = []
+        original = LaplacianSystem.solve_columns
+
+        def spy(self, B):
+            solved.append(np.shape(B)[1])
+            return original(self, B)
+
+        monkeypatch.setattr(LaplacianSystem, "solve_columns", spy)
+        report = route_demands(g, demands)
+        monkeypatch.undo()
+        assert solved == [1]
+        assert report.competitive_ratio_bound is None
+        superposed = sum(d.amount * unit_flow(g, d.source, d.sink) for d in demands)
+        assert np.abs(report.flow - superposed).max() <= 1e-12 * np.abs(superposed).max()
+        injections = np.zeros(g.n_vertices)
+        for d in demands:
+            injections[d.source] += d.amount
+            injections[d.sink] -= d.amount
+        assert np.abs(net_outflow(g, report.flow) - injections).max() <= 1e-12
 
     def test_impedance_released_before_demand_solves(self, monkeypatch):
         refs, alive = [], []
