@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, bfs_distance
+from .graph import Graph
 from .solver import LaplacianSystem, PowerIterationResult, spectral_norm_nonneg
 
 __all__ = [
@@ -249,7 +249,8 @@ def effective_resistance(graph: Graph, u: int, v: int) -> float:
 
 
 def delta_edge(graph: Graph, edge_index: int) -> float:
-    """Flow stretch of one edge: l1 norm of the endpoint unit flow over hop distance."""
+    """Flow stretch of one edge: l1 norm of the endpoint unit flow over the
+    hop distance of its endpoints, which is 1 since self-loops are rejected."""
     if not graph.is_unweighted:
         raise ValueError(
             "flow stretch (delta) is defined for unweighted graphs only (all conductances 1); "
@@ -260,7 +261,7 @@ def delta_edge(graph: Graph, edge_index: int) -> float:
     t = int(graph.tails[edge_index])
     h = int(graph.heads[edge_index])
     f = unit_flow(graph, t, h)
-    return float(_abs_zeroed(f).sum()) / bfs_distance(graph, t, h)
+    return float(_abs_zeroed(f).sum())
 
 
 def quadratic_form_abs(graph: Graph, w) -> float:

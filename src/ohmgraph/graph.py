@@ -27,7 +27,6 @@ __all__ = [
     "complete",
     "erdos_renyi",
     "read_graph",
-    "bfs_distance",
     "is_connected",
 ]
 
@@ -370,15 +369,6 @@ def _hops(graph: Graph, source: int) -> list[int]:
                 dist[y] = d
                 order.append(y)
     return dist
-
-
-def bfs_distance(graph: Graph, u: int, v: int) -> int | float:
-    """Unweighted hop count from ``u`` to ``v``; ``math.inf`` when unreachable."""
-    n = graph.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex ids ({u}, {v}) out of range for n={n}")
-    d = _hops(graph, u)[v]
-    return d if d >= 0 else math.inf
 
 
 def is_connected(graph: Graph) -> bool:

@@ -42,13 +42,14 @@ _TIE_RTOL = 1e-12
 
 # Largest admissible gap between the incrementally updated quantities and
 # their from-scratch recomputation at the terminal pair: absolute on the
-# probability map, relative on V_T.
+# edge drops, relative on V_T.
 _ORACLE_PM_TOL = 1e-9
 _ORACLE_VI_RTOL = 1e-8
 
 # Largest admissible gap between each step's rank-one term and the pivot's
-# degree (absolute), and between the trace's V_0 and the direct quadratic
-# form in harmonic_bound_check (relative).
+# degree (relative to max(1, |degree|), since degrees scale with ||w||^2),
+# and between the trace's V_0 and the direct quadratic form in
+# harmonic_bound_check (relative).
 _IDENTITY_TOL = 1e-8
 _V0_RTOL = 1e-6
 
@@ -100,12 +101,13 @@ def _bucket_count(s: int) -> int:
     return int(s - 1).bit_length()
 
 
-def _degree_vector(graph: Graph, prob_map: np.ndarray, w: np.ndarray):
-    """Degree of every row of ``prob_map`` (one row per terminal)."""
-    q = np.abs(prob_map[:, graph.tails] - prob_map[:, graph.heads])
+def _degree_vector(graph: Graph, drops: np.ndarray, w: np.ndarray):
+    """Degree of every row of ``drops``, one row per terminal holding its
+    hitting-probability drop ``p(tail) - p(head)`` across every edge."""
+    q = np.abs(drops)
     z = w * np.sqrt(graph.conductances)
     num = (q @ z) ** 2
-    den = (q * q) @ graph.conductances
+    den = np.square(q, out=q) @ graph.conductances
     degenerate = den <= _DEGENERATE_DENOM
     degrees = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
     return degrees, den, degenerate
@@ -117,7 +119,8 @@ def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     w = _check_weights(graph, w)
     if not is_connected(graph):
         raise DisconnectedGraphError("degree profile requires a connected graph")
-    degrees, _, degenerate = _degree_vector(graph, _block_prob_map(graph, S)[0], w)
+    pm = _block_prob_map(graph, S)[0]
+    degrees, _, degenerate = _degree_vector(graph, pm[:, graph.tails] - pm[:, graph.heads], w)
     bound = (6 * _bucket_count(S.size) + 6) * float(w @ w)
     return DegreeProfile(
         vertices=S,
@@ -128,23 +131,30 @@ def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     )
 
 
-def _abs_form(M: np.ndarray, z: np.ndarray, a: np.ndarray | None = None, d: float = 1.0) -> float:
-    """z^T |M| z with entries below ``ABS_ZERO_TOL`` zeroed.  With ``a``,
-    first downdate ``M -= a a^T / d`` in place.  Works in row blocks, so
-    temporaries stay at ``_VI_BLOCK`` rows and each row is read once."""
-    total = 0.0
-    for lo in range(0, M.shape[0], _VI_BLOCK):
-        hi = lo + _VI_BLOCK
-        rows = M[lo:hi]
-        if a is not None:
-            rows -= np.outer(a[lo:hi] / d, a)
-        total += float(z[lo:hi] @ (_abs_zeroed(rows) @ z))
-    return total
+def _abs_rows(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row values ``|M| z`` with entries below ``ABS_ZERO_TOL`` zeroed, so that
+    ``z^T |M| z = z . _abs_rows(M, z)``.  Works in row blocks, so
+    temporaries stay at ``_VI_BLOCK`` rows."""
+    return np.concatenate([_abs_zeroed(M[lo : lo + _VI_BLOCK]) @ z for lo in range(0, M.shape[0], _VI_BLOCK)])
+
+
+def _downdate_rows(M: np.ndarray, row_vals: np.ndarray, z: np.ndarray, a: np.ndarray, d: float) -> None:
+    """Downdate ``M -= a a^T / d`` in place and refresh ``row_vals`` (the
+    :func:`_abs_rows` of ``M``) where it changes.  Only rows and columns in
+    ``supp(a)`` change, so only those rows are gathered, downdated and
+    written back, ``_VI_BLOCK`` rows at a time."""
+    supp = np.flatnonzero(a)
+    for lo in range(0, supp.size, _VI_BLOCK):
+        r = supp[lo : lo + _VI_BLOCK]
+        rows = M[r]
+        rows -= np.outer(a[r] / d, a)
+        M[r] = rows
+        row_vals[r] = _abs_zeroed(rows, out=rows) @ z
 
 
 def _abs_quadratic(A: np.ndarray, pinv: np.ndarray, z: np.ndarray) -> float:
     """z^T |A^T L^+ A| z, given the pseudoinverse ``L^+``."""
-    return _abs_form(A.T @ (pinv @ A), z)
+    return float(z @ _abs_rows(A.T @ (pinv @ A), z))
 
 
 def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
@@ -163,28 +173,39 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     within a relative 1e-12 of the minimum count as tied and the smallest
     vertex id among them wins, so traces are deterministic and do not depend
     on roundoff.  Each step verifies that the eliminated rank-one term
-    ``(|a_k| . z)^2 / L[k, k]`` equals the pivot's degree to 1e-8
-    and, with ``compute_vi``, records the slack of the step inequality
+    ``(|a_k| . z)^2 / L[k, k]`` equals the pivot's degree to
+    ``1e-8 * max(1, |degree|)``; degrees scale with ``||w||^2``, so the
+    verdict does not depend on the scale of ``w``.  With ``compute_vi`` each
+    step also records the slack of the step inequality
     ``V_i <= V_{i+1} + degree``.  A non-positive pivot diagonal raises
     :class:`LocalizationError`.
 
-    Nothing is rebuilt per step.  The Laplacian and the probability map stay
-    full-size (n x n) under an alive mask and are updated in place by the
-    one-step pivot identities of :func:`ohmgraph.schur._eliminate_pivot`;
+    Nothing is rebuilt per step.  The state is the Laplacian L (n x n) and
+    the edge drops ``D = pm B^T`` (n x m): row j holds the drop
+    ``p_j(tail) - p_j(head)`` of vertex j's hitting probability across every
+    edge.  Degrees, the pivot's drop vector ``a_k = D[k]``, the rank-one term
+    and the V_i downdate read only D, so the n x n probability map is never
+    held; D starts as the signed incidence matrix and takes 8 n m bytes
+    (16 MB on a 32 x 32 torus).  Both stay full-size under an alive mask and
+    are updated in place by the one-step pivot identities of
+    :func:`ohmgraph.schur._eliminate_pivot`, which are linear in the rows;
     only the rows of the pivot's current neighbours change, and only their
-    degrees are recomputed.  A step costs O(deg_k * (n + m)), where deg_k is
-    the pivot's neighbour count in the eliminated network so far.
+    degrees are recomputed.  A step costs O(deg_k * m), where deg_k is the
+    pivot's neighbour count in the eliminated network so far.
 
     With ``compute_vi`` the edge-space matrix ``M_0 = A_0^T L^+ A_0`` is
     built once from one ``solve_columns`` over the m incidence columns and
-    then updated as ``M_{i+1} = M_i - a_k a_k^T / L[k, k]``, where ``a_k`` is
-    the pivot's probability drop across every edge.  ``V_i = z^T |M_i| z``
-    zeroes entries below ``ABS_ZERO_TOL`` as the direct computation does.
-    This adds O(m^2) time per step and holds one m x m array, so it is
-    refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
+    then updated as ``M_{i+1} = M_i - a_k a_k^T / L[k, k]``.
+    ``V_i = z^T |M_i| z`` zeroes entries below ``ABS_ZERO_TOL`` as the direct
+    computation does.  Only entries in ``supp(a_k)^2`` change, where
+    ``supp(a_k)`` is the set of edges the pivot's drop is nonzero on, so
+    only those rows of M are downdated and only their row values
+    ``|M[r]| z`` are recomputed; ``V_{i+1}`` is their dot product with z.
+    The downdate costs O(|supp a_k| * m) per step.  M is one m x m array, so
+    tracking is refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
 
-    At the terminal pair the surviving probability rows are compared against
-    a from-scratch block elimination, and V_T against the exact
+    At the terminal pair the two surviving rows of D are compared against
+    the drops of a from-scratch block elimination, and V_T against the exact
     pseudoinverse of that elimination's two-vertex Laplacian, after
     :func:`ohmgraph.schur._check_schur` accepts it; a gap beyond 1e-9
     absolute or 1e-8 relative raises :class:`LocalizationError`.
@@ -208,14 +229,18 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     w_norm_sq = float(w @ w)
 
     L = laplacian_matrix(graph)
-    pm = np.eye(n)
+    D = np.zeros((n, m))
+    edges = np.arange(m)
+    D[tails, edges] = 1.0
+    D[heads, edges] = -1.0
     alive = np.ones(n, dtype=bool)
-    degrees, _, _ = _degree_vector(graph, pm, w)
+    degrees, _, _ = _degree_vector(graph, D, w)
     v_vals: list[float] = []
     if compute_vi:
-        Y = LaplacianSystem(graph).solve_columns(pm[:, tails] - pm[:, heads])
+        Y = LaplacianSystem(graph).solve_columns(D)
         M = Y[tails] - Y[heads]  # A_0^T L^+ A_0, A_0 the incidence matrix
-        v_vals.append(_abs_form(M, z))
+        row_vals = _abs_rows(M, z)
+        v_vals.append(float(z @ row_vals))
     pivots: list[int] = []
     degree_vals: list[float] = []
     rank_one_vals: list[float] = []
@@ -225,34 +250,37 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         d = float(L[k, k])
         if d <= 0:
             raise LocalizationError(f"pivot diagonal {d:.3e} is not positive")
-        a = pm[k, tails] - pm[k, heads]
+        a = D[k]  # row k is never written again once k is eliminated
         rank_one = float(np.abs(a) @ z) ** 2 / d
-        if abs(rank_one - float(degrees[k])) > _IDENTITY_TOL:
+        degree = float(degrees[k])
+        if abs(rank_one - degree) > _IDENTITY_TOL * max(1.0, abs(degree)):
             raise LocalizationError(
-                f"rank-one correction {rank_one!r} disagrees with degree "
-                f"{float(degrees[k])!r} beyond {_IDENTITY_TOL:.0e} at step {len(pivots)}"
+                f"rank-one correction {rank_one!r} disagrees with degree {degree!r} "
+                f"beyond {_IDENTITY_TOL:.0e} x max(1, |degree|) at step {len(pivots)}"
             )
         pivots.append(k)
-        degree_vals.append(float(degrees[k]))
+        degree_vals.append(degree)
         rank_one_vals.append(rank_one)
-        nb = _eliminate_pivot(L, pm, alive, k)
-        degrees[nb] = _degree_vector(graph, pm[nb], w)[0]
+        nb = _eliminate_pivot(L, D, alive, k)
+        degrees[nb] = _degree_vector(graph, D[nb], w)[0]
         if compute_vi:
-            v_vals.append(_abs_form(M, z, a, d))
+            _downdate_rows(M, row_vals, z, a, d)
+            v_vals.append(float(z @ row_vals))
 
     verts = np.flatnonzero(alive)
     pm_ref, schur_ref = _block_prob_map(graph, verts)
-    drift = float(np.abs(pm[verts] - pm_ref).max())
+    drops_ref = pm_ref[:, tails] - pm_ref[:, heads]
+    drift = float(np.abs(D[verts] - drops_ref).max())
     if drift > _ORACLE_PM_TOL:
         raise LocalizationError(
-            f"incremental probability map differs from the from-scratch map by {drift:.3e} "
+            f"incremental edge drops differ from the from-scratch drops by {drift:.3e} "
             f"at the terminal pair, beyond {_ORACLE_PM_TOL:.0e}"
         )
     if compute_vi:
         # a two-vertex Laplacian c [[1, -1], [-1, 1]] has pseudoinverse L / trace(L)^2
         _check_schur(schur_ref)
         pinv = schur_ref / np.trace(schur_ref) ** 2
-        v_ref = _abs_quadratic(pm_ref[:, tails] - pm_ref[:, heads], pinv, z)
+        v_ref = _abs_quadratic(drops_ref, pinv, z)
         if abs(v_vals[-1] - v_ref) > _ORACLE_VI_RTOL * abs(v_ref):
             raise LocalizationError(
                 f"incremental V_T = {v_vals[-1]!r} differs from the from-scratch value {v_ref!r} "

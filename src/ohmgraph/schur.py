@@ -143,13 +143,16 @@ def schur_complement(graph: Graph, terminals) -> SchurSystem:
     return SchurSystem(base=graph, vertices=S, laplacian=schur, prob_map=pm)
 
 
-def _eliminate_pivot(L: np.ndarray, pm: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
+def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
     """Eliminate alive row ``k`` in place by one star-clique step.
 
-    ``L`` is a Laplacian indexed like ``alive`` and ``pm`` its probability
-    map, one row per index.  Only the alive neighbours ``nb`` of ``k``
-    (``L[nb, k] != 0``) change: ``L[nb, nb] -= L[nb, k] L[k, nb] / L[k, k]``
-    and ``pm[nb] += (-L[nb, k] / L[k, k]) pm[k]``, since a walk that would
+    ``L`` is a Laplacian indexed like ``alive``.  ``rows`` holds one row per
+    index of any quantity linear in the probability map's rows: the map
+    ``pm`` itself in :func:`eliminate_one`, its edge drops ``D = pm B^T`` in
+    :func:`ohmgraph.localization.run_elimination`.  Only the alive
+    neighbours ``nb`` of ``k`` (``L[nb, k] != 0``) change:
+    ``L[nb, nb] -= L[nb, k] L[k, nb] / L[k, k]`` and
+    ``rows[nb] += (-L[nb, k] / L[k, k]) rows[k]``, since a walk that would
     first hit ``k`` now moves on to neighbour j with probability
     ``-L[j, k] / L[k, k]``.  Row and column ``k`` are left stale and
     ``alive[k]`` is cleared.  Returns ``nb``.
@@ -162,7 +165,7 @@ def _eliminate_pivot(L: np.ndarray, pm: np.ndarray, alive: np.ndarray, k: int) -
     nb = np.flatnonzero((col != 0) & alive)
     c = col[nb]
     L[np.ix_(nb, nb)] -= np.outer(c, c) / d  # (c_i c_j) / d keeps L exactly symmetric
-    pm[nb] += np.outer(-c / d, pm[k])
+    rows[nb] += np.outer(-c / d, rows[k])
     return nb
 
 

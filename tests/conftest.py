@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ohmgraph import (
     random_regular_expander,
     torus,
 )
+from ohmgraph.graph import _hops
 
 
 def laplacian_pinv(L):
@@ -25,6 +28,12 @@ def laplacian_pinv(L):
     grounded[1:, 1:] = np.linalg.inv(L[1:, 1:])
     centre = np.eye(n) - 1.0 / n
     return centre @ grounded @ centre
+
+
+def bfs_distance(graph, u, v):
+    """Unweighted hop count from ``u`` to ``v``; ``math.inf`` when unreachable."""
+    d = _hops(graph, u)[v]
+    return d if d >= 0 else math.inf
 
 
 def oracle_pinv_apply(graph, b):

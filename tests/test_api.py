@@ -35,6 +35,7 @@ def test_package_exports_every_module_name(module):
         "from_graph",
         "SYMMETRY_TOL",
         "ROW_SUM_TOL",
+        "bfs_distance",
     ],
 )
 def test_removed_wrappers_are_gone(name):

@@ -128,6 +128,16 @@ class TestEliminate:
         summary = json.loads(out.splitlines()[-1])
         assert summary["w_norm_sq"] == pytest.approx(1 + 4 + 0.25)
 
+    def test_large_weights_file(self, capsys, tmp_path):
+        # degrees reach 1.3e7; the rank-one check is relative to them
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1000.0\n" * 128)
+        code, out, err = run(capsys, "eliminate", "--graph", "expander:64:4:3", "--w", str(wfile))
+        assert (code, err) == (0, "")
+        _, ones, _ = run(capsys, "eliminate", "--graph", "expander:64:4:3", "--skip-vi")
+        pivots = [[json.loads(l).get("pivot") for l in text.splitlines()] for text in (out, ones)]
+        assert pivots[0] == pivots[1]
+
     def test_bad_weights_count(self, capsys, tmp_path):
         wfile = tmp_path / "w.txt"
         wfile.write_text("1.0 2.0\n")

@@ -7,7 +7,6 @@ from ohmgraph import (
     DisconnectedGraphError,
     LaplacianSystem,
     TransferImpedance,
-    bfs_distance,
     build_graph,
     complete,
     delta_edge,
@@ -23,6 +22,7 @@ from ohmgraph import (
 )
 
 from conftest import (
+    bfs_distance,
     indicator_drop,
     log_uniform_expander,
     net_outflow,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ohmgraph import (
     GraphFormatError,
-    bfs_distance,
     build_graph,
     complete,
     erdos_renyi,
@@ -25,7 +24,7 @@ from ohmgraph import (
 import ohmgraph.graph as graph_module
 from ohmgraph.cli import cli_main
 
-from conftest import single_edge, triangle
+from conftest import bfs_distance, single_edge, triangle
 
 
 class TestBuildGraph:

@@ -18,7 +18,7 @@ from ohmgraph import (
     torus,
 )
 from ohmgraph.localization import _abs_quadratic, _degree_vector
-from ohmgraph.schur import _block_prob_map
+from ohmgraph.schur import _block_prob_map, _eliminate_pivot
 
 from conftest import laplacian_pinv, random_connected_graph, single_edge, triangle
 
@@ -129,13 +129,17 @@ class TestRunElimination:
         assert abs(trace.v_initial - direct) <= 1e-6 * max(direct, 1e-12)
 
 
+def _drops(g, pm):
+    return pm[:, g.tails] - pm[:, g.heads]
+
+
 def _from_scratch(g, verts, w):
     """Probability map, degrees and V on the surviving set, rebuilt from the
     base graph by block elimination and a fresh solve."""
     pm, schur = _block_prob_map(g, verts)
-    degrees = _degree_vector(g, pm, w)[0]
+    degrees = _degree_vector(g, _drops(g, pm), w)[0]
     z = w * np.sqrt(g.conductances)
-    v = _abs_quadratic(pm[:, g.tails] - pm[:, g.heads], laplacian_pinv(schur), z)
+    v = _abs_quadratic(_drops(g, pm), laplacian_pinv(schur), z)
     return pm, degrees, v
 
 
@@ -175,11 +179,30 @@ class TestIncrementalEngine:
         trace = run_elimination(g, w, compute_vi=False)
         verts = np.arange(g.n_vertices)
         for step in trace.steps:
-            degrees = _degree_vector(g, _block_prob_map(g, verts)[0], w)[0]
+            degrees = _degree_vector(g, _drops(g, _block_prob_map(g, verts)[0]), w)[0]
             lowest = degrees.min()
             tied = verts[degrees <= lowest + 1e-12 * abs(lowest)]
             assert step.pivot == tied.min()
             verts = verts[verts != step.pivot]
+
+    def test_rank_one_identity_is_scale_free(self):
+        # degrees scale with ||w||^2; an absolute 1e-8 raised at 1e3 and above
+        g = random_regular_expander(64, 4, seed=3)
+        traces = [run_elimination(g, scale * np.ones(g.n_edges)) for scale in (2.0**-20, 1.0, 1e3, 2.0**10, 1e6)]
+        pivots = [[s.pivot for s in t.steps] for t in traces]
+        assert all(p == pivots[1] for p in pivots)
+        assert all(t.terminal_pair == traces[1].terminal_pair for t in traces)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_rank_one_identity_rejects_relative_mismatch(self, monkeypatch, scale):
+        def perturbed(graph, drops, w):
+            degrees, den, degenerate = _degree_vector(graph, drops, w)
+            return degrees * (1 + 1e-6), den, degenerate
+
+        monkeypatch.setattr(localization, "_degree_vector", perturbed)
+        g = random_regular_expander(64, 4, seed=3)
+        with pytest.raises(LocalizationError, match="rank-one correction"):
+            run_elimination(g, scale * np.ones(g.n_edges), compute_vi=False)
 
     def test_tracked_vi_refused_above_edge_cap(self, monkeypatch):
         monkeypatch.setattr(localization, "DENSE_EDGE_CAP", 17)
@@ -188,13 +211,32 @@ class TestIncrementalEngine:
         assert len(run_elimination(torus(3), np.ones(18), compute_vi=False).steps) == 7
 
     def test_oracle_rejects_probability_map_drift(self, monkeypatch):
-        def shifted(graph, S):
+        # the oracle compares edge drops, which a constant shift of the map
+        # leaves unchanged; scaling the map changes every nonzero drop
+        def scaled(graph, S):
             pm, schur = _block_prob_map(graph, S)
-            return pm + 1e-6, schur
+            return pm * (1 + 1e-6), schur
 
-        monkeypatch.setattr(localization, "_block_prob_map", shifted)
-        with pytest.raises(LocalizationError, match="from-scratch map"):
+        monkeypatch.setattr(localization, "_block_prob_map", scaled)
+        with pytest.raises(LocalizationError, match="from-scratch drops"):
             run_elimination(torus(3), np.ones(18), compute_vi=False)
+
+    def test_oracle_rejects_incremental_drop_drift(self, monkeypatch):
+        # corrupt one entry of a surviving row of D at the last step, after
+        # the last rank-one check, so only the terminal-pair oracle can see it
+        calls = []
+
+        def corrupted(L, rows, alive, k):
+            nb = _eliminate_pivot(L, rows, alive, k)
+            calls.append(k)
+            if len(calls) == 7:
+                rows[nb[0], 0] += 1e-6
+            return nb
+
+        monkeypatch.setattr(localization, "_eliminate_pivot", corrupted)
+        with pytest.raises(LocalizationError, match="from-scratch drops"):
+            run_elimination(torus(3), np.ones(18), compute_vi=False)
+        assert len(calls) == 7
 
     def test_oracle_rejects_vi_drift(self, monkeypatch):
         monkeypatch.setattr(localization, "_abs_quadratic", lambda *a: 1.0001 * _abs_quadratic(*a))
