@@ -173,6 +173,8 @@ def _cmd_verify(args) -> int:
     props = _PROPS if args.prop == "all" else (args.prop,)
     rng = np.random.default_rng(args.seed)
     n = g.n_vertices
+    if args.trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     if n < 2:
         raise UsageError("verification requires a graph with at least 2 vertices")
     if not is_connected(g):  # before any draw of up to n terminal ids
@@ -297,7 +299,9 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # overflow, 0/0 and x/0 exit 2, never NaN or Infinity beside a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     # LinAlgError subclasses ValueError, so it must be caught before the
     # ValueError clause below, which covers UsageError and GraphFormatError.
     except np.linalg.LinAlgError as exc:

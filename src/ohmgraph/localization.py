@@ -5,7 +5,8 @@ schedule, where L_i is the Laplacian after i eliminations, the columns of A_i
 are the hitting-probability drops of the original edges onto the surviving
 terminal set, and z is the conductance-scaled weight vector.  Each step is
 charged against the eliminated vertex's sparsity score ("degree"), whose sum
-over any terminal set obeys an explicit logarithmic bound.
+over any terminal set obeys an explicit logarithmic bound.  A run factors
+the Laplacian once and checks its terminal pair with one solve against it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, quadratic_form_abs
-from .graph import Graph, is_connected, laplacian_matrix
-from .schur import _block_prob_map, _check_schur, _eliminate_pivot, _validate_terminals
-from .solver import DisconnectedGraphError, LaplacianSystem
+from .graph import Graph, laplacian_matrix
+from .schur import _eliminate_pivot, schur_complement
+from .solver import LaplacianSystem
 
 __all__ = [
     "LocalizationError",
@@ -29,10 +30,6 @@ __all__ = [
     "run_elimination",
     "harmonic_bound_check",
 ]
-
-# Below this, the drop-energy denominator counts as identically zero: the
-# vertex sees no activity, its degree is 0, and eliminating it changes nothing.
-_DEGENERATE_DENOM = 1e-30
 
 _VI_BLOCK = 1024
 
@@ -67,7 +64,6 @@ class DegreeProfile:
     degrees: np.ndarray
     total: float
     bound: float
-    degenerate: list[int]
 
 
 @dataclass(frozen=True)
@@ -101,34 +97,33 @@ def _bucket_count(s: int) -> int:
     return int(s - 1).bit_length()
 
 
-def _degree_vector(graph: Graph, drops: np.ndarray, w: np.ndarray):
-    """Degree of every row of ``drops``, one row per terminal holding its
-    hitting-probability drop ``p(tail) - p(head)`` across every edge."""
+def _degree_vector(graph: Graph, drops: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Degree ``(|q| . z)^2 / sum_e c_e q_e^2`` of every row ``q`` of
+    ``drops``, one row per terminal holding its hitting-probability drop
+    ``p(tail) - p(head)`` across every edge.  On a connected graph each drop
+    energy (the denominator) is positive, since p is 1 at the terminal and 0
+    at any other; one below the smallest normal double has lost its
+    precision and raises ``FloatingPointError``."""
     q = np.abs(drops)
     z = w * np.sqrt(graph.conductances)
     num = (q @ z) ** 2
     den = np.square(q, out=q) @ graph.conductances
-    degenerate = den <= _DEGENERATE_DENOM
-    degrees = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
-    return degrees, den, degenerate
+    if not np.all(den >= np.finfo(float).tiny):  # NaN fails too
+        raise FloatingPointError(
+            f"drop energy {float(den.min()):.3e} is below the smallest normal double; "
+            "the conductances are too small to eliminate in double precision"
+        )
+    return num / den
 
 
 def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     """Degrees of all terminals plus the explicit localization bound."""
-    S = _validate_terminals(graph, terminals)
     w = _check_weights(graph, w)
-    if not is_connected(graph):
-        raise DisconnectedGraphError("degree profile requires a connected graph")
-    pm = _block_prob_map(graph, S)[0]
-    degrees, _, degenerate = _degree_vector(graph, pm[:, graph.tails] - pm[:, graph.heads], w)
-    bound = (6 * _bucket_count(S.size) + 6) * float(w @ w)
-    return DegreeProfile(
-        vertices=S,
-        degrees=degrees,
-        total=float(degrees.sum()),
-        bound=bound,
-        degenerate=[int(v) for v in S[degenerate]],
-    )
+    system = schur_complement(graph, terminals)
+    pm = system.prob_map
+    degrees = _degree_vector(graph, pm[:, graph.tails] - pm[:, graph.heads], w)
+    bound = (6 * _bucket_count(system.size) + 6) * float(w @ w)
+    return DegreeProfile(vertices=system.vertices, degrees=degrees, total=float(degrees.sum()), bound=bound)
 
 
 def _abs_rows(M: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -152,9 +147,11 @@ def _downdate_rows(M: np.ndarray, row_vals: np.ndarray, z: np.ndarray, a: np.nda
         row_vals[r] = _abs_zeroed(rows, out=rows) @ z
 
 
-def _abs_quadratic(A: np.ndarray, pinv: np.ndarray, z: np.ndarray) -> float:
-    """z^T |A^T L^+ A| z, given the pseudoinverse ``L^+``."""
-    return float(z @ _abs_rows(A.T @ (pinv @ A), z))
+def _pair_value(f: np.ndarray, R: float, z: np.ndarray) -> float:
+    """``z^T |f f^T / R| z`` with entries below ``ABS_ZERO_TOL`` zeroed;
+    ``f / sqrt(R)`` keeps the outer product in range."""
+    s = f / np.sqrt(R)
+    return float(z @ _abs_rows(np.outer(s, s), z))
 
 
 def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
@@ -169,61 +166,51 @@ def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
 def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrace:
     """Run the greedy elimination loop down to two terminals.
 
-    At every step the pivot is the terminal of minimum degree.  Degrees
-    within a relative 1e-12 of the minimum count as tied and the smallest
-    vertex id among them wins, so traces are deterministic and do not depend
-    on roundoff.  Each step verifies that the eliminated rank-one term
-    ``(|a_k| . z)^2 / L[k, k]`` equals the pivot's degree to
-    ``1e-8 * max(1, |degree|)``; degrees scale with ``||w||^2``, so the
-    verdict does not depend on the scale of ``w``.  With ``compute_vi`` each
-    step also records the slack of the step inequality
-    ``V_i <= V_{i+1} + degree``.  A non-positive pivot diagonal raises
-    :class:`LocalizationError`.
+    At every step the pivot is the terminal of minimum degree; degrees
+    within a relative 1e-12 of the minimum tie and the smallest id wins, so
+    traces do not depend on roundoff.  Each step checks that the rank-one
+    term ``(|a_k| . z)^2 / L[k, k]`` equals the pivot's degree to
+    ``1e-8 * max(1, |degree|)``.  Degrees and every check are unchanged when
+    all conductances, or all weights, are scaled.  With ``compute_vi`` each
+    step also records the slack of ``V_i <= V_{i+1} + degree``.
 
-    Nothing is rebuilt per step.  The state is the Laplacian L (n x n) and
-    the edge drops ``D = pm B^T`` (n x m): row j holds the drop
-    ``p_j(tail) - p_j(head)`` of vertex j's hitting probability across every
-    edge.  Degrees, the pivot's drop vector ``a_k = D[k]``, the rank-one term
-    and the V_i downdate read only D, so the n x n probability map is never
-    held; D starts as the signed incidence matrix and takes 8 n m bytes
-    (16 MB on a 32 x 32 torus).  Both stay full-size under an alive mask and
-    are updated in place by the one-step pivot identities of
-    :func:`ohmgraph.schur._eliminate_pivot`, which are linear in the rows;
-    only the rows of the pivot's current neighbours change, and only their
-    degrees are recomputed.  A step costs O(deg_k * m), where deg_k is the
-    pivot's neighbour count in the eliminated network so far.
+    The run holds one factor, ``LaplacianSystem(graph)``, built before
+    anything of size n: it rejects fewer than 2 vertices, a disconnected
+    graph and overflowing degrees, and serves every ``L^+`` of the run.
+    The state is the Laplacian L (n x n) and the edge drops ``D = pm B^T``
+    (n x m): row j holds the drop ``p_j(tail) - p_j(head)`` of vertex j's
+    hitting probability across every edge, so the n x n probability map is
+    never held.  D starts as the signed incidence matrix.  Both are updated
+    in place by :func:`ohmgraph.schur._eliminate_pivot`, which changes and
+    returns only the rows of the pivot's current neighbours; only their
+    degrees are recomputed, so a step costs O(deg_k * m).  On a connected
+    graph every drop energy is positive, so no degree is special-cased; one
+    below the smallest normal double raises ``FloatingPointError``.  A
+    non-positive pivot diagonal raises :class:`LocalizationError`.
 
     With ``compute_vi`` the edge-space matrix ``M_0 = A_0^T L^+ A_0`` is
-    built once from one ``solve_columns`` over the m incidence columns and
-    then updated as ``M_{i+1} = M_i - a_k a_k^T / L[k, k]``.
+    built from one ``solve_columns`` over the m incidence columns and
+    updated as ``M_{i+1} = M_i - a_k a_k^T / L[k, k]``.
     ``V_i = z^T |M_i| z`` zeroes entries below ``ABS_ZERO_TOL`` as the direct
-    computation does.  Only entries in ``supp(a_k)^2`` change, where
-    ``supp(a_k)`` is the set of edges the pivot's drop is nonzero on, so
-    only those rows of M are downdated and only their row values
-    ``|M[r]| z`` are recomputed; ``V_{i+1}`` is their dot product with z.
-    The downdate costs O(|supp a_k| * m) per step.  M is one m x m array, so
+    computation does.  Only the rows of M in ``supp(a_k)`` change, so only
+    they are downdated and only their row values ``|M[r]| z`` recomputed;
+    ``V_{i+1}`` is their dot product with z.  M is one m x m array, so
     tracking is refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
 
-    At the terminal pair the two surviving rows of D are compared against
-    the drops of a from-scratch block elimination, and V_T against the exact
-    pseudoinverse of that elimination's two-vertex Laplacian, after
-    :func:`ohmgraph.schur._check_schur` accepts it; a gap beyond 1e-9
-    absolute or 1e-8 relative raises :class:`LocalizationError`.
-
-    With ``compute_vi=False`` only pivots and degrees are recorded (cheap mode
-    for larger runs).
+    The terminal pair u < v is one resistor, checked by one pair solve
+    ``phi = L^+ (e_u - e_v)``: with drops ``f = phi[tails] - phi[heads]``
+    and ``R = phi_u - phi_v``, rows u and v of D must equal ``f / R`` and
+    ``-f / R`` to 1e-9, and V_T must equal ``z^T |f f^T / R| z`` (built
+    after M is freed) to 1e-8 relative, else :class:`LocalizationError`.
     """
     w = _check_weights(graph, w)
     n, m = graph.n_vertices, graph.n_edges
-    if n < 2:
-        raise ValueError("elimination requires at least 2 vertices")
-    if not is_connected(graph):
-        raise DisconnectedGraphError("elimination requires a connected graph")
     if compute_vi and m > DENSE_EDGE_CAP:
         raise ValueError(
             f"tracking V_i holds an m x m matrix and caps at m={DENSE_EDGE_CAP} "
             f"(got m={m}); use compute_vi=False (--skip-vi on the command line)"
         )
+    system = LaplacianSystem(graph)  # checks n >= 2, connectivity and overflow
     tails, heads = graph.tails, graph.heads
     z = w * np.sqrt(graph.conductances)
     w_norm_sq = float(w @ w)
@@ -234,11 +221,12 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     D[tails, edges] = 1.0
     D[heads, edges] = -1.0
     alive = np.ones(n, dtype=bool)
-    degrees, _, _ = _degree_vector(graph, D, w)
+    degrees = _degree_vector(graph, D, w)
     v_vals: list[float] = []
     if compute_vi:
-        Y = LaplacianSystem(graph).solve_columns(D)
+        Y = system.solve_columns(D)
         M = Y[tails] - Y[heads]  # A_0^T L^+ A_0, A_0 the incidence matrix
+        del Y
         row_vals = _abs_rows(M, z)
         v_vals.append(float(z @ row_vals))
     pivots: list[int] = []
@@ -253,7 +241,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         a = D[k]  # row k is never written again once k is eliminated
         rank_one = float(np.abs(a) @ z) ** 2 / d
         degree = float(degrees[k])
-        if abs(rank_one - degree) > _IDENTITY_TOL * max(1.0, abs(degree)):
+        if not abs(rank_one - degree) <= _IDENTITY_TOL * max(1.0, abs(degree)):  # NaN fails
             raise LocalizationError(
                 f"rank-one correction {rank_one!r} disagrees with degree {degree!r} "
                 f"beyond {_IDENTITY_TOL:.0e} x max(1, |degree|) at step {len(pivots)}"
@@ -261,27 +249,28 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         pivots.append(k)
         degree_vals.append(degree)
         rank_one_vals.append(rank_one)
-        nb = _eliminate_pivot(L, D, alive, k)
-        degrees[nb] = _degree_vector(graph, D[nb], w)[0]
+        nb, drops = _eliminate_pivot(L, D, alive, k)
+        degrees[nb] = _degree_vector(graph, drops, w)
         if compute_vi:
             _downdate_rows(M, row_vals, z, a, d)
             v_vals.append(float(z @ row_vals))
 
-    verts = np.flatnonzero(alive)
-    pm_ref, schur_ref = _block_prob_map(graph, verts)
-    drops_ref = pm_ref[:, tails] - pm_ref[:, heads]
-    drift = float(np.abs(D[verts] - drops_ref).max())
-    if drift > _ORACLE_PM_TOL:
+    u, v = (int(x) for x in np.flatnonzero(alive))
+    e_uv = np.zeros(n)
+    e_uv[[u, v]] = 1.0, -1.0
+    phi = system.solve(e_uv)  # p_u drops by f / R, and A_T^T L_T^+ A_T = f f^T / R
+    f = phi[tails] - phi[heads]
+    R = phi[u] - phi[v]
+    drift = float(np.maximum(np.abs(D[u] - f / R), np.abs(D[v] + f / R)).max())
+    if not drift <= _ORACLE_PM_TOL:  # NaN fails
         raise LocalizationError(
             f"incremental edge drops differ from the from-scratch drops by {drift:.3e} "
             f"at the terminal pair, beyond {_ORACLE_PM_TOL:.0e}"
         )
     if compute_vi:
-        # a two-vertex Laplacian c [[1, -1], [-1, 1]] has pseudoinverse L / trace(L)^2
-        _check_schur(schur_ref)
-        pinv = schur_ref / np.trace(schur_ref) ** 2
-        v_ref = _abs_quadratic(drops_ref, pinv, z)
-        if abs(v_vals[-1] - v_ref) > _ORACLE_VI_RTOL * abs(v_ref):
+        del M, row_vals  # before the m x m reference
+        v_ref = _pair_value(f, R, z)
+        if not abs(v_vals[-1] - v_ref) <= _ORACLE_VI_RTOL * abs(v_ref):  # NaN fails
             raise LocalizationError(
                 f"incremental V_T = {v_vals[-1]!r} differs from the from-scratch value {v_ref!r} "
                 f"beyond {_ORACLE_VI_RTOL:.0e} relative"
@@ -303,7 +292,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         )
     return EliminationTrace(
         steps=steps,
-        terminal_pair=(int(verts[0]), int(verts[1])),
+        terminal_pair=(u, v),
         v_terminal=v_vals[-1] if compute_vi else None,
         v_initial=v_vals[0] if compute_vi else None,
         w_norm_sq=w_norm_sq,

@@ -66,8 +66,8 @@ def _validate_demands(graph: Graph, demands: list[Demand]) -> None:
             raise ValueError(f"demand {i}: vertex ids ({d.source}, {d.sink}) out of range for n={n}")
         if d.source == d.sink:
             raise ValueError(f"demand {i}: source equals sink ({d.source})")
-        if not d.amount > 0:
-            raise ValueError(f"demand {i}: amount must be positive, got {d.amount}")
+        if not 0 < d.amount < np.inf:
+            raise ValueError(f"demand {i}: amount must be a positive finite real, got {d.amount}")
 
 
 def route_demands(graph: Graph, demands) -> RoutingReport:

@@ -143,7 +143,7 @@ def schur_complement(graph: Graph, terminals) -> SchurSystem:
     return SchurSystem(base=graph, vertices=S, laplacian=schur, prob_map=pm)
 
 
-def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
+def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, alive: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Eliminate alive row ``k`` in place by one star-clique step.
 
     ``L`` is a Laplacian indexed like ``alive``.  ``rows`` holds one row per
@@ -155,7 +155,7 @@ def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, alive: np.ndarray, k: int)
     ``rows[nb] += (-L[nb, k] / L[k, k]) rows[k]``, since a walk that would
     first hit ``k`` now moves on to neighbour j with probability
     ``-L[j, k] / L[k, k]``.  Row and column ``k`` are left stale and
-    ``alive[k]`` is cleared.  Returns ``nb``.
+    ``alive[k]`` is cleared.  Returns ``nb`` and the updated ``rows[nb]``.
     """
     d = L[k, k]
     if d <= 0:
@@ -164,9 +164,12 @@ def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, alive: np.ndarray, k: int)
     col = L[:, k]
     nb = np.flatnonzero((col != 0) & alive)
     c = col[nb]
-    L[np.ix_(nb, nb)] -= np.outer(c, c) / d  # (c_i c_j) / d keeps L exactly symmetric
-    rows[nb] += np.outer(-c / d, rows[k])
-    return nb
+    s = c / np.sqrt(d)  # s_i s_j is exactly symmetric; c_i c_j alone can overflow
+    L[np.ix_(nb, nb)] -= np.outer(s, s)
+    updated = rows[nb]
+    updated += np.outer(-c / d, rows[k])
+    rows[nb] = updated
+    return nb, updated
 
 
 def eliminate_one(system: SchurSystem, v: int) -> SchurSystem:

@@ -110,7 +110,8 @@ class LaplacianSystem:
 
         The grounded rows of the centred right-hand side are written into one
         Fortran-order buffer that LAPACK solves in place, so the only n x k
-        arrays allocated are that buffer and the returned solution.
+        arrays allocated are that buffer and the returned solution.  A
+        non-finite LAPACK solve raises ``FloatingPointError``.
         """
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.n:
@@ -118,6 +119,8 @@ class LaplacianSystem:
         grounded = np.array(B[1:], order="F")
         grounded -= B.mean(axis=0)
         grounded = scipy.linalg.cho_solve(self._factor, grounded, overwrite_b=True, check_finite=False)
+        if not np.isfinite(grounded).all():  # LAPACK sets no floating-point flag
+            raise FloatingPointError("Laplacian solve is not finite: the potentials overflow double precision")
         X = np.empty_like(B)
         X[0] = 0.0
         X[1:] = grounded

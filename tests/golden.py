@@ -1,11 +1,15 @@
-"""Golden stdout corpus for ``ohmgraph eliminate`` and its comparer.
+"""Golden stdout corpus for the ``ohmgraph`` subcommands and its comparer.
 
-Each case runs the CLI in-process and compares its JSON lines with the file
-committed under ``tests/golden/``.  Pivots, the terminal pair, the keys of
-every record and the step count must match exactly; ``degree_value``,
-``v_i``, ``v_terminal``, ``v0`` and ``w_norm_sq`` within ``RTOL``
-relative; ``slack`` within ``RTOL * v0`` absolute, since it is a
-difference of V values.
+Each case runs the CLI in-process and compares its stdout with the file
+committed under ``tests/golden/``.  The output is read as records: the whole
+text when it is one JSON document (``analyze``, ``route``), otherwise one
+record per line, a JSON value where the line is one (``eliminate``,
+``verify``) and else its comma- or space-separated fields (``analyze
+--format csv``, ``generate``), each an int, a float or a string.  Keys,
+structure, strings, ints, bools and nulls must match exactly, so pivots, the
+terminal pair, step counts, vertex ids and verdicts do; every other number
+within ``RTOL`` relative, except ``slack``, which is a difference of V
+values and is held within ``RTOL * v0`` absolute.
 
 Regenerate every file (after a change that is meant to move roundoff, and
 say so in CHANGES.md) with::
@@ -34,9 +38,12 @@ CASES = {
     # degrees tie up to roundoff at step 62, so the tie rule picks the pivot
     "eliminate_torus10_skip_vi": ("eliminate", "--graph", "torus:10", "--skip-vi"),
     "eliminate_weighted_file": ("eliminate", "--graph", "@weighted_expander24.txt", "--w", "@weighted_expander24.w"),
+    "analyze_torus6": ("analyze", "--graph", "torus:6"),
+    "analyze_weighted_file_csv": ("analyze", "--graph", "@weighted_expander24.txt", "--format", "csv"),
+    "verify_torus6": ("verify", "--graph", "torus:6", "--trials", "5", "--seed", "3"),
+    "route_torus6": ("route", "--graph", "torus:6", "--demands", "0 20 1;3 14 0.5"),
+    "generate_expander64": ("generate", "--graph", "expander:64:4:3"),
 }
-
-_RELATIVE = ("degree_value", "v_i", "v_terminal", "v0", "w_norm_sq")
 
 
 def _argv(case: str) -> list[str]:
@@ -54,39 +61,67 @@ def run_case(case: str) -> str:
 
 
 def golden_path(case: str) -> Path:
-    return GOLDEN_DIR / f"{case}.jsonl"
+    suffix = "jsonl" if CASES[case][0] in ("eliminate", "verify") else "txt"
+    return GOLDEN_DIR / f"{case}.{suffix}"
 
 
-def _close(got, want, atol: float) -> bool:
-    if got is None or want is None:
-        return got is want
-    return abs(got - want) <= atol  # NaN and inf fail
+def _field(token: str):
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    return token
+
+
+def _records(text: str) -> list:
+    try:
+        return [json.loads(text)]
+    except json.JSONDecodeError:
+        pass
+    records = []
+    for line in text.splitlines():
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            records.append([_field(t) for t in (line.split(",") if "," in line else line.split())])
+    return records
 
 
 def compare(got_text: str, want_text: str) -> list[str]:
-    """Every difference between two ``eliminate`` outputs beyond the corpus
-    tolerances, one message each; empty when they agree."""
-    got = [json.loads(line) for line in got_text.splitlines()]
-    want = [json.loads(line) for line in want_text.splitlines()]
+    """Every difference between two outputs beyond the corpus tolerances,
+    one message each; empty when they agree."""
+    got, want = _records(got_text), _records(want_text)
     if len(got) != len(want):
         return [f"{len(got)} records, expected {len(want)}"]
-    v0 = want[-1]["v0"]
+    v0 = want[-1].get("v0") if isinstance(want[-1], dict) else None
     slack_atol = RTOL * abs(v0) if v0 is not None else 0.0
-    errors = []
+    errors: list[str] = []
+
+    def diff(g, w, where: str, atol: float | None = None) -> None:
+        # a float is held within atol when given, else RTOL relative
+        if type(g) is not type(w):
+            errors.append(f"{where} = {g!r}, expected {w!r}")
+        elif isinstance(w, dict):
+            if list(g) != list(w):
+                errors.append(f"{where}: keys {list(g)}, expected {list(w)}")
+                return
+            for key in w:
+                diff(g[key], w[key], f"{where}: {key}", slack_atol if key == "slack" else None)
+        elif isinstance(w, list):
+            if len(g) != len(w):
+                errors.append(f"{where}: {len(g)} entries, expected {len(w)}")
+                return
+            for i, (gi, wi) in enumerate(zip(g, w)):
+                diff(gi, wi, f"{where}[{i}]", atol)
+        elif isinstance(w, float):
+            if not abs(g - w) <= (RTOL * abs(w) if atol is None else atol):  # NaN and inf fail
+                errors.append(f"{where} = {g!r}, expected {w!r}")
+        elif g != w:  # strings, ints, bools, nulls
+            errors.append(f"{where} = {g!r}, expected {w!r}")
+
     for i, (g, w) in enumerate(zip(got, want)):
-        if list(g) != list(w):
-            errors.append(f"record {i}: keys {list(g)}, expected {list(w)}")
-            continue
-        for key, want_val in w.items():
-            got_val = g[key]
-            if key in _RELATIVE:
-                ok = _close(got_val, want_val, RTOL * abs(want_val) if want_val is not None else 0.0)
-            elif key == "slack":
-                ok = _close(got_val, want_val, slack_atol)
-            else:  # pivots, indices, terminal pair, step count
-                ok = got_val == want_val
-            if not ok:
-                errors.append(f"record {i}: {key} = {got_val!r}, expected {want_val!r}")
+        diff(g, w, f"record {i}")
     return errors
 
 

@@ -58,3 +58,10 @@ def test_schur_system_is_its_laplacian():
 def test_laplacian_system_keeps_only_its_factor():
     assert not hasattr(LaplacianSystem(ohmgraph.complete(3)), "matrix")
     assert not hasattr(LaplacianSystem, "from_graph")  # the graph constructor is the only one
+
+
+def test_degree_profile_has_no_degenerate_field():
+    # every terminal of a connected graph has positive drop energy, so no
+    # degree is special-cased
+    fields = {f.name for f in dataclasses.fields(ohmgraph.DegreeProfile)}
+    assert fields == {"vertices", "degrees", "total", "bound"}

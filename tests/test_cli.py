@@ -35,6 +35,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_warned(capsys, *argv):
+    """``run`` plus the RuntimeWarnings the command raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    return (*result, [w for w in caught if issubclass(w.category, RuntimeWarning)])
+
+
+def write_scaled(path, spec, factor):
+    g = parse_family_spec(spec)
+    path.write_text("".join(f"{t} {h} {c * factor!r}\n" for t, h, c in g.edge_list()))
+    return str(path)
+
+
 class TestGenerate:
     def test_family_to_stdout(self, capsys):
         code, out, _ = run(capsys, "generate", "--graph", "family:torus:3")
@@ -138,6 +152,27 @@ class TestEliminate:
         pivots = [[json.loads(l).get("pivot") for l in text.splitlines()] for text in (out, ones)]
         assert pivots[0] == pivots[1]
 
+    def test_conductance_scale_does_not_move_pivots(self, capsys, tmp_path):
+        # degrees, the rank-one check and the terminal-pair check are
+        # scale-free, so every scale in range gives the unit-scale pivots
+        for flags in ([], ["--skip-vi"]):
+            _, out, _ = run(capsys, "eliminate", "--graph", "torus:6", *flags)
+            want = [json.loads(l) for l in out.splitlines()]
+            for factor in (1e-300, 1e-160, 1e-100, 1e-31, 1e160, 1e300):
+                src = write_scaled(tmp_path / f"torus6_x{factor:g}.txt", "torus:6", factor)
+                code, out, err, caught = run_warned(capsys, "eliminate", "--graph", src, *flags)
+                assert (code, err, caught) == (0, "", []), (flags, factor, err)
+                got = [json.loads(l) for l in out.splitlines()]
+                assert [r.get("pivot") for r in got] == [r.get("pivot") for r in want], (flags, factor)
+                assert got[-1]["terminal"] == want[-1]["terminal"]
+                for g, w in zip(got[:-1], want[:-1]):
+                    assert abs(g["degree_value"] - w["degree_value"]) <= 1e-12 * w["degree_value"], (flags, factor)
+            # every conductance subnormal: the drop energies have lost their precision
+            src = write_scaled(tmp_path / "torus6_subnormal.txt", "torus:6", 5e-324)
+            code, out, err, caught = run_warned(capsys, "eliminate", "--graph", src, *flags)
+            assert (code, out, caught) == (2, "", []), (flags, err)
+            assert err.startswith("numerical error:") and err.count("\n") == 1, (flags, err)
+
     def test_bad_weights_count(self, capsys, tmp_path):
         wfile = tmp_path / "w.txt"
         wfile.write_text("1.0 2.0\n")
@@ -172,15 +207,13 @@ class TestVerify:
     def test_scaled_conductances_verify_like_unscaled(self, capsys, tmp_path):
         # the checks are relative to the conductance scale, so scaling every
         # conductance changes no verdict and no drawn parameter
-        g = parse_family_spec("torus:6")
         argv = ("verify", "--trials", "20", "--seed", "2")
         code, out, _ = run(capsys, *argv, "--graph", "torus:6")
         assert code == 0
         reference = [(r["params"], r["ok"]) for r in map(json.loads, out.splitlines())]
         for factor in (1e9, 1e12, 1e-20):
-            src = tmp_path / f"torus6_x{factor:g}.txt"
-            src.write_text("".join(f"{t} {h} {c * factor!r}\n" for t, h, c in g.edge_list()))
-            code, out, err = run(capsys, *argv, "--graph", str(src))
+            src = write_scaled(tmp_path / f"torus6_x{factor:g}.txt", "torus:6", factor)
+            code, out, err = run(capsys, *argv, "--graph", src)
             assert code == 0, (factor, err)
             assert [(r["params"], r["ok"]) for r in map(json.loads, out.splitlines())] == reference
 
@@ -190,13 +223,11 @@ class TestVerify:
         src = tmp_path / "huge_conductances.txt"
         src.write_text("0 1 1e308\n1 2 1e308\n2 3 1e308\n3 0 1e308\n0 2 1e308\n")
         for argv in (["verify", "--trials", "3"], ["analyze"], ["route", "--demands", "0 2 1"], ["eliminate"]):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code, out, err = run(capsys, *argv, "--graph", str(src))
+            code, out, err, caught = run_warned(capsys, *argv, "--graph", str(src))
             assert (code, out) == (2, ""), (argv, out, err)
             assert err.startswith("numerical error:") and err.count("\n") == 1, (argv, err)
             assert "not finite" in err, (argv, err)
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+            assert not caught, (argv, caught)
 
     @pytest.mark.parametrize(
         "prop, check, pair",
@@ -350,6 +381,9 @@ class TestExitCodes:
     def test_missing_graph_flag(self, capsys):
         code, _, _ = run(capsys, "analyze")
         assert code == 1
+        code, out, err = run(capsys, "verify", "--graph", "torus:3", "--trials", "-1")
+        assert (code, out) == (1, "")
+        assert "--trials" in err
 
     def test_bad_family(self, capsys):
         code, _, err = run(capsys, "analyze", "--graph", "family:moebius:3")
@@ -393,6 +427,31 @@ class TestExitCodes:
         for cmd, code, err in runs:
             assert code == 2, (cmd, err)
             assert "connected" in err and "out of memory" not in err, (cmd, err)
+
+    @pytest.mark.parametrize(
+        "argv, files, want",
+        [
+            (["route", "--graph", "triangle", "--demands", "0 1 inf"], {}, 1),
+            (["route", "--graph", "triangle", "--demands", "0 1 1e308;0 1 1e308"], {}, 2),
+            (["route", "--graph", "path:4", "--demands", "0 3 1e308"], {}, 2),
+            (
+                ["route", "--graph", "{tiny.txt}", "--demands", "0 1 1e10"],
+                {"tiny.txt": "0 1 1e-300\n1 2 1e-300\n2 0 1e-300\n"},
+                2,
+            ),
+            (["eliminate", "--graph", "triangle", "--w", "{w.txt}"], {"w.txt": "1e200 1 1\n"}, 2),
+        ],
+        ids=["inf_amount", "summed_overflow", "potential_overflow", "tiny_conductance", "huge_weight"],
+    )
+    def test_hostile_numbers_fail_cleanly(self, capsys, tmp_path, argv, files, want):
+        # a bad amount is a usage error; an overflow is a numerical failure,
+        # never NaN or Infinity on stdout beside a numpy warning
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a[1:-1]) if a[1:-1] in files else a for a in argv]
+        code, out, err, caught = run_warned(capsys, *argv)
+        assert (code, out, caught) == (want, "", []), err
+        assert err.startswith("numerical error:" if want == 2 else "error:") and err.count("\n") == 1, err
 
     def test_memory_error_is_numerical_failure(self, capsys, monkeypatch):
         def exhausted(spec):

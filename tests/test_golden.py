@@ -5,10 +5,19 @@ import pytest
 from golden import CASES, compare, golden_path, run_case
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_eliminate_matches_golden(case):
+def _check(case):
     errors = compare(run_case(case), golden_path(case).read_text(encoding="utf-8"))
     assert not errors, "\n".join(errors[:10])
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if CASES[c][0] == "eliminate"])
+def test_eliminate_matches_golden(case):
+    _check(case)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if CASES[c][0] != "eliminate"])
+def test_other_subcommands_match_golden(case):
+    _check(case)
 
 
 def _lines(records):

@@ -17,8 +17,9 @@ from ohmgraph import (
     schur_complement,
     torus,
 )
-from ohmgraph.localization import _abs_quadratic, _degree_vector
+from ohmgraph.localization import _abs_rows, _degree_vector, _pair_value
 from ohmgraph.schur import _block_prob_map, _eliminate_pivot
+from ohmgraph.solver import LaplacianSystem
 
 from conftest import laplacian_pinv, random_connected_graph, single_edge, triangle
 
@@ -133,11 +134,16 @@ def _drops(g, pm):
     return pm[:, g.tails] - pm[:, g.heads]
 
 
+def _abs_quadratic(A, pinv, z):
+    """z^T |A^T L^+ A| z, given the pseudoinverse ``L^+``."""
+    return float(z @ _abs_rows(A.T @ (pinv @ A), z))
+
+
 def _from_scratch(g, verts, w):
     """Probability map, degrees and V on the surviving set, rebuilt from the
     base graph by block elimination and a fresh solve."""
     pm, schur = _block_prob_map(g, verts)
-    degrees = _degree_vector(g, _drops(g, pm), w)[0]
+    degrees = _degree_vector(g, _drops(g, pm), w)
     z = w * np.sqrt(g.conductances)
     v = _abs_quadratic(_drops(g, pm), laplacian_pinv(schur), z)
     return pm, degrees, v
@@ -179,7 +185,7 @@ class TestIncrementalEngine:
         trace = run_elimination(g, w, compute_vi=False)
         verts = np.arange(g.n_vertices)
         for step in trace.steps:
-            degrees = _degree_vector(g, _drops(g, _block_prob_map(g, verts)[0]), w)[0]
+            degrees = _degree_vector(g, _drops(g, _block_prob_map(g, verts)[0]), w)
             lowest = degrees.min()
             tied = verts[degrees <= lowest + 1e-12 * abs(lowest)]
             assert step.pivot == tied.min()
@@ -196,8 +202,7 @@ class TestIncrementalEngine:
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_rank_one_identity_rejects_relative_mismatch(self, monkeypatch, scale):
         def perturbed(graph, drops, w):
-            degrees, den, degenerate = _degree_vector(graph, drops, w)
-            return degrees * (1 + 1e-6), den, degenerate
+            return _degree_vector(graph, drops, w) * (1 + 1e-6)
 
         monkeypatch.setattr(localization, "_degree_vector", perturbed)
         g = random_regular_expander(64, 4, seed=3)
@@ -211,13 +216,19 @@ class TestIncrementalEngine:
         assert len(run_elimination(torus(3), np.ones(18), compute_vi=False).steps) == 7
 
     def test_oracle_rejects_probability_map_drift(self, monkeypatch):
-        # the oracle compares edge drops, which a constant shift of the map
-        # leaves unchanged; scaling the map changes every nonzero drop
-        def scaled(graph, S):
-            pm, schur = _block_prob_map(graph, S)
-            return pm * (1 + 1e-6), schur
+        # the reference drops are f / R from the pair solve, which scaling the
+        # potentials leaves unchanged; shifting one non-terminal potential
+        # changes f on its edges and not R
+        trace = run_elimination(torus(3), np.ones(18), compute_vi=False)
+        inner = next(x for x in range(9) if x not in trace.terminal_pair)
+        solve = LaplacianSystem.solve
 
-        monkeypatch.setattr(localization, "_block_prob_map", scaled)
+        def shifted(self, b):
+            phi = solve(self, b)
+            phi[inner] += 1e-6
+            return phi
+
+        monkeypatch.setattr(LaplacianSystem, "solve", shifted)
         with pytest.raises(LocalizationError, match="from-scratch drops"):
             run_elimination(torus(3), np.ones(18), compute_vi=False)
 
@@ -227,11 +238,11 @@ class TestIncrementalEngine:
         calls = []
 
         def corrupted(L, rows, alive, k):
-            nb = _eliminate_pivot(L, rows, alive, k)
+            nb, updated = _eliminate_pivot(L, rows, alive, k)
             calls.append(k)
             if len(calls) == 7:
                 rows[nb[0], 0] += 1e-6
-            return nb
+            return nb, updated
 
         monkeypatch.setattr(localization, "_eliminate_pivot", corrupted)
         with pytest.raises(LocalizationError, match="from-scratch drops"):
@@ -239,7 +250,7 @@ class TestIncrementalEngine:
         assert len(calls) == 7
 
     def test_oracle_rejects_vi_drift(self, monkeypatch):
-        monkeypatch.setattr(localization, "_abs_quadratic", lambda *a: 1.0001 * _abs_quadratic(*a))
+        monkeypatch.setattr(localization, "_pair_value", lambda *a: 1.0001 * _pair_value(*a))
         with pytest.raises(LocalizationError, match="from-scratch value"):
             run_elimination(torus(3), np.ones(18))
 
