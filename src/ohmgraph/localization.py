@@ -1,12 +1,13 @@
 """Greedy elimination driver for the absolute-impedance quadratic form.
 
-Tracks the quantity V_i = z^T |A_i^T L_i^+ A_i| z along a vertex-elimination
-schedule, where L_i is the Laplacian after i eliminations, the columns of A_i
-are the hitting-probability drops of the original edges onto the surviving
-terminal set, and z is the conductance-scaled weight vector.  Each step is
-charged against the eliminated vertex's sparsity score ("degree"), whose sum
-over any terminal set obeys an explicit logarithmic bound.  A run factors
-the Laplacian once and checks its terminal pair with one solve against it.
+Tracks the quantity V_i = w^T |Pi_i| w along a vertex-elimination schedule,
+where ``Pi_i = sqrt(C) A_i^T L_i^+ A_i sqrt(C)``, L_i is the Laplacian after i
+eliminations and the columns of A_i are the hitting-probability drops of the
+original edges onto the surviving terminal set; Pi_0 is the impedance Pi.
+Each step is charged against the eliminated vertex's sparsity score
+("degree"), whose sum over any terminal set obeys an explicit logarithmic
+bound.  A run factors the Laplacian once and checks its terminal pair with
+one solve against it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, quadratic_form_abs
+from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, _edge_potentials, quadratic_form_abs
 from .graph import Graph, laplacian_matrix
-from .schur import _eliminate_pivot, schur_complement
+from .schur import _check_drop_energy, _eliminate_pivot, schur_complement
 from .solver import LaplacianSystem
 
 __all__ = [
@@ -100,20 +101,16 @@ def _bucket_count(s: int) -> int:
 def _degree_vector(graph: Graph, drops: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Degree ``(|q| . z)^2 / sum_e c_e q_e^2`` of every row ``q`` of
     ``drops``, one row per terminal holding its hitting-probability drop
-    ``p(tail) - p(head)`` across every edge.  On a connected graph each drop
-    energy (the denominator) is positive, since p is 1 at the terminal and 0
-    at any other; one below the smallest normal double has lost its
-    precision and raises ``FloatingPointError``."""
+    ``p(tail) - p(head)`` across every edge; each drop energy (the
+    denominator) passes :func:`ohmgraph.schur._check_drop_energy`.  The
+    ratio ``|q| . z / sqrt(energy)`` is formed before it is squared, so the
+    conductance scale cancels before a square can underflow or overflow."""
     q = np.abs(drops)
     z = w * np.sqrt(graph.conductances)
-    num = (q @ z) ** 2
+    num = q @ z
     den = np.square(q, out=q) @ graph.conductances
-    if not np.all(den >= np.finfo(float).tiny):  # NaN fails too
-        raise FloatingPointError(
-            f"drop energy {float(den.min()):.3e} is below the smallest normal double; "
-            "the conductances are too small to eliminate in double precision"
-        )
-    return num / den
+    _check_drop_energy(float(den.min()))  # NaN propagates through min
+    return (num / np.sqrt(den)) ** 2
 
 
 def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
@@ -126,32 +123,32 @@ def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     return DegreeProfile(vertices=system.vertices, degrees=degrees, total=float(degrees.sum()), bound=bound)
 
 
-def _abs_rows(M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row values ``|M| z`` with entries below ``ABS_ZERO_TOL`` zeroed, so that
-    ``z^T |M| z = z . _abs_rows(M, z)``.  Works in row blocks, so
+def _abs_rows(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row values ``|P| w`` with entries below ``ABS_ZERO_TOL`` zeroed, so that
+    ``w^T |P| w = w . _abs_rows(P, w)``.  Works in row blocks, so
     temporaries stay at ``_VI_BLOCK`` rows."""
-    return np.concatenate([_abs_zeroed(M[lo : lo + _VI_BLOCK]) @ z for lo in range(0, M.shape[0], _VI_BLOCK)])
+    return np.concatenate([_abs_zeroed(P[lo : lo + _VI_BLOCK]) @ w for lo in range(0, P.shape[0], _VI_BLOCK)])
 
 
-def _downdate_rows(M: np.ndarray, row_vals: np.ndarray, z: np.ndarray, a: np.ndarray, d: float) -> None:
-    """Downdate ``M -= a a^T / d`` in place and refresh ``row_vals`` (the
-    :func:`_abs_rows` of ``M``) where it changes.  Only rows and columns in
+def _downdate_rows(P: np.ndarray, row_vals: np.ndarray, w: np.ndarray, a: np.ndarray, d: float) -> None:
+    """Downdate ``P -= a a^T / d`` in place and refresh ``row_vals`` (the
+    :func:`_abs_rows` of ``P``) where it changes.  Only rows and columns in
     ``supp(a)`` change, so only those rows are gathered, downdated and
     written back, ``_VI_BLOCK`` rows at a time."""
     supp = np.flatnonzero(a)
     for lo in range(0, supp.size, _VI_BLOCK):
         r = supp[lo : lo + _VI_BLOCK]
-        rows = M[r]
+        rows = P[r]
         rows -= np.outer(a[r] / d, a)
-        M[r] = rows
-        row_vals[r] = _abs_zeroed(rows, out=rows) @ z
+        P[r] = rows
+        row_vals[r] = _abs_zeroed(rows, out=rows) @ w
 
 
-def _pair_value(f: np.ndarray, R: float, z: np.ndarray) -> float:
-    """``z^T |f f^T / R| z`` with entries below ``ABS_ZERO_TOL`` zeroed;
+def _pair_value(f: np.ndarray, R: float, w: np.ndarray) -> float:
+    """``w^T |f f^T / R| w`` with entries below ``ABS_ZERO_TOL`` zeroed;
     ``f / sqrt(R)`` keeps the outer product in range."""
     s = f / np.sqrt(R)
-    return float(z @ _abs_rows(np.outer(s, s), z))
+    return float(w @ _abs_rows(np.outer(s, s), w))
 
 
 def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
@@ -188,20 +185,23 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     below the smallest normal double raises ``FloatingPointError``.  A
     non-positive pivot diagonal raises :class:`LocalizationError`.
 
-    With ``compute_vi`` the edge-space matrix ``M_0 = A_0^T L^+ A_0`` is
-    built from one ``solve_columns`` over the m incidence columns and
-    updated as ``M_{i+1} = M_i - a_k a_k^T / L[k, k]``.
-    ``V_i = z^T |M_i| z`` zeroes entries below ``ABS_ZERO_TOL`` as the direct
-    computation does.  Only the rows of M in ``supp(a_k)`` change, so only
-    they are downdated and only their row values ``|M[r]| z`` recomputed;
-    ``V_{i+1}`` is their dot product with z.  M is one m x m array, so
+    With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is gathered from
+    :func:`ohmgraph.electrical._edge_potentials` (the block solves of the n
+    identity columns that :class:`~ohmgraph.electrical.TransferImpedance`
+    makes) and ``Pi_{i+1} = Pi_i - s_k s_k^T / L[k, k]`` with the scaled
+    drop ``s_k = sqrt(C) a_k``.  Entries below ``ABS_ZERO_TOL`` are zeroed as
+    in :func:`~ohmgraph.electrical.quadratic_form_abs`, so V_0 is that form
+    and every V_i is unchanged when all conductances are scaled.  Only the
+    rows of Pi in ``supp(a_k)`` change, so only they are downdated and only
+    their row values ``|Pi[r]| w`` recomputed.  Pi is one m x m array, so
     tracking is refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
 
     The terminal pair u < v is one resistor, checked by one pair solve
     ``phi = L^+ (e_u - e_v)``: with drops ``f = phi[tails] - phi[heads]``
     and ``R = phi_u - phi_v``, rows u and v of D must equal ``f / R`` and
-    ``-f / R`` to 1e-9, and V_T must equal ``z^T |f f^T / R| z`` (built
-    after M is freed) to 1e-8 relative, else :class:`LocalizationError`.
+    ``-f / R`` to 1e-9, and V_T must equal ``w^T |s s^T / R| w`` with
+    ``s = sqrt(C) f`` (built after Pi is freed) to 1e-8 relative, else
+    :class:`LocalizationError`.
     """
     w = _check_weights(graph, w)
     n, m = graph.n_vertices, graph.n_edges
@@ -212,7 +212,8 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         )
     system = LaplacianSystem(graph)  # checks n >= 2, connectivity and overflow
     tails, heads = graph.tails, graph.heads
-    z = w * np.sqrt(graph.conductances)
+    sqrt_c = np.sqrt(graph.conductances)
+    z = w * sqrt_c
     w_norm_sq = float(w @ w)
 
     L = laplacian_matrix(graph)
@@ -224,11 +225,13 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     degrees = _degree_vector(graph, D, w)
     v_vals: list[float] = []
     if compute_vi:
-        Y = system.solve_columns(D)
-        M = Y[tails] - Y[heads]  # A_0^T L^+ A_0, A_0 the incidence matrix
+        Y = _edge_potentials(system, graph)
+        P = Y[tails]
+        P -= Y[heads]
         del Y
-        row_vals = _abs_rows(M, z)
-        v_vals.append(float(z @ row_vals))
+        P *= sqrt_c[:, None]  # Pi_0 = sqrt(C) B L^+ B^T sqrt(C)
+        row_vals = _abs_rows(P, w)
+        v_vals.append(float(w @ row_vals))
     pivots: list[int] = []
     degree_vals: list[float] = []
     rank_one_vals: list[float] = []
@@ -239,7 +242,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         if d <= 0:
             raise LocalizationError(f"pivot diagonal {d:.3e} is not positive")
         a = D[k]  # row k is never written again once k is eliminated
-        rank_one = float(np.abs(a) @ z) ** 2 / d
+        rank_one = (float(np.abs(a) @ z) / np.sqrt(d)) ** 2
         degree = float(degrees[k])
         if not abs(rank_one - degree) <= _IDENTITY_TOL * max(1.0, abs(degree)):  # NaN fails
             raise LocalizationError(
@@ -252,8 +255,8 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         nb, drops = _eliminate_pivot(L, D, alive, k)
         degrees[nb] = _degree_vector(graph, drops, w)
         if compute_vi:
-            _downdate_rows(M, row_vals, z, a, d)
-            v_vals.append(float(z @ row_vals))
+            _downdate_rows(P, row_vals, w, a * sqrt_c, d)
+            v_vals.append(float(w @ row_vals))
 
     u, v = (int(x) for x in np.flatnonzero(alive))
     e_uv = np.zeros(n)
@@ -268,8 +271,8 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
             f"at the terminal pair, beyond {_ORACLE_PM_TOL:.0e}"
         )
     if compute_vi:
-        del M, row_vals  # before the m x m reference
-        v_ref = _pair_value(f, R, z)
+        del P, row_vals  # before the m x m reference
+        v_ref = _pair_value(f * sqrt_c, R, w)
         if not abs(v_vals[-1] - v_ref) <= _ORACLE_VI_RTOL * abs(v_ref):  # NaN fails
             raise LocalizationError(
                 f"incremental V_T = {v_vals[-1]!r} differs from the from-scratch value {v_ref!r} "

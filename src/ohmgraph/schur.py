@@ -278,13 +278,28 @@ def hitting_probabilities(graph: Graph, terminals, method: str = "block") -> np.
     raise ValueError(f"unknown method {method!r}; use 'block', 'identify', or 'walk_oracle'")
 
 
-def _drops(system: SchurSystem, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per base edge, the drop ``|p(x) - p(y)|`` of ``v``'s hitting
-    probability across the edge and the larger endpoint probability."""
+def _check_drop_energy(energy: float) -> None:
+    """Raise ``FloatingPointError`` unless a terminal's drop energy
+    ``sum_e c_e (p(x) - p(y))^2`` is a normal double.  On a connected graph
+    it is positive, since p is 1 at the terminal and 0 at the others; one
+    below the smallest normal double has lost its precision."""
+    if not energy >= np.finfo(float).tiny:  # NaN fails too
+        raise FloatingPointError(
+            f"drop energy {energy:.3e} is below the smallest normal double; "
+            "the conductances are too small for double precision"
+        )
+
+
+def _drop_energies(system: SchurSystem, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per base edge, the energy ``c_e (p(x) - p(y))^2`` of ``v``'s hitting
+    probability drop across the edge, checked by :func:`_check_drop_energy`
+    in total, and the larger endpoint probability."""
     row = system.prob_map[system.local_index(v)]
     px = row[system.base.tails]
     py = row[system.base.heads]
-    return np.abs(px - py), np.maximum(px, py)
+    energy = system.base.conductances * (px - py) ** 2
+    _check_drop_energy(float(energy.sum()))
+    return energy, np.maximum(px, py)
 
 
 def check_sum_potentials(system: SchurSystem, edge_index: int) -> float:
@@ -305,12 +320,12 @@ def check_norm_energy(system: SchurSystem, v: int, p: float) -> tuple[float, flo
     ``lhs`` is the conductance-weighted square of ``v``'s probability drops
     over base edges whose endpoint probabilities both stay at or below ``p``;
     ``rhs`` is ``p`` times the total drop energy.  The contract is
-    ``lhs <= rhs``.
+    ``lhs <= rhs``.  A total drop energy below the smallest normal double
+    raises ``FloatingPointError``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must lie in (0, 1)")
-    q, level = _drops(system, v)
-    energy = system.base.conductances * q**2
+    energy, level = _drop_energies(system, v)
     lhs = float(energy[level <= p].sum())
     rhs = float(p * energy.sum())
     return lhs, rhs
@@ -323,10 +338,10 @@ def check_schur_conductance(system: SchurSystem, v: int) -> tuple[float, float]:
     read as the negated off-diagonal entries of ``v``'s row of the eliminated
     Laplacian, none pruned; ``rhs`` is the conductance-weighted square of
     ``v``'s probability drops over the base edges.  The two agree to solver
-    accuracy.
+    accuracy.  A drop energy below the smallest normal double raises
+    ``FloatingPointError``.
     """
     i = system.local_index(v)
     lhs = -float(np.delete(system.laplacian[i], i).sum())
-    q, _ = _drops(system, v)
-    rhs = float((system.base.conductances * q**2).sum())
+    rhs = float(_drop_energies(system, v)[0].sum())
     return lhs, rhs

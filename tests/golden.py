@@ -11,10 +11,14 @@ terminal pair, step counts, vertex ids and verdicts do; every other number
 within ``RTOL`` relative, except ``slack``, which is a difference of V
 values and is held within ``RTOL * v0`` absolute.
 
-Regenerate every file (after a change that is meant to move roundoff, and
-say so in CHANGES.md) with::
+Regenerate the files after a change that is meant to move roundoff (and
+say so in CHANGES.md), or write the file of a new case, with::
 
-    PYTHONPATH=src python tests/golden.py --write
+    PYTHONPATH=src python tests/golden.py --write [CASE ...]
+
+Named cases are the only ones written (or, without ``--write``, compared);
+with no names every case is.  Naming only the new or changed cases keeps the
+other files' last digits as committed.
 """
 
 from __future__ import annotations
@@ -127,10 +131,14 @@ def compare(got_text: str, want_text: str) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--write", action="store_true", help="regenerate every golden file")
+    parser.add_argument("--write", action="store_true", help="regenerate the golden files of the selected cases")
+    parser.add_argument("cases", nargs="*", metavar="CASE", help=f"cases to select (default: all): {', '.join(CASES)}")
     args = parser.parse_args(argv)
+    unknown = [c for c in args.cases if c not in CASES]
+    if unknown:
+        parser.error(f"unknown case(s): {', '.join(unknown)}")
     failed = 0
-    for case in CASES:
+    for case in args.cases or CASES:
         text = run_case(case)
         if args.write:
             golden_path(case).write_text(text, encoding="utf-8")

@@ -153,12 +153,13 @@ class TestEliminate:
         assert pivots[0] == pivots[1]
 
     def test_conductance_scale_does_not_move_pivots(self, capsys, tmp_path):
-        # degrees, the rank-one check and the terminal-pair check are
-        # scale-free, so every scale in range gives the unit-scale pivots
+        # degrees, the rank-one check, the terminal-pair check and the
+        # tracked V_i (zeroed on entries of Pi) are scale-free, so every
+        # scale in range gives the unit-scale pivots and values
         for flags in ([], ["--skip-vi"]):
             _, out, _ = run(capsys, "eliminate", "--graph", "torus:6", *flags)
             want = [json.loads(l) for l in out.splitlines()]
-            for factor in (1e-300, 1e-160, 1e-100, 1e-31, 1e160, 1e300):
+            for factor in (1e-300, 1e-160, 1e-100, 1e-31, 1e11, 1e12, 1e20, 1e160, 1e300):
                 src = write_scaled(tmp_path / f"torus6_x{factor:g}.txt", "torus:6", factor)
                 code, out, err, caught = run_warned(capsys, "eliminate", "--graph", src, *flags)
                 assert (code, err, caught) == (0, "", []), (flags, factor, err)
@@ -167,6 +168,14 @@ class TestEliminate:
                 assert got[-1]["terminal"] == want[-1]["terminal"]
                 for g, w in zip(got[:-1], want[:-1]):
                     assert abs(g["degree_value"] - w["degree_value"]) <= 1e-12 * w["degree_value"], (flags, factor)
+                if flags:
+                    continue
+                v0 = want[-1]["v0"]
+                for key in ("v0", "v_terminal"):
+                    assert abs(got[-1][key] - want[-1][key]) <= 1e-12 * want[-1][key], (factor, key)
+                for g, w in zip(got[:-1], want[:-1]):
+                    assert abs(g["v_i"] - w["v_i"]) <= 1e-12 * w["v_i"], (factor, g)
+                    assert abs(g["slack"] - w["slack"]) <= 1e-12 * v0, (factor, g)
             # every conductance subnormal: the drop energies have lost their precision
             src = write_scaled(tmp_path / "torus6_subnormal.txt", "torus:6", 5e-324)
             code, out, err, caught = run_warned(capsys, "eliminate", "--graph", src, *flags)
@@ -440,12 +449,18 @@ class TestExitCodes:
                 2,
             ),
             (["eliminate", "--graph", "triangle", "--w", "{w.txt}"], {"w.txt": "1e200 1 1\n"}, 2),
+            (
+                ["verify", "--graph", "{subnormal.txt}", "--trials", "3"],
+                {"subnormal.txt": "0 1 5e-324\n1 2 5e-324\n2 0 5e-324\n"},
+                2,
+            ),
         ],
-        ids=["inf_amount", "summed_overflow", "potential_overflow", "tiny_conductance", "huge_weight"],
+        ids=["inf_amount", "summed_overflow", "potential_overflow", "tiny_conductance", "huge_weight", "subnormal_verify"],
     )
     def test_hostile_numbers_fail_cleanly(self, capsys, tmp_path, argv, files, want):
-        # a bad amount is a usage error; an overflow is a numerical failure,
-        # never NaN or Infinity on stdout beside a numpy warning
+        # a bad amount is a usage error; an overflow, or a drop energy with no
+        # significant digit left, is a numerical failure, never NaN or
+        # Infinity (or a verdict on nothing) on stdout beside a numpy warning
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         argv = [str(tmp_path / a[1:-1]) if a[1:-1] in files else a for a in argv]

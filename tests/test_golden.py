@@ -1,7 +1,9 @@
 import json
+import shutil
 
 import pytest
 
+import golden
 from golden import CASES, compare, golden_path, run_case
 
 
@@ -60,3 +62,27 @@ class TestComparer:
         records[0]["degree"] = records[0].pop("degree_value")
         assert compare(_lines(records), _lines(self.want))
         assert compare(_lines(self.want[1:]), _lines(self.want))
+
+
+class TestWrite:
+    def test_writes_only_named_cases(self, tmp_path, monkeypatch):
+        copy = tmp_path / "golden"
+        shutil.copytree(golden.GOLDEN_DIR, copy)
+        monkeypatch.setattr(golden, "GOLDEN_DIR", copy)
+        for case in CASES:
+            golden_path(case).write_text("stale\n", encoding="utf-8")
+        assert golden.main(["--write", "route_torus6", "generate_expander64"]) == 0
+        for case in CASES:
+            text = golden_path(case).read_text(encoding="utf-8")
+            if case in ("route_torus6", "generate_expander64"):
+                assert text == run_case(case)
+            else:
+                assert text == "stale\n", case
+        assert golden.main(["route_torus6"]) == 0
+        assert golden.main(["verify_torus6"]) == 1
+
+    def test_unknown_case_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            golden.main(["--write", "no_such_case"])
+        assert exc.value.code == 2
+        assert "unknown case(s): no_such_case" in capsys.readouterr().err

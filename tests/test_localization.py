@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ohmgraph.electrical as electrical
 import ohmgraph.localization as localization
 from ohmgraph import (
     LocalizationError,
@@ -134,18 +137,18 @@ def _drops(g, pm):
     return pm[:, g.tails] - pm[:, g.heads]
 
 
-def _abs_quadratic(A, pinv, z):
-    """z^T |A^T L^+ A| z, given the pseudoinverse ``L^+``."""
-    return float(z @ _abs_rows(A.T @ (pinv @ A), z))
+def _abs_quadratic(A, pinv, w):
+    """w^T |A^T L^+ A| w, given the pseudoinverse ``L^+``."""
+    return float(w @ _abs_rows(A.T @ (pinv @ A), w))
 
 
 def _from_scratch(g, verts, w):
     """Probability map, degrees and V on the surviving set, rebuilt from the
-    base graph by block elimination and a fresh solve."""
+    base graph by block elimination and a fresh solve; V zeroes entries of
+    the surviving impedance ``sqrt(C) A^T L_S^+ A sqrt(C)``."""
     pm, schur = _block_prob_map(g, verts)
     degrees = _degree_vector(g, _drops(g, pm), w)
-    z = w * np.sqrt(g.conductances)
-    v = _abs_quadratic(_drops(g, pm), laplacian_pinv(schur), z)
+    v = _abs_quadratic(_drops(g, pm) * np.sqrt(g.conductances), laplacian_pinv(schur), w)
     return pm, degrees, v
 
 
@@ -253,6 +256,69 @@ class TestIncrementalEngine:
         monkeypatch.setattr(localization, "_pair_value", lambda *a: 1.0001 * _pair_value(*a))
         with pytest.raises(LocalizationError, match="from-scratch value"):
             run_elimination(torus(3), np.ones(18))
+
+    def test_tracked_run_solves_n_identity_columns_and_the_pair(self, monkeypatch):
+        # Pi_0 comes from the impedance's own block solves of the n identity
+        # columns, not from a solve of the m incidence columns
+        widths = []
+        solve_columns = LaplacianSystem.solve_columns
+
+        def spy(self, B):
+            widths.append(np.asarray(B).shape[1])
+            return solve_columns(self, B)
+
+        monkeypatch.setattr(LaplacianSystem, "solve_columns", spy)
+        monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 8)
+        g = torus(5)
+        run_elimination(g, np.ones(g.n_edges))
+        assert widths == [8, 8, 8, 1, 1]  # 25 columns for Pi_0, then the pair solve
+        widths.clear()
+        run_elimination(g, np.ones(g.n_edges), compute_vi=False)
+        assert widths == [1]
+
+
+def _scaled(g, factor):
+    return build_graph([(t, h, c * factor) for t, h, c in g.edge_list()], n_vertices=g.n_vertices)
+
+
+@st.composite
+def _weighted_multigraphs(draw):
+    """A connected multigraph on n <= 10 vertices (a random spanning tree
+    plus extra edges, parallel ones allowed) with log-uniform conductances
+    in [1e-3, 1e3], and edge weights in [0, 2]."""
+    n = draw(st.integers(2, 10))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    ends += draw(st.lists(pair, max_size=2 * n))
+    exponents = draw(st.lists(st.floats(-3, 3), min_size=len(ends), max_size=len(ends)))
+    g = build_graph([(t, h, 10.0**x) for (t, h), x in zip(ends, exponents)], n_vertices=n)
+    w = np.array(draw(st.lists(st.floats(0, 2), min_size=len(ends), max_size=len(ends))))
+    return g, w
+
+
+class TestConductanceScaling:
+    @pytest.mark.parametrize("factor", [1e11, 1e12, 1e300])
+    def test_harmonic_bound_check_at_large_scales(self, factor):
+        g = _scaled(torus(6), factor)
+        assert harmonic_bound_check(g, np.ones(g.n_edges)).ok
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instance=_weighted_multigraphs(), k=st.integers(-250, 250))
+    # |q| . z is about 1e-162 here: squared before the division by the drop
+    # energy it underflows, and the pivot moves
+    @example(instance=(build_graph([(0, 1, 1.0), (0, 2, 1.0)]), np.array([0.0, 4.26e-155])), k=-15)
+    def test_elimination_is_scale_free(self, instance, k):
+        g, w = instance
+        scaled = _scaled(g, 10.0**k)
+        base = run_elimination(g, w)
+        trace = run_elimination(scaled, w)
+        assert [s.pivot for s in trace.steps] == [s.pivot for s in base.steps]
+        assert trace.terminal_pair == base.terminal_pair
+        v0 = base.v_initial
+        got = [s.v_i for s in trace.steps] + [trace.v_terminal]
+        want = [s.v_i for s in base.steps] + [base.v_terminal]
+        assert np.abs(np.subtract(got, want)).max() <= 1e-9 * v0
+        assert abs(trace.v_initial - quadratic_form_abs(scaled, w)) <= 1e-10 * v0
 
 
 class TestHarmonicBoundCheck:

@@ -4,6 +4,7 @@ import pytest
 from ohmgraph import (
     DisconnectedGraphError,
     SchurResidueError,
+    SchurSystem,
     build_graph,
     check_norm_energy,
     check_schur_conductance,
@@ -286,3 +287,16 @@ class TestSchurConductance:
         for v in S:
             lhs, rhs = check_schur_conductance(sys, int(v))
             assert abs(lhs - rhs) <= 1e-8 * rhs
+
+
+class TestDropEnergyPrecision:
+    @pytest.mark.parametrize("check", [lambda s: check_norm_energy(s, 0, 0.5), lambda s: check_schur_conductance(s, 0)])
+    def test_energy_below_smallest_normal_raises(self, check):
+        tiny = build_graph([(0, 1, 5e-324), (1, 2, 5e-324), (2, 0, 5e-324)])
+        with pytest.raises(FloatingPointError, match="smallest normal double"):
+            check(schur_complement(tiny, range(3)))
+        system = schur_complement(triangle(), range(3))
+        nan_map = system.prob_map.copy()
+        nan_map[0, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="nan is below"):
+            check(SchurSystem(base=system.base, vertices=system.vertices, laplacian=system.laplacian, prob_map=nan_map))
