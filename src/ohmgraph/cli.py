@@ -63,31 +63,40 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _rows(columns: dict, field: str, sep: str, null: str = "", prefix: str = "", suffix: str = "") -> list[str]:
+    """One text row per entry of the equal-length 1-D arrays in ``columns``.
+
+    Each column gives one ``field``, formatted with the column's JSON name
+    and the text of the row's entry, or with ``null`` for a ``None`` column.
+    A row is ``prefix``, the fields joined by ``sep``, and ``suffix``, so
+    braces in those two are doubled.  Entry texts come from one call of
+    json's C encoder per column: a float prints as its ``repr``, the
+    shortest text that reads back to the same double.
+    """
+    fields, texts = [], []
+    for name, values in columns.items():
+        fields.append(field.format(json.dumps(name), null if values is None else "{}"))
+        if values is not None:  # json.dumps([])[1:-1] would split into one empty row
+            texts.append(json.dumps(values.tolist())[1:-1].split(", ") if len(values) else [])
+    return list(map((prefix + sep.join(fields) + suffix).format, *texts))
+
+
 def _dumps_table(head: dict, key: str, columns: dict) -> str:
     """``json.dumps({**head, key: records}, indent=2)``, byte for byte.
 
     Record i maps each name of ``columns`` to entry i of its 1-D array, or to
     null for a ``None`` column; there is at least one record.  With
-    ``indent`` set, json runs its pure-Python encoder; here each column's
-    number text comes from one call of the C encoder and fills one fixed
-    record template.
+    ``indent`` set, json runs its pure-Python encoder; here every record is
+    one fill of a fixed template by :func:`_rows`.
     """
-    fields, texts = [], []
-    for name, values in columns.items():
-        if values is None:
-            fields.append(f"      {json.dumps(name)}: null")
-        else:
-            fields.append(f"      {json.dumps(name)}: {{}}")
-            texts.append(json.dumps(values.tolist())[1:-1].split(", "))
-    record = "    {{\n" + ",\n".join(fields) + "\n    }}"
-    rows = ",\n".join(map(record.format, *texts))
+    rows = ",\n".join(_rows(columns, "      {}: {}", ",\n", "null", "    {{\n", "\n    }}"))
     return f"{json.dumps(head, indent=2)[:-2]},\n  {json.dumps(key)}: [\n{rows}\n  ]\n}}"
 
 
 def _cmd_generate(args) -> int:
     g = load_graph(args.graph)
-    lines = [f"{t} {h} {c!r}" for t, h, c in g.edge_list()]
-    _emit("\n".join(lines), args.out)
+    columns = {"tail": g.tails, "head": g.heads, "conductance": g.conductances}
+    _emit("\n".join(_rows(columns, "{1}", " ")), args.out)
     return EXIT_OK
 
 
@@ -98,14 +107,9 @@ def _cmd_analyze(args) -> int:
     reff = diag / g.conductances
     unweighted = g.is_unweighted
     delta = colsums if unweighted else None
+    columns = {"tail": g.tails, "head": g.heads, "delta": delta, "l1": l1, "reff": reff}
     if args.format == "csv":
-        tails = g.tails.tolist()
-        heads = g.heads.tolist()
-        rows = ["tail,head,delta,l1,reff"]
-        for e in range(g.n_edges):
-            d = repr(float(delta[e])) if unweighted else ""
-            rows.append(f"{tails[e]},{heads[e]},{d},{float(l1[e])!r},{float(reff[e])!r}")
-        _emit("\n".join(rows), args.out)
+        _emit("\n".join([",".join(columns), *_rows(columns, "{1}", ",")]), args.out)
         return EXIT_OK
     spectral = tp.abs_spectral_norm()
     head = {
@@ -118,7 +122,6 @@ def _cmd_analyze(args) -> int:
         "mean_delta": float(delta.mean()) if unweighted else None,
         "max_delta": float(delta.max()) if unweighted else None,
     }
-    columns = {"tail": g.tails, "head": g.heads, "delta": delta, "l1": l1, "reff": reff}
     _emit(_dumps_table(head, "per_edge", columns), args.out)
     return EXIT_OK
 
@@ -185,44 +188,27 @@ def _cmd_verify(args) -> int:
         S = np.sort(rng.choice(n, size=size, replace=False))
         terminals = [int(v) for v in S]
         system = schur_complement(g, S)
-        if "sum_potentials" in props:
-            e = int(rng.integers(g.n_edges))
-            lhs = check_sum_potentials(system, e)
+        for prop in props:
+            if prop == "sum_potentials":
+                params = {"edge": int(rng.integers(g.n_edges))}
+                lhs, rhs = check_sum_potentials(system, params["edge"]), 3.0
+                ok = lhs <= rhs + 1e-9
+            elif prop == "norm_energy":
+                params = {"v": int(S[rng.integers(size)]), "p": float(rng.uniform(0.05, 0.95))}
+                lhs, rhs = check_norm_energy(system, params["v"], params["p"])
+                ok = lhs <= rhs * (1 + 1e-9)
+            else:
+                params = {"v": int(S[rng.integers(size)])}
+                lhs, rhs = check_schur_conductance(system, params["v"])
+                ok = abs(lhs - rhs) <= 1e-8 * rhs
             records.append(
                 {
-                    "prop": "sum_potentials",
+                    "prop": prop,
                     "graph": args.graph,
-                    "params": {"S": terminals, "edge": e},
-                    "lhs": lhs,
-                    "rhs": 3.0,
-                    "ok": bool(lhs <= 3.0 + 1e-9),
-                }
-            )
-        if "norm_energy" in props:
-            v = int(S[rng.integers(size)])
-            p = float(rng.uniform(0.05, 0.95))
-            lhs, rhs = check_norm_energy(system, v, p)
-            records.append(
-                {
-                    "prop": "norm_energy",
-                    "graph": args.graph,
-                    "params": {"S": terminals, "v": v, "p": p},
+                    "params": {"S": terminals, **params},
                     "lhs": lhs,
                     "rhs": rhs,
-                    "ok": bool(lhs <= rhs * (1 + 1e-9)),
-                }
-            )
-        if "schur_conductance" in props:
-            v = int(S[rng.integers(size)])
-            lhs, rhs = check_schur_conductance(system, v)
-            records.append(
-                {
-                    "prop": "schur_conductance",
-                    "graph": args.graph,
-                    "params": {"S": terminals, "v": v},
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "ok": bool(abs(lhs - rhs) <= 1e-8 * rhs),
+                    "ok": bool(ok),
                 }
             )
     _emit("\n".join(json.dumps(r) for r in records), args.out)

@@ -9,6 +9,7 @@ are rejected at input.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,10 @@ def _edge_error(t: int, h: int, c: float) -> str | None:
 def build_graph(edges, n_vertices: int | None = None) -> Graph:
     """Build a :class:`Graph` from ``(tail, head, conductance)`` triples.
 
-    Edge order and orientation follow the input.  Rejects self-loops,
-    non-positive or non-finite conductances, and out-of-range ids.  When
-    ``n_vertices`` is omitted it is inferred as ``max id + 1``.
+    Edge order and orientation follow the input.  Rejects non-integer ids
+    (floats too), self-loops, non-positive or non-finite conductances, and
+    out-of-range ids.  When ``n_vertices`` is omitted it is inferred as
+    ``max id + 1``.
     """
     edges = list(edges)
     if not edges and n_vertices is None:
@@ -103,7 +105,11 @@ def build_graph(edges, n_vertices: int | None = None) -> Graph:
             t, h, c = edge
         except (TypeError, ValueError):
             raise ValueError(f"edge {i}: expected a (tail, head, conductance) triple, got {edge!r}")
-        t, h, c = int(t), int(h), float(c)
+        try:
+            t, h = operator.index(t), operator.index(h)  # int() would truncate 1.7 to 1
+        except TypeError:
+            raise ValueError(f"edge {i}: vertex ids must be integers, got ({t!r}, {h!r})")
+        c = float(c)
         error = _edge_error(t, h, c)
         if error:
             raise ValueError(f"edge {i}: {error}")
@@ -320,23 +326,29 @@ def parse_family_spec(spec: str) -> Graph:
 # vertex count is max id + 1; conductances round-trip exactly via repr.
 
 
+def _parse_triples(lines, source: str, fields: str, error: type[ValueError]):
+    """``(lineno, int, int, float)`` per data line of an edge list or demand
+    file; blank and ``#`` lines are skipped, and a malformed line raises
+    ``error`` prefixed ``source:lineno:``, naming the ``fields`` expected."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise error(f"{source}:{lineno}: expected '{fields}', got {raw.rstrip()!r}")
+        try:
+            a, b, x = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise error(f"{source}:{lineno}: could not parse fields in {raw.rstrip()!r}")
+        yield lineno, a, b, x
+
+
 def read_graph(path_: str) -> Graph:
     """Read a graph from the edge-list text format, validating each edge once."""
     edges = []
     with open(path_, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphFormatError(
-                    f"{path_}:{lineno}: expected 'tail head conductance', got {raw.rstrip()!r}"
-                )
-            try:
-                t, h, c = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"{path_}:{lineno}: could not parse fields in {raw.rstrip()!r}")
+        for lineno, t, h, c in _parse_triples(fh, path_, "tail head conductance", GraphFormatError):
             error = _edge_error(t, h, c)
             if error:
                 raise GraphFormatError(f"{path_}:{lineno}: {error}")

@@ -307,24 +307,22 @@ def _harmonic_sum(n: int) -> float:
     return sum((6 * _bucket_count(s) + 6) / s for s in range(n, 2, -1))
 
 
-def harmonic_bound_check(graph: Graph, w, verify_trace: bool = True) -> HarmonicBoundReport:
+def harmonic_bound_check(graph: Graph, w) -> HarmonicBoundReport:
     """Compare the absolute-impedance quadratic form against the assembled
     elimination bound ``||w||^2 * (1 + sum_i (6*ceil(log2 |S_i|) + 6)/|S_i|)``.
 
-    With ``verify_trace`` the left side is also recomputed through the full
-    elimination trace and must agree with the direct streaming computation to
-    1e-6 relative (two independent code paths for the same quantity).
+    The left side is computed twice, by the direct streaming pass and as V_0
+    of the full elimination trace, and the two must agree to 1e-6 relative
+    (two independent code paths for the same quantity); the trace's V_0 is
+    reported.
     """
     w = _check_weights(graph, w)
     lhs = quadratic_form_abs(graph, w)
-    if verify_trace:
-        trace = run_elimination(graph, w)
-        v0 = trace.v_initial
-        if abs(v0 - lhs) > _V0_RTOL * max(abs(lhs), 1e-30):
-            raise LocalizationError(
-                f"trace V_0 = {v0!r} disagrees with the direct quadratic form {lhs!r} "
-                f"beyond {_V0_RTOL:.0e} relative"
-            )
-        lhs = v0
+    v0 = run_elimination(graph, w).v_initial
+    if abs(v0 - lhs) > _V0_RTOL * max(abs(lhs), 1e-30):
+        raise LocalizationError(
+            f"trace V_0 = {v0!r} disagrees with the direct quadratic form {lhs!r} "
+            f"beyond {_V0_RTOL:.0e} relative"
+        )
     bound = float(w @ w) * (1.0 + _harmonic_sum(graph.n_vertices))
-    return HarmonicBoundReport(lhs=lhs, harmonic_bound=bound, ok=bool(lhs <= bound + 1e-9))
+    return HarmonicBoundReport(lhs=v0, harmonic_bound=bound, ok=bool(v0 <= bound + 1e-9))

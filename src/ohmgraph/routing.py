@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrical import TransferImpedance
-from .graph import Graph
+from .graph import Graph, _parse_triples
 from .solver import LaplacianSystem
 
 __all__ = [
@@ -41,20 +41,8 @@ class RoutingReport:
 
 def parse_demands(text: str, source_name: str = "<demands>") -> list[Demand]:
     """Parse `source sink amount` triples, one per line, `#` comments allowed."""
-    demands = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{source_name}:{lineno}: expected 'source sink amount', got {raw!r}")
-        try:
-            s, t, a = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError(f"{source_name}:{lineno}: could not parse fields in {raw!r}")
-        demands.append(Demand(s, t, a))
-    return demands
+    lines = text.splitlines()
+    return [Demand(s, t, a) for _, s, t, a in _parse_triples(lines, source_name, "source sink amount", ValueError)]
 
 
 def _validate_demands(graph: Graph, demands: list[Demand]) -> None:

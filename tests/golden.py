@@ -44,9 +44,14 @@ CASES = {
     "eliminate_weighted_file": ("eliminate", "--graph", "@weighted_expander24.txt", "--w", "@weighted_expander24.w"),
     "analyze_torus6": ("analyze", "--graph", "torus:6"),
     "analyze_weighted_file_csv": ("analyze", "--graph", "@weighted_expander24.txt", "--format", "csv"),
+    # unweighted, so the delta column is filled
+    "analyze_torus4_csv": ("analyze", "--graph", "torus:4", "--format", "csv"),
     "verify_torus6": ("verify", "--graph", "torus:6", "--trials", "5", "--seed", "3"),
+    "verify_torus6_norm_energy": ("verify", "--graph", "torus:6", "--prop", "norm_energy", "--trials", "5", "--seed", "3"),
     "route_torus6": ("route", "--graph", "torus:6", "--demands", "0 20 1;3 14 0.5"),
     "generate_expander64": ("generate", "--graph", "expander:64:4:3"),
+    # conductances other than 1.0
+    "generate_weighted_file": ("generate", "--graph", "@weighted_expander24.txt"),
 }
 
 

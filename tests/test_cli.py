@@ -56,6 +56,10 @@ class TestGenerate:
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 18
 
+    def test_edgeless_graph_prints_one_newline(self, capsys):
+        code, out, _ = run(capsys, "generate", "--graph", "erdos_renyi:5:0.01")
+        assert (code, out) == (0, "\n")
+
     def test_out_file_round_trips(self, capsys, tmp_path):
         target = tmp_path / "g.txt"
         code, _, _ = run(capsys, "generate", "--graph", "torus:3", "--out", str(target))

@@ -68,6 +68,16 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="edge 1: .*int64"):
             build_graph([(0, 1, 1.0), (0, 2**63, 1.0)])
 
+    @pytest.mark.parametrize("edges", [[(0, 1.7, 1.0), (1, 2, 1.0)], [(0, 1.0, 1.0)], [("2", 1, "3.5")]])
+    def test_rejects_non_integer_id(self, edges):
+        # int() would truncate 1.7 to vertex 1 and read "2" as vertex 2
+        with pytest.raises(ValueError, match="edge 0: vertex ids must be integers"):
+            build_graph(edges)
+
+    def test_numpy_integer_ids_accepted(self):
+        g = build_graph([(np.int64(0), np.int32(1), 1.0)])
+        assert g.edge_list() == [(0, 1, 1.0)]
+
     def test_arrays_immutable(self):
         g = triangle()
         with pytest.raises(ValueError):

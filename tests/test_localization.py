@@ -343,7 +343,7 @@ class TestHarmonicBoundCheck:
         for n in (16, 64, 256):
             g = random_regular_expander(n, 4, seed=9)
             w = np.ones(g.n_edges)
-            rep = harmonic_bound_check(g, w, verify_trace=False)
+            rep = harmonic_bound_check(g, w)
             ratios.append(rep.lhs / (g.n_edges * np.log(n) ** 2))
             assert rep.ok
         assert all(r <= 8.0 for r in ratios)

@@ -184,3 +184,5 @@ class TestParseDemands:
             parse_demands("0 1 1.0\n0 1\n")
         with pytest.raises(ValueError, match=":1:"):
             parse_demands("a b 1.0\n")
+        with pytest.raises(ValueError, match=r":1: expected 'source sink amount', got '0 1'$"):
+            parse_demands("0 1  \n")  # the echo drops trailing blanks, as edge lists do
