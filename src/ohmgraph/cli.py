@@ -146,19 +146,15 @@ def _cmd_eliminate(args) -> int:
     g = load_graph(args.graph)
     w = _load_weights(args.w, g.n_edges)
     trace = run_elimination(g, w, compute_vi=not args.skip_vi)
-    lines = []
-    for step in trace.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "i": step.index,
-                    "pivot": step.pivot,
-                    "degree_value": step.degree_value,
-                    "v_i": step.v_i,
-                    "slack": step.slack,
-                }
-            )
-        )
+    steps = trace.steps
+    columns = {
+        "i": np.arange(len(steps)),
+        "pivot": np.array([s.pivot for s in steps]),
+        "degree_value": np.array([s.degree_value for s in steps]),
+        "v_i": None if args.skip_vi else np.array([s.v_i for s in steps]),
+        "slack": None if args.skip_vi else np.array([s.slack for s in steps]),
+    }
+    lines = _rows(columns, "{}: {}", ", ", "null", "{{", "}}")
     summary = {
         "terminal": list(trace.terminal_pair),
         "v_terminal": trace.v_terminal,

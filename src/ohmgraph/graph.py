@@ -90,8 +90,9 @@ def build_graph(edges, n_vertices: int | None = None) -> Graph:
     """Build a :class:`Graph` from ``(tail, head, conductance)`` triples.
 
     Edge order and orientation follow the input.  Rejects non-integer ids
-    (floats too), self-loops, non-positive or non-finite conductances, and
-    out-of-range ids.  When ``n_vertices`` is omitted it is inferred as
+    (floats and bools too), conductances given as strings, bytes or bools,
+    self-loops, non-positive or non-finite conductances, and out-of-range
+    ids.  When ``n_vertices`` is omitted it is inferred as
     ``max id + 1``.
     """
     edges = list(edges)
@@ -106,9 +107,13 @@ def build_graph(edges, n_vertices: int | None = None) -> Graph:
         except (TypeError, ValueError):
             raise ValueError(f"edge {i}: expected a (tail, head, conductance) triple, got {edge!r}")
         try:
+            if isinstance(t, bool) or isinstance(h, bool):  # operator.index(True) is 1
+                raise TypeError
             t, h = operator.index(t), operator.index(h)  # int() would truncate 1.7 to 1
         except TypeError:
             raise ValueError(f"edge {i}: vertex ids must be integers, got ({t!r}, {h!r})")
+        if isinstance(c, (str, bytes, bool, np.bool_)):  # float() would read "3.5", b"2" and True
+            raise ValueError(f"edge {i}: conductance must be a real number, got {c!r}")
         c = float(c)
         error = _edge_error(t, h, c)
         if error:

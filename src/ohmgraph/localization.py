@@ -151,15 +151,6 @@ def _pair_value(f: np.ndarray, R: float, w: np.ndarray) -> float:
     return float(w @ _abs_rows(np.outer(s, s), w))
 
 
-def _pick_pivot(degrees: np.ndarray, alive: np.ndarray) -> int:
-    """Smallest alive id whose degree is within ``_TIE_RTOL`` (relative) of
-    the minimum alive degree."""
-    ids = np.flatnonzero(alive)
-    deg = degrees[ids]
-    lowest = deg.min()
-    return int(ids[np.argmax(deg <= lowest + _TIE_RTOL * abs(lowest))])
-
-
 def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrace:
     """Run the greedy elimination loop down to two terminals.
 
@@ -180,10 +171,13 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     never held.  D starts as the signed incidence matrix.  Both are updated
     in place by :func:`ohmgraph.schur._eliminate_pivot`, which changes and
     returns only the rows of the pivot's current neighbours; only their
-    degrees are recomputed, so a step costs O(deg_k * m).  On a connected
-    graph every drop energy is positive, so no degree is special-cased; one
-    below the smallest normal double raises ``FloatingPointError``.  A
-    non-positive pivot diagonal raises :class:`LocalizationError`.
+    degrees are recomputed, so a step costs O(deg_k * m).  An eliminated
+    index has a zero row and column in L and an infinite degree, so it is
+    never a neighbour or a pivot again; the two ids never picked are the
+    terminal pair.  On a connected graph every drop energy is positive, so
+    no degree is special-cased; one below the smallest normal double raises
+    ``FloatingPointError``.  A non-positive pivot diagonal raises
+    :class:`LocalizationError`.
 
     With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is gathered from
     :func:`ohmgraph.electrical._edge_potentials` (the block solves of the n
@@ -221,7 +215,6 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     edges = np.arange(m)
     D[tails, edges] = 1.0
     D[heads, edges] = -1.0
-    alive = np.ones(n, dtype=bool)
     degrees = _degree_vector(graph, D, w)
     v_vals: list[float] = []
     if compute_vi:
@@ -237,7 +230,8 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     rank_one_vals: list[float] = []
 
     for _ in range(n - 2):
-        k = _pick_pivot(degrees, alive)
+        lowest = degrees.min()
+        k = int(np.argmax(degrees <= lowest + _TIE_RTOL * abs(lowest)))
         d = float(L[k, k])
         if d <= 0:
             raise LocalizationError(f"pivot diagonal {d:.3e} is not positive")
@@ -252,13 +246,14 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         pivots.append(k)
         degree_vals.append(degree)
         rank_one_vals.append(rank_one)
-        nb, drops = _eliminate_pivot(L, D, alive, k)
+        nb, drops = _eliminate_pivot(L, D, k)
+        degrees[k] = np.inf
         degrees[nb] = _degree_vector(graph, drops, w)
         if compute_vi:
             _downdate_rows(P, row_vals, w, a * sqrt_c, d)
             v_vals.append(float(w @ row_vals))
 
-    u, v = (int(x) for x in np.flatnonzero(alive))
+    u, v = (int(x) for x in np.setdiff1d(np.arange(n), pivots))  # an overflowed degree is inf too
     e_uv = np.zeros(n)
     e_uv[[u, v]] = 1.0, -1.0
     phi = system.solve(e_uv)  # p_u drops by f / R, and A_T^T L_T^+ A_T = f f^T / R

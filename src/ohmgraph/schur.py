@@ -143,27 +143,29 @@ def schur_complement(graph: Graph, terminals) -> SchurSystem:
     return SchurSystem(base=graph, vertices=S, laplacian=schur, prob_map=pm)
 
 
-def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, alive: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate alive row ``k`` in place by one star-clique step.
+def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate row ``k`` in place by one star-clique step.
 
-    ``L`` is a Laplacian indexed like ``alive``.  ``rows`` holds one row per
-    index of any quantity linear in the probability map's rows: the map
-    ``pm`` itself in :func:`eliminate_one`, its edge drops ``D = pm B^T`` in
-    :func:`ohmgraph.localization.run_elimination`.  Only the alive
-    neighbours ``nb`` of ``k`` (``L[nb, k] != 0``) change:
+    ``L`` is a Laplacian in which every index eliminated so far has a zero
+    row and column.  ``rows`` holds one row per index of any quantity linear
+    in the probability map's rows: the map ``pm`` itself in
+    :func:`eliminate_one`, its edge drops ``D = pm B^T`` in
+    :func:`ohmgraph.localization.run_elimination`.  Only the neighbours
+    ``nb`` of ``k`` (the nonzeros of column ``k`` off the diagonal) change:
     ``L[nb, nb] -= L[nb, k] L[k, nb] / L[k, k]`` and
     ``rows[nb] += (-L[nb, k] / L[k, k]) rows[k]``, since a walk that would
     first hit ``k`` now moves on to neighbour j with probability
-    ``-L[j, k] / L[k, k]``.  Row and column ``k`` are left stale and
-    ``alive[k]`` is cleared.  Returns ``nb`` and the updated ``rows[nb]``.
+    ``-L[j, k] / L[k, k]``.  Row and column ``k`` of ``L`` are zeroed and
+    ``rows[k]`` is left as it was.  Returns ``nb`` and the updated
+    ``rows[nb]``.
     """
     d = L[k, k]
     if d <= 0:
         raise SchurResidueError(f"pivot diagonal {d:.3e} is not positive")
-    alive[k] = False
-    col = L[:, k]
-    nb = np.flatnonzero((col != 0) & alive)
-    c = col[nb]
+    L[k, k] = 0.0
+    nb = np.flatnonzero(L[:, k])  # parallel edges can leave L[k, j] != L[j, k] by an ulp
+    c = L[nb, k]
+    L[k] = L[:, k] = 0.0
     s = c / np.sqrt(d)  # s_i s_j is exactly symmetric; c_i c_j alone can overflow
     L[np.ix_(nb, nb)] -= np.outer(s, s)
     updated = rows[nb]
@@ -185,8 +187,8 @@ def eliminate_one(system: SchurSystem, v: int) -> SchurSystem:
     k = system.local_index(v)
     L = system.laplacian.copy()
     pm = system.prob_map.copy()
-    keep = np.ones(system.size, dtype=bool)
-    _eliminate_pivot(L, pm, keep, k)
+    _eliminate_pivot(L, pm, k)
+    keep = np.arange(system.size) != k
     updated = L[np.ix_(keep, keep)]
     _check_schur(updated)
     return SchurSystem(base=system.base, vertices=system.vertices[keep], laplacian=updated, prob_map=pm[keep])

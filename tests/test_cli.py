@@ -186,6 +186,27 @@ class TestEliminate:
             assert (code, out, caught) == (2, "", []), (flags, err)
             assert err.startswith("numerical error:") and err.count("\n") == 1, (flags, err)
 
+    @pytest.mark.parametrize("flags", [[], ["--skip-vi"]])
+    def test_step_lines_are_json_dumps_of_their_records(self, capsys, tmp_path, flags):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("\n".join(repr(x) for x in np.random.default_rng(5).uniform(1e-3, 1e3, 32).tolist()))
+        code, out, err = run(capsys, "eliminate", "--graph", "torus:4", "--w", str(wfile), *flags)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 15
+        for line in lines[:-1]:
+            record = json.loads(line)
+            assert line == json.dumps(record)
+            assert list(record) == ["i", "pivot", "degree_value", "v_i", "slack"]
+            assert (record["v_i"] is None) == bool(flags)
+        assert json.loads(lines[-1])["steps"] == 14
+
+    @pytest.mark.parametrize("flags", [[], ["--skip-vi"]])
+    def test_two_vertices_print_only_the_summary(self, capsys, flags):
+        code, out, _ = run(capsys, "eliminate", "--graph", "path:2", *flags)
+        assert code == 0
+        assert out.count("\n") == 1 and json.loads(out)["steps"] == 0
+
     def test_bad_weights_count(self, capsys, tmp_path):
         wfile = tmp_path / "w.txt"
         wfile.write_text("1.0 2.0\n")

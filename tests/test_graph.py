@@ -74,6 +74,26 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="edge 0: vertex ids must be integers"):
             build_graph(edges)
 
+    @pytest.mark.parametrize(
+        "edge, what",
+        [
+            ((0, 1, "3.5"), "conductance"),
+            ((0, 1, b"2"), "conductance"),
+            ((0, 1, True), "conductance"),
+            ((0, 1, np.True_), "conductance"),
+            ((True, 0, 1.0), "vertex ids"),
+            ((0, True, 1.0), "vertex ids"),
+        ],
+    )
+    def test_rejects_text_and_bool_values(self, edge, what):
+        # float() reads "3.5", b"2" and True, and operator.index(True) is 1
+        with pytest.raises(ValueError, match=f"edge 1: {what}"):
+            build_graph([(1, 2, 1.0), edge])
+
+    def test_numpy_scalar_conductances_accepted(self):
+        g = build_graph([(0, 1, np.float32(0.5)), (1, 2, np.int64(3)), (2, 0, 2)])
+        assert g.conductances.tolist() == [0.5, 3.0, 2.0]
+
     def test_numpy_integer_ids_accepted(self):
         g = build_graph([(np.int64(0), np.int32(1), 1.0)])
         assert g.edge_list() == [(0, 1, 1.0)]

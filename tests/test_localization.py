@@ -110,6 +110,16 @@ class TestRunElimination:
         trace = run_elimination(complete(5), np.ones(10))
         assert [s.pivot for s in trace.steps] == [0, 1, 2]
 
+    def test_exact_ties_give_distinct_pivots(self):
+        # every degree of torus(6) is exactly 4 at the start; an eliminated id
+        # holds an infinite degree, so it is never picked again or left over
+        g = torus(6)
+        trace = run_elimination(g, np.ones(g.n_edges), compute_vi=False)
+        pivots = [s.pivot for s in trace.steps]
+        assert pivots[0] == 0
+        assert len(set(pivots)) == len(pivots) == g.n_vertices - 2
+        assert not set(trace.terminal_pair) & set(pivots)
+
     def test_skip_vi_records_only_degrees(self):
         trace = run_elimination(torus(3), np.ones(18), compute_vi=False)
         assert len(trace.steps) == 7
@@ -240,8 +250,8 @@ class TestIncrementalEngine:
         # the last rank-one check, so only the terminal-pair oracle can see it
         calls = []
 
-        def corrupted(L, rows, alive, k):
-            nb, updated = _eliminate_pivot(L, rows, alive, k)
+        def corrupted(L, rows, k):
+            nb, updated = _eliminate_pivot(L, rows, k)
             calls.append(k)
             if len(calls) == 7:
                 rows[nb[0], 0] += 1e-6

@@ -20,7 +20,7 @@ from ohmgraph import (
     torus,
 )
 
-from ohmgraph.schur import _check_schur
+from ohmgraph.schur import _check_schur, _eliminate_pivot
 
 from conftest import laplacian_pinv, random_connected_graph, triangle
 
@@ -158,6 +158,20 @@ class TestEliminateOne:
                 final = sys.laplacian
             else:
                 assert np.abs(sys.laplacian - final).max() < 1e-9
+
+    def test_pivot_leaves_zero_row_and_column(self):
+        # 5 and 6 are torus neighbours, so 6's step must skip eliminated 5
+        g = torus(4)
+        L = laplacian_matrix(g)
+        pm = np.eye(g.n_vertices)
+        for k in (5, 6, 0):
+            nb, _ = _eliminate_pivot(L, pm, k)
+            assert not L[k].any() and not L[:, k].any()
+            assert np.array_equal(L, L.T)
+            assert k not in nb and 5 not in nb
+        assert np.abs(L.sum(axis=1)).max() <= 1e-12
+        survivors = np.setdiff1d(np.arange(g.n_vertices), [5, 6, 0])
+        assert np.abs(pm[survivors].sum(axis=0) - 1.0).max() <= 1e-12
 
     def test_terminal_state_rejected(self):
         sys = schur_complement(path(3), [0, 2])
