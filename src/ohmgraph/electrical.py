@@ -52,6 +52,10 @@ def _check_weights(graph: Graph, w) -> np.ndarray:
         raise ValueError(f"expected an edge weight vector of length {graph.n_edges}, got shape {w.shape}")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and entrywise nonnegative")
+    with np.errstate(over="ignore"):
+        w_norm_sq = float(w @ w)
+    if not np.isfinite(w_norm_sq):
+        raise FloatingPointError("||w||^2 overflows double precision; scale the weights down")
     return w
 
 

@@ -138,18 +138,22 @@ def _graph_from_arrays(
 def laplacian_matrix(graph: Graph) -> np.ndarray:
     """Dense weighted Laplacian (conductance-weighted incidence Gram matrix).
 
-    Raises ``FloatingPointError`` when a weighted degree overflows double
+    Exactly symmetric: each off-diagonal entry is summed once, in the upper
+    triangle, and mirrored, so parallel edges in both orientations cannot
+    leave ``L[t, h]`` and ``L[h, t]`` an ulp apart.  Raises
+    ``FloatingPointError`` when a weighted degree overflows double
     precision.  Every off-diagonal entry is bounded by its row's diagonal
     entry, so a finite diagonal means a finite Laplacian.
     """
     n = graph.n_vertices
     t, h, c = graph.tails, graph.heads, graph.conductances
+    lo, hi = np.minimum(t, h), np.maximum(t, h)
     L = np.zeros((n, n))
     with np.errstate(over="ignore"):
         np.add.at(L, (t, t), c)
         np.add.at(L, (h, h), c)
-        np.add.at(L, (t, h), -c)
-        np.add.at(L, (h, t), -c)
+        np.add.at(L, (lo, hi), -c)
+    L[hi, lo] = L[lo, hi]
     if not np.all(np.isfinite(np.diagonal(L))):
         raise FloatingPointError(
             "Laplacian is not finite: the weighted degrees overflow double precision"

@@ -12,9 +12,11 @@ one solve against it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, _edge_potentials, quadratic_form_abs
 from .graph import Graph, laplacian_matrix
@@ -98,17 +100,17 @@ def _bucket_count(s: int) -> int:
     return int(s - 1).bit_length()
 
 
-def _degree_vector(graph: Graph, drops: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _degree_vector(drops: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Degree ``(|q| . z)^2 / sum_e c_e q_e^2`` of every row ``q`` of
     ``drops``, one row per terminal holding its hitting-probability drop
-    ``p(tail) - p(head)`` across every edge; each drop energy (the
-    denominator) passes :func:`ohmgraph.schur._check_drop_energy`.  The
-    ratio ``|q| . z / sqrt(energy)`` is formed before it is squared, so the
+    ``p(tail) - p(head)`` across every edge, with ``z = w sqrt(c)`` for edge
+    weights w and conductances c; each drop energy (the denominator) passes
+    :func:`ohmgraph.schur._check_drop_energy`.  The ratio
+    ``|q| . z / sqrt(energy)`` is formed before it is squared, so the
     conductance scale cancels before a square can underflow or overflow."""
     q = np.abs(drops)
-    z = w * np.sqrt(graph.conductances)
     num = q @ z
-    den = np.square(q, out=q) @ graph.conductances
+    den = np.square(q, out=q) @ c
     _check_drop_energy(float(den.min()))  # NaN propagates through min
     return (num / np.sqrt(den)) ** 2
 
@@ -118,7 +120,8 @@ def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     w = _check_weights(graph, w)
     system = schur_complement(graph, terminals)
     pm = system.prob_map
-    degrees = _degree_vector(graph, pm[:, graph.tails] - pm[:, graph.heads], w)
+    c = graph.conductances
+    degrees = _degree_vector(pm[:, graph.tails] - pm[:, graph.heads], w * np.sqrt(c), c)
     bound = (6 * _bucket_count(system.size) + 6) * float(w @ w)
     return DegreeProfile(vertices=system.vertices, degrees=degrees, total=float(degrees.sum()), bound=bound)
 
@@ -134,12 +137,17 @@ def _downdate_rows(P: np.ndarray, row_vals: np.ndarray, w: np.ndarray, a: np.nda
     """Downdate ``P -= a a^T / d`` in place and refresh ``row_vals`` (the
     :func:`_abs_rows` of ``P``) where it changes.  Only rows and columns in
     ``supp(a)`` change, so only those rows are gathered, downdated and
-    written back, ``_VI_BLOCK`` rows at a time."""
+    written back, ``_VI_BLOCK`` rows at a time.  Each block is downdated by
+    one in-place BLAS rank-one update (``dger``) on the transpose of the
+    gathered C-order rows, which is Fortran-order, so ``dger`` writes into
+    it without a copy and no outer product is formed.  The terms
+    ``(a_i / d) a_j`` and ``(a_j / d) a_i`` can differ in the last bit, so
+    ``P`` stays symmetric only to roundoff; only its rows are ever read."""
     supp = np.flatnonzero(a)
     for lo in range(0, supp.size, _VI_BLOCK):
         r = supp[lo : lo + _VI_BLOCK]
         rows = P[r]
-        rows -= np.outer(a[r] / d, a)
+        scipy.linalg.blas.dger(-1.0, a, a[r] / d, a=rows.T, overwrite_a=True)
         P[r] = rows
         row_vals[r] = _abs_zeroed(rows, out=rows) @ w
 
@@ -205,8 +213,8 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
             f"(got m={m}); use compute_vi=False (--skip-vi on the command line)"
         )
     system = LaplacianSystem(graph)  # checks n >= 2, connectivity and overflow
-    tails, heads = graph.tails, graph.heads
-    sqrt_c = np.sqrt(graph.conductances)
+    tails, heads, c = graph.tails, graph.heads, graph.conductances
+    sqrt_c = np.sqrt(c)
     z = w * sqrt_c
     w_norm_sq = float(w @ w)
 
@@ -215,7 +223,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     edges = np.arange(m)
     D[tails, edges] = 1.0
     D[heads, edges] = -1.0
-    degrees = _degree_vector(graph, D, w)
+    degrees = _degree_vector(D, z, c)
     v_vals: list[float] = []
     if compute_vi:
         Y = _edge_potentials(system, graph)
@@ -236,7 +244,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         if d <= 0:
             raise LocalizationError(f"pivot diagonal {d:.3e} is not positive")
         a = D[k]  # row k is never written again once k is eliminated
-        rank_one = (float(np.abs(a) @ z) / np.sqrt(d)) ** 2
+        rank_one = (float(np.abs(a) @ z) / math.sqrt(d)) ** 2
         degree = float(degrees[k])
         if not abs(rank_one - degree) <= _IDENTITY_TOL * max(1.0, abs(degree)):  # NaN fails
             raise LocalizationError(
@@ -248,7 +256,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         rank_one_vals.append(rank_one)
         nb, drops = _eliminate_pivot(L, D, k)
         degrees[k] = np.inf
-        degrees[nb] = _degree_vector(graph, drops, w)
+        degrees[nb] = _degree_vector(drops, z, c)
         if compute_vi:
             _downdate_rows(P, row_vals, w, a * sqrt_c, d)
             v_vals.append(float(w @ row_vals))

@@ -42,6 +42,9 @@ SELF_LOOP_RESIDUE_TOL = 1e-9
 # negative conductance rather than roundoff.
 _POSITIVE_OFFDIAG_TOL = 1e-12
 
+# The smallest normal double, below which a drop energy has lost its digits.
+_TINY = np.finfo(float).tiny
+
 
 class SchurResidueError(RuntimeError):
     """Self-loop residue of an eliminated Laplacian exceeded tolerance."""
@@ -146,30 +149,53 @@ def schur_complement(graph: Graph, terminals) -> SchurSystem:
 def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Eliminate row ``k`` in place by one star-clique step.
 
-    ``L`` is a Laplacian in which every index eliminated so far has a zero
-    row and column.  ``rows`` holds one row per index of any quantity linear
-    in the probability map's rows: the map ``pm`` itself in
-    :func:`eliminate_one`, its edge drops ``D = pm B^T`` in
+    ``L`` is an exactly symmetric Laplacian in which every index eliminated
+    so far has a zero row and column.  ``rows`` holds one row per index of
+    any quantity linear in the probability map's rows: the map ``pm`` itself
+    in :func:`eliminate_one`, its edge drops ``D = pm B^T`` in
     :func:`ohmgraph.localization.run_elimination`.  Only the neighbours
-    ``nb`` of ``k`` (the nonzeros of column ``k`` off the diagonal) change:
+    ``nb`` of ``k`` (the nonzeros of row ``k`` off the diagonal) change:
     ``L[nb, nb] -= L[nb, k] L[k, nb] / L[k, k]`` and
     ``rows[nb] += (-L[nb, k] / L[k, k]) rows[k]``, since a walk that would
     first hit ``k`` now moves on to neighbour j with probability
     ``-L[j, k] / L[k, k]``.  Row and column ``k`` of ``L`` are zeroed and
     ``rows[k]`` is left as it was.  Returns ``nb`` and the updated
-    ``rows[nb]``.
+    ``rows[nb]``.  A non-positive pivot diagonal, or a pivot with no
+    neighbour left (its row no longer sums to zero), raises
+    :class:`SchurResidueError`.
+
+    Both updates are in-place BLAS rank-one updates (``dger``) on the
+    gathered rows ``L[nb]`` and ``rows[nb]``, written back afterwards; the
+    transpose of a freshly gathered C-order block is the Fortran-order
+    matrix ``dger`` updates without a copy.  The clique update subtracts
+    ``s_i x_j`` from ``L[nb]``, where ``s = L[nb, k] / sqrt(L[k, k])`` and
+    x is s scattered into a zero n-vector, so only the ``nb x nb`` block
+    changes.  Its ``(i, j)`` and ``(j, i)`` entries get the same product
+    ``s_i s_j`` (the factor -1 is exact), so as long as BLAS rounds every
+    entry of one update the same way, fused multiply-add or not, an exactly
+    symmetric ``L`` stays exactly symmetric, as reading row ``k`` for
+    column ``k`` requires.
     """
     d = L[k, k]
     if d <= 0:
         raise SchurResidueError(f"pivot diagonal {d:.3e} is not positive")
     L[k, k] = 0.0
-    nb = np.flatnonzero(L[:, k])  # parallel edges can leave L[k, j] != L[j, k] by an ulp
-    c = L[nb, k]
-    L[k] = L[:, k] = 0.0
-    s = c / np.sqrt(d)  # s_i s_j is exactly symmetric; c_i c_j alone can overflow
-    L[np.ix_(nb, nb)] -= np.outer(s, s)
+    nb = np.flatnonzero(L[k])
+    c = L[k, nb]
+    L[k] = 0.0
+    if not nb.size:  # also keeps dger from an empty update
+        raise SchurResidueError(
+            f"pivot {k} has no neighbour left; an underflowed update cut the eliminated network apart"
+        )
+    s = c / np.sqrt(d)  # c_i c_j alone can overflow
+    x = np.zeros(L.shape[0])
+    x[nb] = s
+    block = L[nb]
+    scipy.linalg.blas.dger(-1.0, x, s, a=block.T, overwrite_a=True)
+    block[:, k] = 0.0
+    L[nb] = block
     updated = rows[nb]
-    updated += np.outer(-c / d, rows[k])
+    scipy.linalg.blas.dger(1.0, rows[k], -c / d, a=updated.T, overwrite_a=True)
     rows[nb] = updated
     return nb, updated
 
@@ -285,7 +311,7 @@ def _check_drop_energy(energy: float) -> None:
     ``sum_e c_e (p(x) - p(y))^2`` is a normal double.  On a connected graph
     it is positive, since p is 1 at the terminal and 0 at the others; one
     below the smallest normal double has lost its precision."""
-    if not energy >= np.finfo(float).tiny:  # NaN fails too
+    if not energy >= _TINY:  # NaN fails too
         raise FloatingPointError(
             f"drop energy {energy:.3e} is below the smallest normal double; "
             "the conductances are too small for double precision"

@@ -86,9 +86,8 @@ class LaplacianSystem:
         # Move the grounded block L[1:, 1:] to the front of L's own buffer, row
         # by row (each row's target ends before its source starts), and factor
         # it there, so no second n x n array is allocated.  laplacian_matrix
-        # writes L[t, h] and L[h, t] from the same edges, so the block's C-order
-        # rows are also the Fortran-order columns LAPACK reads (to the last bit
-        # unless three or more parallel edges join one pair in both orientations).
+        # is exactly symmetric, so the block's C-order rows are also the
+        # Fortran-order columns LAPACK reads.
         L = laplacian_matrix(graph)
         n = self.n
         flat = L.reshape(-1)

@@ -412,6 +412,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, "prove")
         assert code == 1
 
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # the parser is built once at import; a usage error or --help must
+        # leave nothing behind for the next call in the same process
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        argvs = [["prove"], ["eliminate", "--graph", "path:3"], ["--help"], ["analyze"],
+                 ["eliminate", "--graph", "path:3", "--skip-vi"], ["eliminate", "--help"]]
+        assert [run(capsys, *argv)[0] for argv in argvs] == [1, 0, 0, 1, 0, 0]
+
     def test_missing_graph_flag(self, capsys):
         code, _, _ = run(capsys, "analyze")
         assert code == 1

@@ -146,6 +146,15 @@ class TestFamilies:
         L = laplacian_matrix(g)
         assert np.abs(L.sum(axis=1)).max() < 1e-12
 
+    def test_laplacian_exactly_symmetric_with_two_way_parallel_edges(self):
+        # summing L[t, h] and L[h, t] in two passes can leave them an ulp apart
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            conds = rng.uniform(0.1, 10.0, 5).tolist()
+            g = build_graph(zip([0, 1, 0, 1, 2], [1, 0, 1, 2, 0], conds))
+            L = laplacian_matrix(g)
+            assert np.array_equal(L, L.T)
+
     def test_erdos_renyi_row_sums(self):
         L = laplacian_matrix(erdos_renyi(20, 0.4, 3))
         assert np.abs(L.sum(axis=1)).max() < 1e-12

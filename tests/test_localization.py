@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ import ohmgraph.electrical as electrical
 import ohmgraph.localization as localization
 from ohmgraph import (
     LocalizationError,
+    SchurResidueError,
     build_graph,
     complete,
     degree_profile,
@@ -20,7 +23,7 @@ from ohmgraph import (
     schur_complement,
     torus,
 )
-from ohmgraph.localization import _abs_rows, _degree_vector, _pair_value
+from ohmgraph.localization import _abs_rows, _degree_vector, _downdate_rows, _pair_value
 from ohmgraph.schur import _block_prob_map, _eliminate_pivot
 from ohmgraph.solver import LaplacianSystem
 
@@ -127,6 +130,22 @@ class TestRunElimination:
         assert all(s.degree_value >= 0 for s in trace.steps)
         assert trace.v_initial is None and trace.v_terminal is None
 
+    @pytest.mark.parametrize("g, w", [(path(3), [1e160, 1e160]), (path(2), [1e200])], ids=["path3", "path2"])
+    def test_overflowing_weight_norm_rejected_up_front(self, g, w):
+        # ||w||^2 = inf would otherwise surface, after an overflow warning, as
+        # a rank-one or V_T mismatch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"\|\|w\|\|\^2 overflows"):
+                run_elimination(g, w)
+
+    def test_pivot_cut_off_by_underflow_is_numerical_failure(self):
+        # eliminating 0 couples 1 to 2 through 1e-300 / sqrt(1e300), which
+        # underflows to 0 and leaves 1 with no neighbour
+        g = build_graph([(1, 0, 1e-300), (0, 2, 1e300), (2, 3, 1.0)])
+        with pytest.raises(SchurResidueError, match="pivot 1 has no neighbour"):
+            run_elimination(g, np.ones(3), compute_vi=False)
+
     def test_zero_weights_run_cleanly(self):
         trace = run_elimination(triangle(), np.zeros(3))
         assert trace.v_initial == 0.0
@@ -157,7 +176,7 @@ def _from_scratch(g, verts, w):
     base graph by block elimination and a fresh solve; V zeroes entries of
     the surviving impedance ``sqrt(C) A^T L_S^+ A sqrt(C)``."""
     pm, schur = _block_prob_map(g, verts)
-    degrees = _degree_vector(g, _drops(g, pm), w)
+    degrees = _degree_vector(_drops(g, pm), w * np.sqrt(g.conductances), g.conductances)
     v = _abs_quadratic(_drops(g, pm) * np.sqrt(g.conductances), laplacian_pinv(schur), w)
     return pm, degrees, v
 
@@ -198,7 +217,8 @@ class TestIncrementalEngine:
         trace = run_elimination(g, w, compute_vi=False)
         verts = np.arange(g.n_vertices)
         for step in trace.steps:
-            degrees = _degree_vector(g, _drops(g, _block_prob_map(g, verts)[0]), w)
+            drops = _drops(g, _block_prob_map(g, verts)[0])
+            degrees = _degree_vector(drops, w * np.sqrt(g.conductances), g.conductances)
             lowest = degrees.min()
             tied = verts[degrees <= lowest + 1e-12 * abs(lowest)]
             assert step.pivot == tied.min()
@@ -214,8 +234,8 @@ class TestIncrementalEngine:
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_rank_one_identity_rejects_relative_mismatch(self, monkeypatch, scale):
-        def perturbed(graph, drops, w):
-            return _degree_vector(graph, drops, w) * (1 + 1e-6)
+        def perturbed(drops, z, c):
+            return _degree_vector(drops, z, c) * (1 + 1e-6)
 
         monkeypatch.setattr(localization, "_degree_vector", perturbed)
         g = random_regular_expander(64, 4, seed=3)
@@ -261,6 +281,26 @@ class TestIncrementalEngine:
         with pytest.raises(LocalizationError, match="from-scratch drops"):
             run_elimination(torus(3), np.ones(18), compute_vi=False)
         assert len(calls) == 7
+
+    def test_downdate_rows_matches_outer_product(self, monkeypatch, rng):
+        # a block of 3 rows makes the 8-row support take three write-backs;
+        # rows outside supp(a) must stay as they were
+        monkeypatch.setattr(localization, "_VI_BLOCK", 3)
+        m = 11
+        X = rng.standard_normal((m, m))
+        P = X + X.T
+        a = rng.standard_normal(m)
+        a[[1, 4, 9]] = 0.0
+        d, w = 2.5, rng.uniform(0.0, 2.0, m)
+        row_vals = _abs_rows(P, w)
+        ref = P.copy()
+        ref -= np.outer(a, a) / d
+        before = P.copy()
+
+        _downdate_rows(P, row_vals, w, a, d)
+        assert np.abs(P - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.array_equal(P[[1, 4, 9]], before[[1, 4, 9]])
+        assert np.abs(row_vals - _abs_rows(ref, w)).max() <= 1e-14 * np.abs(row_vals).max()
 
     def test_oracle_rejects_vi_drift(self, monkeypatch):
         monkeypatch.setattr(localization, "_pair_value", lambda *a: 1.0001 * _pair_value(*a))

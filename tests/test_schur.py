@@ -165,13 +165,42 @@ class TestEliminateOne:
         L = laplacian_matrix(g)
         pm = np.eye(g.n_vertices)
         for k in (5, 6, 0):
-            nb, _ = _eliminate_pivot(L, pm, k)
+            nb, updated = _eliminate_pivot(L, pm, k)
             assert not L[k].any() and not L[:, k].any()
             assert np.array_equal(L, L.T)
             assert k not in nb and 5 not in nb
+            assert np.array_equal(updated, pm[nb])
         assert np.abs(L.sum(axis=1)).max() <= 1e-12
         survivors = np.setdiff1d(np.arange(g.n_vertices), [5, 6, 0])
         assert np.abs(pm[survivors].sum(axis=0) - 1.0).max() <= 1e-12
+
+    def test_pivot_matches_outer_product_reference(self, rng):
+        # a weighted multigraph with parallel edges in both orientations; each
+        # step starts both versions from the same state, and the caller's own
+        # L and rows must hold the result
+        pairs = [(0, 1), (1, 0), (0, 1), (1, 2), (2, 0), (2, 3), (3, 2), (3, 4), (4, 5), (5, 4), (5, 6),
+                 (6, 7), (7, 6), (6, 7), (7, 0), (1, 5), (4, 2)]
+        g = build_graph([(t, h, float(c)) for (t, h), c in zip(pairs, rng.uniform(0.1, 10.0, len(pairs)))])
+        L = laplacian_matrix(g)
+        rows = rng.standard_normal((g.n_vertices, g.n_edges))
+        for k in (3, 0, 6, 1, 7, 4):
+            L_ref, rows_ref = L.copy(), rows.copy()
+            d = L_ref[k, k]
+            nb_ref = np.flatnonzero(L_ref[:, k])
+            nb_ref = nb_ref[nb_ref != k]
+            c = L_ref[nb_ref, k]
+            L_ref[k] = L_ref[:, k] = 0.0
+            s = c / np.sqrt(d)
+            L_ref[np.ix_(nb_ref, nb_ref)] -= np.outer(s, s)
+            rows_ref[nb_ref] += np.outer(-c / d, rows_ref[k])
+
+            nb, updated = _eliminate_pivot(L, rows, k)
+            assert np.array_equal(nb, nb_ref)
+            assert np.array_equal(L, L.T)
+            assert not L[k].any() and not L[:, k].any()
+            assert np.abs(L - L_ref).max() <= 1e-15 * np.abs(L_ref).max()
+            assert np.abs(rows - rows_ref).max() <= 1e-15 * np.abs(rows_ref).max()
+            assert np.array_equal(updated, rows[nb])
 
     def test_terminal_state_rejected(self):
         sys = schur_complement(path(3), [0, 2])
