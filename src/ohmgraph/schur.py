@@ -1,6 +1,6 @@
-"""Schur complements of graph Laplacians and random-walk hitting-probability
-maps computed by three independent routes, plus checkers for the
-distribution, energy-fraction, and conductance-preservation identities.
+"""Schur complements of graph Laplacians with their random-walk
+hitting-probability maps, both from one block elimination, plus checkers for
+the distribution, energy-fraction, and conductance-preservation identities.
 
 A :class:`SchurSystem` is an immutable snapshot of a terminal set ``S``: the
 eliminated Laplacian on ``S`` and the probability map ``prob_map[i, x]`` =
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, _graph_from_arrays, is_connected, laplacian_matrix
-from .solver import DisconnectedGraphError, LaplacianSystem
+from .graph import Graph, is_connected, laplacian_matrix
+from .solver import DisconnectedGraphError, _cho_factor
 
 __all__ = [
     "SELF_LOOP_RESIDUE_TOL",
@@ -27,7 +27,6 @@ __all__ = [
     "SchurSystem",
     "schur_complement",
     "eliminate_one",
-    "hitting_probabilities",
     "check_sum_potentials",
     "check_norm_energy",
     "check_schur_conductance",
@@ -98,7 +97,7 @@ def _block_prob_map(graph: Graph, S: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return pm, P
     Q = L[np.ix_(S, comp)]
     R = L[np.ix_(comp, comp)]
-    factor = scipy.linalg.cho_factor(R, lower=True, check_finite=False)
+    factor = _cho_factor(graph, R, "interior")
     X = scipy.linalg.cho_solve(factor, Q.T, check_finite=False)  # R^{-1} Q^T
     schur = P - Q @ X
     schur = (schur + schur.T) / 2.0
@@ -218,92 +217,6 @@ def eliminate_one(system: SchurSystem, v: int) -> SchurSystem:
     updated = L[np.ix_(keep, keep)]
     _check_schur(updated)
     return SchurSystem(base=system.base, vertices=system.vertices[keep], laplacian=updated, prob_map=pm[keep])
-
-
-def _identify_prob_map(graph: Graph, S: np.ndarray) -> np.ndarray:
-    """Probability map via terminal identification.
-
-    For each terminal ``v``, all other terminals are merged into a single
-    ground vertex; the normalized potentials of the v-to-ground unit flow are
-    the hitting probabilities.  Merging turns terminal-terminal edges into
-    self-loops, which are dropped (they cancel in every potential difference).
-    """
-    n = graph.n_vertices
-    s = S.size
-    pm = np.empty((s, n))
-    for i, v in enumerate(S):
-        others = S[S != v]
-        idmap = np.full(n, -1, dtype=np.int64)
-        idmap[others] = 0
-        rest = np.flatnonzero(idmap < 0)
-        idmap[rest] = np.arange(1, rest.size + 1)
-        ma = idmap[graph.tails]
-        mb = idmap[graph.heads]
-        keep = ma != mb
-        merged = _graph_from_arrays(ma[keep], mb[keep], graph.conductances[keep], rest.size + 1)
-        b = np.zeros(merged.n_vertices)
-        b[idmap[v]] = 1.0
-        b[0] = -1.0
-        phi = LaplacianSystem(merged).solve(b)
-        denom = phi[idmap[v]] - phi[0]
-        pm[i, :] = np.abs(phi[idmap] - phi[0]) / denom
-    return pm
-
-
-def _walk_prob_map(graph: Graph, S: np.ndarray) -> np.ndarray:
-    """Probability map from the absorbing-chain linear system (deterministic,
-    no Monte Carlo): transition probabilities proportional to conductances,
-    terminals absorbing."""
-    n = graph.n_vertices
-    L = laplacian_matrix(graph)
-    A = np.diag(np.diag(L)) - L  # weighted adjacency, parallel edges summed
-    deg = A.sum(axis=1)
-    if np.any(deg <= 0):
-        raise DisconnectedGraphError("isolated vertex: walk transition matrix undefined")
-    P = A / deg[:, None]
-    comp = np.setdiff1d(np.arange(n), S)
-    s = S.size
-    pm = np.zeros((s, n))
-    pm[np.arange(s), S] = 1.0
-    if comp.size:
-        T = P[np.ix_(comp, comp)]
-        H = np.linalg.solve(np.eye(comp.size) - T, P[np.ix_(comp, S)])
-        pm[:, comp] = H.T
-    return pm
-
-
-def hitting_probabilities(graph: Graph, terminals, method: str = "block") -> np.ndarray:
-    """Hitting-probability map for a terminal set, rows ordered by sorted id.
-
-    Parameters
-    ----------
-    graph : Graph
-        Connected weighted multigraph.
-    terminals : iterable of int
-        At least two distinct vertex ids.
-    method : str
-        ``'block'`` uses the Laplacian block-elimination formula,
-        ``'identify'`` normalized potentials after merging the other
-        terminals, ``'walk_oracle'`` the absorbing-chain linear system.
-        The three agree entrywise to solver accuracy.
-
-    Returns
-    -------
-    ndarray of shape (len(terminals), n_vertices)
-        ``result[i, x]`` is the probability that a walk from ``x`` reaches
-        sorted terminal ``i`` first.  Rows at terminal columns form the
-        identity; every column sums to 1.
-    """
-    S = _validate_terminals(graph, terminals)
-    if not is_connected(graph):
-        raise DisconnectedGraphError("hitting probabilities require a connected graph")
-    if method == "block":
-        return _block_prob_map(graph, S)[0]
-    if method == "identify":
-        return _identify_prob_map(graph, S)
-    if method == "walk_oracle":
-        return _walk_prob_map(graph, S)
-    raise ValueError(f"unknown method {method!r}; use 'block', 'identify', or 'walk_oracle'")
 
 
 def _check_drop_energy(energy: float) -> None:

@@ -60,6 +60,26 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+def _cho_factor(graph: Graph, block: np.ndarray, name: str):
+    """Lower Cholesky factor of a principal block of ``graph``'s Laplacian,
+    written over ``block`` when LAPACK can.
+
+    On a connected graph every proper principal block is positive definite,
+    so a factorization that fails means the conductances span a range that
+    double precision cannot resolve (1e200 + 1e-200 rounds to 1e200).  The
+    ``LinAlgError`` raised then says so, with the smallest and largest
+    conductance, instead of LAPACK's leading-minor wording."""
+    try:
+        return scipy.linalg.cho_factor(block, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        c = graph.conductances
+        raise np.linalg.LinAlgError(
+            f"the {name} block of the Laplacian is not numerically positive definite: "
+            f"the graph's conductances span {c.min():.3g} to {c.max():.3g}, "
+            "a range double precision cannot resolve"
+        ) from None
+
+
 class LaplacianSystem:
     """The Laplacian of a connected graph, kept only as the Cholesky factor of
     its grounded block (vertex 0 removed).
@@ -70,8 +90,9 @@ class LaplacianSystem:
     :func:`~ohmgraph.graph.laplacian_matrix`; a finite diagonal bounds every
     entry of the Laplacian and of its factor (``|R_ij| <= sqrt(L_ii)``), so
     the factor needs no check of its own.  A grounded block that is not
-    numerically positive definite raises ``LinAlgError`` from the
-    factorization.  The factor is never mutated, so solves against a shared
+    numerically positive definite raises ``LinAlgError`` naming the range of
+    the graph's conductances, which then spans more than double precision
+    can resolve.  The factor is never mutated, so solves against a shared
     system are safe to run concurrently.
     """
 
@@ -94,7 +115,7 @@ class LaplacianSystem:
         for i in range(1, n):
             flat[(i - 1) * (n - 1) : i * (n - 1)] = L[i, 1:]
         grounded = flat[: (n - 1) ** 2].reshape(n - 1, n - 1).T
-        self._factor = scipy.linalg.cho_factor(grounded, lower=True, overwrite_a=True, check_finite=False)
+        self._factor = _cho_factor(graph, grounded, "grounded")
 
     def solve(self, b) -> np.ndarray:
         """Pseudoinverse solve: project ``b`` off the all-ones direction, solve,

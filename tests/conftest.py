@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ohmgraph import (
+    LaplacianSystem,
     build_graph,
     complete,
     erdos_renyi,
@@ -14,7 +15,7 @@ from ohmgraph import (
     random_regular_expander,
     torus,
 )
-from ohmgraph.graph import _hops
+from ohmgraph.graph import _graph_from_arrays, _hops
 
 
 def laplacian_pinv(L):
@@ -34,6 +35,56 @@ def bfs_distance(graph, u, v):
     """Unweighted hop count from ``u`` to ``v``; ``math.inf`` when unreachable."""
     d = _hops(graph, u)[v]
     return d if d >= 0 else math.inf
+
+
+def identify_prob_map(graph, S):
+    """Hitting-probability map by terminal identification, for a sorted,
+    unique terminal array ``S``.
+
+    For each terminal ``v``, all other terminals are merged into a single
+    ground vertex; the normalized potentials of the v-to-ground unit flow are
+    the hitting probabilities.  Merging turns terminal-terminal edges into
+    self-loops, which are dropped (they cancel in every potential difference).
+    """
+    n = graph.n_vertices
+    s = S.size
+    pm = np.empty((s, n))
+    for i, v in enumerate(S):
+        others = S[S != v]
+        idmap = np.full(n, -1, dtype=np.int64)
+        idmap[others] = 0
+        rest = np.flatnonzero(idmap < 0)
+        idmap[rest] = np.arange(1, rest.size + 1)
+        ma = idmap[graph.tails]
+        mb = idmap[graph.heads]
+        keep = ma != mb
+        merged = _graph_from_arrays(ma[keep], mb[keep], graph.conductances[keep], rest.size + 1)
+        b = np.zeros(merged.n_vertices)
+        b[idmap[v]] = 1.0
+        b[0] = -1.0
+        phi = LaplacianSystem(merged).solve(b)
+        denom = phi[idmap[v]] - phi[0]
+        pm[i, :] = np.abs(phi[idmap] - phi[0]) / denom
+    return pm
+
+
+def walk_prob_map(graph, S):
+    """Hitting-probability map from the absorbing-chain linear system, for a
+    sorted, unique terminal array ``S``: transition probabilities
+    proportional to conductances, terminals absorbing."""
+    n = graph.n_vertices
+    L = laplacian_matrix(graph)
+    A = np.diag(np.diag(L)) - L  # weighted adjacency, parallel edges summed
+    P = A / A.sum(axis=1)[:, None]
+    comp = np.setdiff1d(np.arange(n), S)
+    s = S.size
+    pm = np.zeros((s, n))
+    pm[np.arange(s), S] = 1.0
+    if comp.size:
+        T = P[np.ix_(comp, comp)]
+        H = np.linalg.solve(np.eye(comp.size) - T, P[np.ix_(comp, S)])
+        pm[:, comp] = H.T
+    return pm
 
 
 def oracle_pinv_apply(graph, b):

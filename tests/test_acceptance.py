@@ -19,7 +19,6 @@ from ohmgraph import (
     degree_profile,
     delta_edge,
     erdos_renyi,
-    hitting_probabilities,
     hypercube,
     is_connected,
     parallel_paths,
@@ -33,6 +32,8 @@ from ohmgraph import (
     TransferImpedance,
     LaplacianSystem,
 )
+
+from conftest import identify_prob_map, walk_prob_map
 
 
 def _report(num, name, ok, detail=""):
@@ -119,7 +120,7 @@ def test_criterion_3_probability_method_agreement():
     worst_sum = 0.0
     for _ in range(20):
         g, S = _random_instance(rng)
-        maps = [hitting_probabilities(g, S, m) for m in ("block", "identify", "walk_oracle")]
+        maps = [schur_complement(g, S).prob_map, identify_prob_map(g, S), walk_prob_map(g, S)]
         for other in maps[1:]:
             worst_gap = max(worst_gap, float(np.abs(maps[0] - other).max()))
         worst_sum = max(worst_sum, float(np.abs(maps[0].sum(axis=0) - 1.0).max()))

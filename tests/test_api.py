@@ -36,6 +36,9 @@ def test_package_exports_every_module_name(module):
         "SYMMETRY_TOL",
         "ROW_SUM_TOL",
         "bfs_distance",
+        "hitting_probabilities",
+        "_identify_prob_map",
+        "_walk_prob_map",
     ],
 )
 def test_removed_wrappers_are_gone(name):

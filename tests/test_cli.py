@@ -501,6 +501,22 @@ class TestExitCodes:
         assert (code, out, caught) == (want, "", []), err
         assert err.startswith("numerical error:" if want == 2 else "error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["eliminate"], ["route", "--demands", "0 4 1"], ["verify", "--trials", "40", "--seed", "3"]],
+        ids=lambda a: a[0],
+    )
+    def test_unresolvable_conductance_spread_names_the_conductances(self, capsys, tmp_path, argv):
+        # 1e200 + 1e-200 rounds to 1e200, so the connected path's Laplacian
+        # blocks are singular in double precision; analyze, eliminate and
+        # route fail on the grounded block, verify on a Schur interior block
+        f = tmp_path / "spread.txt"
+        f.write_text("0 1 1e-200\n1 2 1e200\n2 3 1e-200\n3 4 1\n")
+        code, out, err = run(capsys, argv[0], "--graph", str(f), *argv[1:])
+        assert (code, out) == (2, ""), err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert "conductances span 1e-200 to 1e+200" in err and "leading minor" not in err
+
     def test_memory_error_is_numerical_failure(self, capsys, monkeypatch):
         def exhausted(spec):
             raise MemoryError

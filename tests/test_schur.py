@@ -12,7 +12,6 @@ from ohmgraph import (
     complete,
     effective_resistance,
     eliminate_one,
-    hitting_probabilities,
     laplacian_matrix,
     path,
     random_regular_expander,
@@ -22,9 +21,16 @@ from ohmgraph import (
 
 from ohmgraph.schur import _check_schur, _eliminate_pivot
 
-from conftest import laplacian_pinv, random_connected_graph, triangle
+from conftest import identify_prob_map, laplacian_pinv, random_connected_graph, triangle, walk_prob_map
 
-METHODS = ("block", "identify", "walk_oracle")
+# The library's one route to hitting probabilities and the two float oracles
+# it is checked against, each on a sorted terminal array.
+ROUTES = {
+    "block": lambda g, S: schur_complement(g, S).prob_map,
+    "identify": identify_prob_map,
+    "walk_oracle": walk_prob_map,
+}
+METHODS = tuple(ROUTES)
 
 
 def gamblers_ruin_oracle(n):
@@ -216,17 +222,29 @@ class TestEliminateOne:
 class TestHittingProbabilities:
     @pytest.mark.parametrize("method", METHODS)
     def test_path4_gamblers_ruin(self, method):
-        pm = hitting_probabilities(path(4), [0, 3], method)
+        pm = ROUTES[method](path(4), np.array([0, 3]))
         assert np.allclose(pm, gamblers_ruin_oracle(4), atol=1e-10)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_terminal_columns_are_indicators(self, method):
-        pm = hitting_probabilities(torus(3), [1, 4, 7], method)
+        pm = ROUTES[method](torus(3), np.array([1, 4, 7]))
         assert np.allclose(pm[:, [1, 4, 7]], np.eye(3), atol=1e-12)
 
     def test_triangle_symmetry(self):
-        pm = hitting_probabilities(triangle(), [0, 1])
-        assert pm[0, 2] == pytest.approx(0.5, abs=1e-12)
+        for route in ROUTES.values():
+            pm = route(triangle(), np.array([0, 1]))
+            assert pm[0, 2] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_weighted_path_hits_by_resistance(self, k):
+        # conductances 1, 2, 4, 8 on path 0-1-2-3-4: between the terminals a
+        # walk from x reaches k first with probability R(0, x) / R(0, k);
+        # beyond k it must pass k
+        g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0), (3, 4, 8.0)])
+        r0 = np.concatenate([[0.0], np.cumsum(1.0 / g.conductances)])
+        far = np.minimum(r0 / r0[k], 1.0)
+        pm = schur_complement(g, [0, k]).prob_map
+        assert np.abs(pm - np.vstack([1.0 - far, far])).max() <= 1e-12
 
     def test_methods_agree_and_rows_distribute(self, rng):
         for _ in range(8):
@@ -235,16 +253,12 @@ class TestHittingProbabilities:
             n = g.n_vertices
             size = int(rng.integers(2, min(n, 10) + 1))
             S = np.sort(rng.choice(n, size=size, replace=False))
-            maps = [hitting_probabilities(g, S, m) for m in METHODS]
+            maps = [ROUTES[m](g, S) for m in METHODS]
             for other in maps[1:]:
                 assert np.abs(maps[0] - other).max() <= 1e-8
             col_sums = maps[0].sum(axis=0)
             assert np.abs(col_sums - 1.0).max() <= 1e-9
             assert maps[0].min() >= -1e-9 and maps[0].max() <= 1 + 1e-9
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            hitting_probabilities(path(3), [0, 2], "montecarlo")
 
 
 def _drops(sys, v):
