@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _check_index
 from .solver import LaplacianSystem, PowerIterationResult, spectral_norm_nonneg
 
 __all__ = [
@@ -156,7 +156,12 @@ class TransferImpedance:
         return rows
 
     def column_block(self, lo: int, hi: int) -> np.ndarray:
-        """Exact signed impedance columns ``lo..hi-1`` as an (m, hi-lo) array."""
+        """Exact signed impedance columns ``lo..hi-1`` as an (m, hi-lo) array,
+        for ``0 <= lo < hi <= m``."""
+        lo = _check_index(lo, "lo", self.n_edges)
+        hi = _check_index(hi, "hi", self.n_edges + 1)
+        if hi <= lo:
+            raise ValueError(f"hi must exceed lo, got lo={lo}, hi={hi}")
         return self._rows(lo, hi).T
 
     def _upper_blocks(self):
@@ -226,8 +231,7 @@ class TransferImpedance:
 def _pair_potentials(graph: Graph, u: int, v: int) -> np.ndarray:
     """Potentials of the unit current injected at ``u`` and extracted at ``v``."""
     n = graph.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex ids ({u}, {v}) out of range for n={n}")
+    u, v = _check_index(u, "u", n), _check_index(v, "v", n)
     if u == v:
         raise ValueError("source and sink must be two distinct vertices")
     b = np.zeros(n)
@@ -260,8 +264,7 @@ def delta_edge(graph: Graph, edge_index: int) -> float:
             "flow stretch (delta) is defined for unweighted graphs only (all conductances 1); "
             "this graph carries non-unit conductances"
         )
-    if not (0 <= edge_index < graph.n_edges):
-        raise ValueError(f"edge index {edge_index} out of range for m={graph.n_edges}")
+    edge_index = _check_index(edge_index, "edge_index", graph.n_edges)
     t = int(graph.tails[edge_index])
     h = int(graph.heads[edge_index])
     f = unit_flow(graph, t, h)

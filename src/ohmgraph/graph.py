@@ -73,6 +73,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_index(value, name: str, bound: int | None = None):
+    """The library's one id rule: ``value`` as an int, taken through
+    ``operator.index`` (which refuses floats and strings, where ``int()``
+    would truncate 1.7 and read "2") but never from a bool, and in
+    ``range(bound)`` when a bound is given.  A numpy array of one or more
+    dimensions needs an integer dtype, is range-checked in one vectorised
+    step and is returned as it is.  Raises ``ValueError`` naming ``name``."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        if value.dtype.kind not in "iu":  # a bool array is kind "b"
+            raise ValueError(f"{name} must be integers, got an array of {value.dtype}")
+        if bound is not None:
+            bad = value[(value < 0) | (value >= bound)]
+            if bad.size:
+                raise ValueError(f"{name} must lie in range({bound}), got {bad[0]}")
+        return value
+    try:
+        if isinstance(value, (bool, np.bool_)):  # operator.index(True) is 1
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if bound is not None and not 0 <= index < bound:
+        raise ValueError(f"{name} must lie in range({bound}), got {index}")
+    return index
+
+
 def _edge_error(t: int, h: int, c: float) -> str | None:
     """Why ``(t, h, c)`` is not a valid edge, or None when it is."""
     if t == h:
@@ -107,11 +133,9 @@ def build_graph(edges, n_vertices: int | None = None) -> Graph:
         except (TypeError, ValueError):
             raise ValueError(f"edge {i}: expected a (tail, head, conductance) triple, got {edge!r}")
         try:
-            if isinstance(t, bool) or isinstance(h, bool):  # operator.index(True) is 1
-                raise TypeError
-            t, h = operator.index(t), operator.index(h)  # int() would truncate 1.7 to 1
-        except TypeError:
-            raise ValueError(f"edge {i}: vertex ids must be integers, got ({t!r}, {h!r})")
+            t, h = _check_index(t, "tail"), _check_index(h, "head")
+        except ValueError:
+            raise ValueError(f"edge {i}: vertex ids must be integers, got ({t!r}, {h!r})") from None
         if isinstance(c, (str, bytes, bool, np.bool_)):  # float() would read "3.5", b"2" and True
             raise ValueError(f"edge {i}: conductance must be a real number, got {c!r}")
         c = float(c)

@@ -315,9 +315,12 @@ def harmonic_bound_check(graph: Graph, w) -> HarmonicBoundReport:
     elimination bound ``||w||^2 * (1 + sum_i (6*ceil(log2 |S_i|) + 6)/|S_i|)``.
 
     The left side is computed twice, by the direct streaming pass and as V_0
-    of the full elimination trace, and the two must agree to 1e-6 relative
-    (two independent code paths for the same quantity); the trace's V_0 is
-    reported.
+    of the full elimination trace, and the two must agree to 1e-6 relative;
+    the trace's V_0 is reported.  Both sides come from one
+    :func:`~ohmgraph.electrical._edge_potentials` build of Y and differ only
+    in how Pi is assembled and reduced, so this catches an error in those
+    steps; an error in the Y build itself is caught by the unit-flow oracle
+    of ``TestImpedanceOracle``, not here.
     """
     w = _check_weights(graph, w)
     lhs = quadratic_form_abs(graph, w)

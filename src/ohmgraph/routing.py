@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrical import TransferImpedance
-from .graph import Graph, _parse_triples
+from .graph import Graph, _check_index, _parse_triples
 from .solver import LaplacianSystem
 
 __all__ = [
@@ -50,8 +50,8 @@ def _validate_demands(graph: Graph, demands: list[Demand]) -> None:
         raise ValueError("demand set is empty")
     n = graph.n_vertices
     for i, d in enumerate(demands):
-        if not (0 <= d.source < n and 0 <= d.sink < n):
-            raise ValueError(f"demand {i}: vertex ids ({d.source}, {d.sink}) out of range for n={n}")
+        _check_index(d.source, f"demand {i}: source", n)
+        _check_index(d.sink, f"demand {i}: sink", n)
         if d.source == d.sink:
             raise ValueError(f"demand {i}: source equals sink ({d.source})")
         if not 0 < d.amount < np.inf:

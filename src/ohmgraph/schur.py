@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, is_connected, laplacian_matrix
+from .graph import Graph, _check_index, is_connected, laplacian_matrix
 from .solver import DisconnectedGraphError, _cho_factor
 
 __all__ = [
@@ -64,6 +64,7 @@ class SchurSystem:
 
     def local_index(self, v: int) -> int:
         """Position of original vertex ``v`` inside the terminal set."""
+        v = _check_index(v, "v", self.base.n_vertices)
         pos = int(np.searchsorted(self.vertices, v))
         if pos >= self.size or self.vertices[pos] != v:
             raise ValueError(f"vertex {v} is not in the terminal set")
@@ -71,11 +72,15 @@ class SchurSystem:
 
 
 def _validate_terminals(graph: Graph, terminals) -> np.ndarray:
-    S = np.unique(np.asarray(list(terminals), dtype=np.int64))
+    """Sorted distinct terminal ids; an array is checked whole, a list id by id."""
+    n = graph.n_vertices
+    if isinstance(terminals, np.ndarray):
+        S = _check_index(terminals, "terminals", n)
+    else:
+        S = np.array([_check_index(t, "terminals", n) for t in terminals])
+    S = np.unique(S)
     if S.size < 2:
         raise ValueError("terminal set must contain at least 2 distinct vertices")
-    if S[0] < 0 or S[-1] >= graph.n_vertices:
-        raise ValueError(f"terminal ids out of range for n={graph.n_vertices}")
     return S
 
 
@@ -245,8 +250,7 @@ def _drop_energies(system: SchurSystem, v: int) -> tuple[np.ndarray, np.ndarray]
 
 def check_sum_potentials(system: SchurSystem, edge_index: int) -> float:
     """Sum over terminals of the clamped endpoint level of one edge; always <= 3."""
-    if not (0 <= edge_index < system.base.n_edges):
-        raise ValueError(f"edge index {edge_index} out of range for m={system.base.n_edges}")
+    edge_index = _check_index(edge_index, "edge_index", system.base.n_edges)
     x = int(system.base.tails[edge_index])
     y = int(system.base.heads[edge_index])
     px = system.prob_map[:, x]

@@ -104,6 +104,13 @@ def net_outflow(graph, f):
     return np.bincount(graph.tails, weights=f, minlength=n) - np.bincount(graph.heads, weights=f, minlength=n)
 
 
+def bad_ids(bound):
+    """Ids that every entry point taking an id in ``range(bound)`` refuses with
+    a ``ValueError`` naming the argument: a float, a Python and a numpy bool,
+    a numeric string, and both sides of the range."""
+    return [1.0, True, np.True_, "1", -1, bound]
+
+
 def single_edge():
     return build_graph([(0, 1, 1.0)])
 

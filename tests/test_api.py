@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import ohmgraph
@@ -51,6 +52,40 @@ def test_removed_wrappers_are_gone(name):
 )
 def test_transfer_impedance_has_one_pi_surface(name):
     assert not hasattr(TransferImpedance(ohmgraph.complete(3)), name)
+
+
+def test_numpy_integer_ids_give_the_int_results():
+    # every entry point that takes an id, once with Python ints and once with
+    # np.int64 ids (a terminal set as an int64 array), compared bit for bit
+    g = ohmgraph.torus(4)
+    w = np.linspace(0.5, 2.0, g.n_edges)
+    tp = TransferImpedance(g)
+
+    def results(i):
+        system = ohmgraph.schur_complement(g, [i(0), i(5), i(10), i(15)])
+        smaller = ohmgraph.eliminate_one(system, i(5))
+        return [
+            ohmgraph.unit_flow(g, i(0), i(5)),
+            ohmgraph.effective_resistance(g, i(0), i(5)),
+            ohmgraph.delta_edge(g, i(7)),
+            tp.column_block(i(3), i(11)),
+            system.vertices,
+            system.laplacian,
+            system.prob_map,
+            smaller.laplacian,
+            smaller.prob_map,
+            ohmgraph.check_sum_potentials(system, i(7)),
+            ohmgraph.check_norm_energy(system, i(10), 0.4),
+            ohmgraph.check_schur_conductance(system, i(15)),
+            ohmgraph.degree_profile(g, [i(1), i(6), i(11)], w).degrees,
+            ohmgraph.route_demands(g, [ohmgraph.Demand(i(0), i(5), 1.5), ohmgraph.Demand(i(9), i(2), 0.5)]).flow,
+        ]
+
+    ints = results(int)
+    for a, b in zip(ints, results(np.int64)):
+        assert np.array_equal(a, b)
+    as_array = ohmgraph.schur_complement(g, np.array([0, 5, 10, 15], dtype=np.int64))
+    assert np.array_equal(as_array.laplacian, ints[5]) and np.array_equal(as_array.prob_map, ints[6])
 
 
 def test_schur_system_is_its_laplacian():

@@ -68,7 +68,9 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="edge 1: .*int64"):
             build_graph([(0, 1, 1.0), (0, 2**63, 1.0)])
 
-    @pytest.mark.parametrize("edges", [[(0, 1.7, 1.0), (1, 2, 1.0)], [(0, 1.0, 1.0)], [("2", 1, "3.5")]])
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1.7, 1.0), (1, 2, 1.0)], [(0, 1.0, 1.0)], [("2", 1, "3.5")], [(np.float64(0), 1, 1.0)]]
+    )
     def test_rejects_non_integer_id(self, edges):
         # int() would truncate 1.7 to vertex 1 and read "2" as vertex 2
         with pytest.raises(ValueError, match="edge 0: vertex ids must be integers"):
@@ -83,6 +85,7 @@ class TestBuildGraph:
             ((0, 1, np.True_), "conductance"),
             ((True, 0, 1.0), "vertex ids"),
             ((0, True, 1.0), "vertex ids"),
+            ((np.True_, 0, 1.0), "vertex ids"),
         ],
     )
     def test_rejects_text_and_bool_values(self, edge, what):

@@ -27,7 +27,7 @@ from ohmgraph.localization import _abs_rows, _degree_vector, _downdate_rows, _pa
 from ohmgraph.schur import _block_prob_map, _eliminate_pivot
 from ohmgraph.solver import LaplacianSystem
 
-from conftest import laplacian_pinv, random_connected_graph, single_edge, triangle
+from conftest import bad_ids, laplacian_pinv, random_connected_graph, single_edge, triangle
 
 
 def star(k):
@@ -51,6 +51,11 @@ class TestDegree:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             degree_profile(path(4), [0, 3], [-1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", bad_ids(4), ids=repr)
+    def test_bad_terminal_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^terminals must"):
+            degree_profile(path(4), [0, 3, bad], np.ones(3))
 
 
 class TestDegreeProfile:

@@ -72,10 +72,16 @@ class TestRouteDemands:
             [Demand(0, 1, 0.0)],
             [Demand(0, 1, -2.0)],
             [Demand(0, 9, 1.0)],
+            [Demand(True, 2, 1.0)],  # read as a mask, injecting at every vertex
+            [Demand(0, np.True_, 1.0)],
+            [Demand(1.0, 2, 1.0)],
+            [Demand(0, "1", 1.0)],
+            [Demand(-1, 2, 1.0)],
+            [Demand(0, 1, 1.0), Demand(2, 3, 1.0)],
         ],
     )
     def test_invalid_demands(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^demand"):
             route_demands(triangle(), bad)
 
 

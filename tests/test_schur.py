@@ -21,7 +21,7 @@ from ohmgraph import (
 
 from ohmgraph.schur import _check_schur, _eliminate_pivot
 
-from conftest import identify_prob_map, laplacian_pinv, random_connected_graph, triangle, walk_prob_map
+from conftest import bad_ids, identify_prob_map, laplacian_pinv, random_connected_graph, triangle, walk_prob_map
 
 # The library's one route to hitting probabilities and the two float oracles
 # it is checked against, each on a sorted terminal array.
@@ -79,6 +79,18 @@ class TestSchurComplement:
         g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError):
             schur_complement(g, [0, 2])
+
+    @pytest.mark.parametrize(
+        "terminals",
+        [[0.7, 4.2, 8], ["0", "4", "8"]]
+        + [[0, 4, bad] for bad in bad_ids(9)]
+        + [np.array([0.0, 4.0, 8.0]), np.array([True, False, True]), np.array([0, 4, 9]), np.array([-1, 4])],
+        ids=repr,
+    )
+    def test_bad_terminal_ids_rejected(self, terminals):
+        # the first two read as terminals 0, 4 and 8, a bool as vertex 1
+        with pytest.raises(ValueError, match=r"^terminals must"):
+            schur_complement(torus(3), terminals)
 
 
 class TestCheckSchur:
@@ -218,6 +230,22 @@ class TestEliminateOne:
         with pytest.raises(ValueError, match="not in the terminal set"):
             eliminate_one(sys, 2)
 
+    @pytest.mark.parametrize("bad", bad_ids(4), ids=repr)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            eliminate_one,
+            lambda s, v: check_norm_energy(s, v, 0.5),
+            check_schur_conductance,
+            SchurSystem.local_index,
+        ],
+        ids=["eliminate_one", "check_norm_energy", "check_schur_conductance", "local_index"],
+    )
+    def test_bad_vertex_ids_rejected(self, entry, bad):
+        # a plain lookup finds terminal 1 for 1.0 and for True
+        with pytest.raises(ValueError, match=r"^v must"):
+            entry(schur_complement(path(4), [0, 1, 3]), bad)
+
 
 class TestHittingProbabilities:
     @pytest.mark.parametrize("method", METHODS)
@@ -296,6 +324,11 @@ class TestSumPotentials:
         sys = schur_complement(g, S)
         for e in range(g.n_edges):
             assert check_sum_potentials(sys, e) <= 3.0 + 1e-12
+
+    @pytest.mark.parametrize("bad", bad_ids(3), ids=repr)
+    def test_bad_edge_index_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^edge_index must"):
+            check_sum_potentials(schur_complement(triangle(), [0, 1]), bad)
 
 
 class TestNormEnergy:
