@@ -14,7 +14,6 @@ __all__ = [
     "TransferImpedance",
     "unit_flow",
     "effective_resistance",
-    "delta_edge",
     "quadratic_form_abs",
 ]
 
@@ -254,21 +253,6 @@ def effective_resistance(graph: Graph, u: int, v: int) -> float:
     """Quadratic form of the Laplacian pseudoinverse on the u-v indicator drop."""
     x = _pair_potentials(graph, u, v)
     return float(x[u] - x[v])
-
-
-def delta_edge(graph: Graph, edge_index: int) -> float:
-    """Flow stretch of one edge: l1 norm of the endpoint unit flow over the
-    hop distance of its endpoints, which is 1 since self-loops are rejected."""
-    if not graph.is_unweighted:
-        raise ValueError(
-            "flow stretch (delta) is defined for unweighted graphs only (all conductances 1); "
-            "this graph carries non-unit conductances"
-        )
-    edge_index = _check_index(edge_index, "edge_index", graph.n_edges)
-    t = int(graph.tails[edge_index])
-    h = int(graph.heads[edge_index])
-    f = unit_flow(graph, t, h)
-    return float(_abs_zeroed(f).sum())
 
 
 def quadratic_form_abs(graph: Graph, w) -> float:

@@ -73,6 +73,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Values that float() reads as numbers ("3.5", b"2", True) but that are refused
+# wherever a real number is taken: conductances and demand amounts.
+_NOT_REAL = (str, bytes, bool, np.bool_)
+
+
 def _check_index(value, name: str, bound: int | None = None):
     """The library's one id rule: ``value`` as an int, taken through
     ``operator.index`` (which refuses floats and strings, where ``int()``
@@ -136,7 +141,7 @@ def build_graph(edges, n_vertices: int | None = None) -> Graph:
             t, h = _check_index(t, "tail"), _check_index(h, "head")
         except ValueError:
             raise ValueError(f"edge {i}: vertex ids must be integers, got ({t!r}, {h!r})") from None
-        if isinstance(c, (str, bytes, bool, np.bool_)):  # float() would read "3.5", b"2" and True
+        if isinstance(c, _NOT_REAL):
             raise ValueError(f"edge {i}: conductance must be a real number, got {c!r}")
         c = float(c)
         error = _edge_error(t, h, c)
@@ -152,11 +157,10 @@ def _graph_from_arrays(
     """Freeze already validated edge arrays into a :class:`Graph`, inferring
     or range-checking the vertex count."""
     max_id = int(max(tails.max(), heads.max())) if tails.size else -1
-    if n_vertices is None:
-        n_vertices = max_id + 1
-    elif n_vertices <= max_id:
+    n_vertices = max_id + 1 if n_vertices is None else _check_index(n_vertices, "n_vertices")
+    if n_vertices <= max_id:
         raise ValueError(f"vertex id {max_id} out of range for n_vertices={n_vertices}")
-    return Graph(int(n_vertices), _freeze(tails), _freeze(heads), _freeze(conds))
+    return Graph(n_vertices, _freeze(tails), _freeze(heads), _freeze(conds))
 
 
 def laplacian_matrix(graph: Graph) -> np.ndarray:

@@ -47,11 +47,8 @@ _ORACLE_PM_TOL = 1e-9
 _ORACLE_VI_RTOL = 1e-8
 
 # Largest admissible gap between each step's rank-one term and the pivot's
-# degree (relative to max(1, |degree|), since degrees scale with ||w||^2),
-# and between the trace's V_0 and the direct quadratic form in
-# harmonic_bound_check (relative).
+# degree (relative to max(1, |degree|), since degrees scale with ||w||^2).
 _IDENTITY_TOL = 1e-8
-_V0_RTOL = 1e-6
 
 
 class LocalizationError(RuntimeError):
@@ -314,21 +311,12 @@ def harmonic_bound_check(graph: Graph, w) -> HarmonicBoundReport:
     """Compare the absolute-impedance quadratic form against the assembled
     elimination bound ``||w||^2 * (1 + sum_i (6*ceil(log2 |S_i|) + 6)/|S_i|)``.
 
-    The left side is computed twice, by the direct streaming pass and as V_0
-    of the full elimination trace, and the two must agree to 1e-6 relative;
-    the trace's V_0 is reported.  Both sides come from one
-    :func:`~ohmgraph.electrical._edge_potentials` build of Y and differ only
-    in how Pi is assembled and reduced, so this catches an error in those
-    steps; an error in the Y build itself is caught by the unit-flow oracle
-    of ``TestImpedanceOracle``, not here.
+    The left side is :func:`~ohmgraph.electrical.quadratic_form_abs`, one
+    factorization and one streaming pass over Pi, so no m x m array is held
+    and no edge count is refused; the bound depends only on ``||w||^2`` and
+    the vertex count, so no elimination runs.
     """
     w = _check_weights(graph, w)
     lhs = quadratic_form_abs(graph, w)
-    v0 = run_elimination(graph, w).v_initial
-    if abs(v0 - lhs) > _V0_RTOL * max(abs(lhs), 1e-30):
-        raise LocalizationError(
-            f"trace V_0 = {v0!r} disagrees with the direct quadratic form {lhs!r} "
-            f"beyond {_V0_RTOL:.0e} relative"
-        )
     bound = float(w @ w) * (1.0 + _harmonic_sum(graph.n_vertices))
-    return HarmonicBoundReport(lhs=v0, harmonic_bound=bound, ok=bool(v0 <= bound + 1e-9))
+    return HarmonicBoundReport(lhs=lhs, harmonic_bound=bound, ok=bool(lhs <= bound + 1e-9))

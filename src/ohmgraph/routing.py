@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrical import TransferImpedance
-from .graph import Graph, _check_index, _parse_triples
+from .graph import _NOT_REAL, Graph, _check_index, _parse_triples
 from .solver import LaplacianSystem
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "RoutingReport",
     "parse_demands",
     "route_demands",
-    "competitive_ratio_bound",
 ]
 
 
@@ -54,6 +53,8 @@ def _validate_demands(graph: Graph, demands: list[Demand]) -> None:
         _check_index(d.sink, f"demand {i}: sink", n)
         if d.source == d.sink:
             raise ValueError(f"demand {i}: source equals sink ({d.source})")
+        if isinstance(d.amount, _NOT_REAL):
+            raise ValueError(f"demand {i}: amount must be a real number, got {d.amount!r}")
         if not 0 < d.amount < np.inf:
             raise ValueError(f"demand {i}: amount must be a positive finite real, got {d.amount}")
 
@@ -76,7 +77,7 @@ def route_demands(graph: Graph, demands) -> RoutingReport:
     bound = None
     if graph.is_unweighted:
         impedance = TransferImpedance(graph, mode="streaming")
-        bound = _max_colsum(impedance)
+        bound = float(impedance.per_edge_stats()[0].max())
         system = impedance.system
         del impedance
     else:
@@ -94,20 +95,3 @@ def route_demands(graph: Graph, demands) -> RoutingReport:
         max_congestion=float(congestion.max()),
         competitive_ratio_bound=bound,
     )
-
-
-def _max_colsum(impedance: TransferImpedance) -> float:
-    return float(impedance.per_edge_stats()[0].max())
-
-
-def competitive_ratio_bound(graph: Graph) -> float:
-    """Exact competitive ratio of electrical routing on an unweighted graph:
-    the maximum column sum of the entrywise-absolute impedance, equivalently
-    the maximum per-edge flow stretch.  The column sums come from one
-    streaming pass over Pi, so no m x m array is held."""
-    if not graph.is_unweighted:
-        raise ValueError(
-            "the competitive-ratio identity holds for unweighted graphs only; "
-            "for weighted graphs route_demands reports raw congestion without a bound"
-        )
-    return _max_colsum(TransferImpedance(graph, mode="streaming"))

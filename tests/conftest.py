@@ -14,8 +14,10 @@ from ohmgraph import (
     path,
     random_regular_expander,
     torus,
+    unit_flow,
 )
-from ohmgraph.graph import _graph_from_arrays, _hops
+from ohmgraph.electrical import _abs_zeroed
+from ohmgraph.graph import _check_index, _graph_from_arrays, _hops
 
 
 def laplacian_pinv(L):
@@ -85,6 +87,21 @@ def walk_prob_map(graph, S):
         H = np.linalg.solve(np.eye(comp.size) - T, P[np.ix_(comp, S)])
         pm[:, comp] = H.T
     return pm
+
+
+def delta_edge(graph, edge_index):
+    """Flow stretch of one edge of an unweighted graph: the l1 norm of the
+    unit flow between its endpoints (whose hop distance is 1), from one pair
+    solve, so it does not read Y.  The maximum over the edges is the
+    competitive-ratio bound that ``route_demands`` reports."""
+    if not graph.is_unweighted:
+        raise ValueError(
+            "flow stretch (delta) is defined for unweighted graphs only (all conductances 1); "
+            "this graph carries non-unit conductances"
+        )
+    edge_index = _check_index(edge_index, "edge_index", graph.n_edges)
+    f = unit_flow(graph, int(graph.tails[edge_index]), int(graph.heads[edge_index]))
+    return float(_abs_zeroed(f).sum())
 
 
 def oracle_pinv_apply(graph, b):

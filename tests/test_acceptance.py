@@ -14,10 +14,8 @@ from ohmgraph import (
     check_norm_energy,
     check_schur_conductance,
     check_sum_potentials,
-    competitive_ratio_bound,
     complete,
     degree_profile,
-    delta_edge,
     erdos_renyi,
     hypercube,
     is_connected,
@@ -33,7 +31,7 @@ from ohmgraph import (
     LaplacianSystem,
 )
 
-from conftest import identify_prob_map, walk_prob_map
+from conftest import delta_edge, identify_prob_map, walk_prob_map
 
 
 def _report(num, name, ok, detail=""):
@@ -253,7 +251,8 @@ def test_criterion_8_routing():
     worst_bound_gap = 0.0
     for name, g in _named_zoo():
         expected = max(delta_edge(g, e) for e in range(g.n_edges))
-        worst_bound_gap = max(worst_bound_gap, abs(competitive_ratio_bound(g) - expected))
+        bound = route_demands(g, [Demand(0, 1, 1.0)]).competitive_ratio_bound
+        worst_bound_gap = max(worst_bound_gap, abs(bound - expected))
 
     rng = np.random.default_rng(8)
     g = torus(3)

@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ def test_package_exports_every_module_name(module):
         "hitting_probabilities",
         "_identify_prob_map",
         "_walk_prob_map",
+        "competitive_ratio_bound",
+        "delta_edge",
     ],
 )
 def test_removed_wrappers_are_gone(name):
@@ -67,7 +71,6 @@ def test_numpy_integer_ids_give_the_int_results():
         return [
             ohmgraph.unit_flow(g, i(0), i(5)),
             ohmgraph.effective_resistance(g, i(0), i(5)),
-            ohmgraph.delta_edge(g, i(7)),
             tp.column_block(i(3), i(11)),
             system.vertices,
             system.laplacian,
@@ -85,7 +88,7 @@ def test_numpy_integer_ids_give_the_int_results():
     for a, b in zip(ints, results(np.int64)):
         assert np.array_equal(a, b)
     as_array = ohmgraph.schur_complement(g, np.array([0, 5, 10, 15], dtype=np.int64))
-    assert np.array_equal(as_array.laplacian, ints[5]) and np.array_equal(as_array.prob_map, ints[6])
+    assert np.array_equal(as_array.laplacian, ints[4]) and np.array_equal(as_array.prob_map, ints[5])
 
 
 def test_schur_system_is_its_laplacian():
@@ -103,3 +106,12 @@ def test_degree_profile_has_no_degenerate_field():
     # degree is special-cased
     fields = {f.name for f in dataclasses.fields(ohmgraph.DegreeProfile)}
     assert fields == {"vertices", "degrees", "total", "bound"}
+
+
+def test_readme_library_example_runs():
+    # the first python block under "## Library", so a name that leaves the
+    # library cannot stay in the README
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

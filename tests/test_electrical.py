@@ -9,7 +9,6 @@ from ohmgraph import (
     TransferImpedance,
     build_graph,
     complete,
-    delta_edge,
     effective_resistance,
     hypercube,
     is_connected,
@@ -24,6 +23,7 @@ from ohmgraph import (
 from conftest import (
     bad_ids,
     bfs_distance,
+    delta_edge,
     indicator_drop,
     log_uniform_expander,
     net_outflow,
@@ -119,6 +119,7 @@ class TestEffectiveResistance:
 
 
 class TestDelta:
+    # delta_edge is the unit-flow oracle in conftest, which does not read Y
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_parallel_paths_direct_edge(self, k):
         g = parallel_paths(k)

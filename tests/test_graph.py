@@ -69,12 +69,23 @@ class TestBuildGraph:
             build_graph([(0, 1, 1.0), (0, 2**63, 1.0)])
 
     @pytest.mark.parametrize(
-        "edges", [[(0, 1.7, 1.0), (1, 2, 1.0)], [(0, 1.0, 1.0)], [("2", 1, "3.5")], [(np.float64(0), 1, 1.0)]]
+        "edges, n_vertices, message",
+        [
+            ([(0, 1.7, 1.0), (1, 2, 1.0)], None, "edge 0: vertex ids must be integers"),
+            ([(0, 1.0, 1.0)], None, "edge 0: vertex ids must be integers"),
+            ([("2", 1, "3.5")], None, "edge 0: vertex ids must be integers"),
+            ([(np.float64(0), 1, 1.0)], None, "edge 0: vertex ids must be integers"),
+            ([(0, 1, 1.0)], 2.7, "n_vertices must be an integer"),
+            ([(0, 1, 1.0)], "3", "n_vertices must be an integer"),
+            ([(0, 1, 1.0)], True, "n_vertices must be an integer"),
+        ],
+        ids=["edges0", "edges1", "edges2", "edges3", "n_vertices=2.7", "n_vertices='3'", "n_vertices=True"],
     )
-    def test_rejects_non_integer_id(self, edges):
-        # int() would truncate 1.7 to vertex 1 and read "2" as vertex 2
-        with pytest.raises(ValueError, match="edge 0: vertex ids must be integers"):
-            build_graph(edges)
+    def test_rejects_non_integer_id(self, edges, n_vertices, message):
+        # int() would truncate 1.7 to vertex 1 and 2.7 to two vertices, and
+        # read "2" as vertex 2
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build_graph(edges, n_vertices=n_vertices)
 
     @pytest.mark.parametrize(
         "edge, what",

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ohmgraph.electrical as electrical
 import ohmgraph.localization as localization
 from ohmgraph import (
+    DENSE_EDGE_CAP,
     LocalizationError,
     SchurResidueError,
     build_graph,
@@ -23,11 +25,11 @@ from ohmgraph import (
     schur_complement,
     torus,
 )
-from ohmgraph.localization import _abs_rows, _degree_vector, _downdate_rows, _pair_value
+from ohmgraph.localization import _abs_rows, _degree_vector, _downdate_rows, _harmonic_sum, _pair_value
 from ohmgraph.schur import _block_prob_map, _eliminate_pivot
 from ohmgraph.solver import LaplacianSystem
 
-from conftest import bad_ids, laplacian_pinv, random_connected_graph, single_edge, triangle
+from conftest import bad_ids, laplacian_pinv, log_uniform_expander, random_connected_graph, single_edge, triangle
 
 
 def star(k):
@@ -355,7 +357,11 @@ class TestConductanceScaling:
     @pytest.mark.parametrize("factor", [1e11, 1e12, 1e300])
     def test_harmonic_bound_check_at_large_scales(self, factor):
         g = _scaled(torus(6), factor)
-        assert harmonic_bound_check(g, np.ones(g.n_edges)).ok
+        ones = np.ones(g.n_edges)
+        assert harmonic_bound_check(g, ones).ok
+        # at 1e12 a scale bug once read the trace's V_0 as 0.0
+        v0, direct = run_elimination(g, ones).v_initial, quadratic_form_abs(g, ones)
+        assert abs(v0 - direct) <= 1e-6 * abs(direct)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(instance=_weighted_multigraphs(), k=st.integers(-250, 250))
@@ -403,3 +409,34 @@ class TestHarmonicBoundCheck:
             assert rep.ok
         assert all(r <= 8.0 for r in ratios)
         assert ratios[-1] <= 2.0 * ratios[0]
+
+    def test_factors_once_and_eliminates_nothing(self, monkeypatch):
+        g = torus(6)
+        factored = []
+        original = scipy.linalg.cho_factor
+
+        def spy(a, *args, **kwargs):
+            factored.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("harmonic_bound_check ran an elimination")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+        monkeypatch.setattr(localization, "run_elimination", no_elimination)
+        assert harmonic_bound_check(g, np.ones(g.n_edges)).ok
+        assert factored == [(35, 35)]
+
+    def test_report_is_the_quadratic_form_and_the_harmonic_sum(self):
+        g = log_uniform_expander(40, 3)
+        w = np.linspace(0.0, 2.0, g.n_edges)
+        rep = harmonic_bound_check(g, w)
+        assert rep.lhs == quadratic_form_abs(g, w)
+        assert rep.harmonic_bound == float(w @ w) * (1.0 + _harmonic_sum(g.n_vertices))
+
+    def test_accepts_more_edges_than_the_dense_cap(self):
+        # a 10-cycle with every edge 410 times: no m x m array is held
+        g = build_graph([(i, (i + 1) % 10, 1.0) for i in range(10)] * 410)
+        assert g.n_edges == 4100 > DENSE_EDGE_CAP
+        rep = harmonic_bound_check(g, np.ones(g.n_edges))
+        assert rep.ok and rep.lhs == quadratic_form_abs(g, np.ones(g.n_edges))

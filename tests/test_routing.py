@@ -9,8 +9,6 @@ from ohmgraph import (
     LaplacianSystem,
     TransferImpedance,
     build_graph,
-    competitive_ratio_bound,
-    delta_edge,
     parallel_paths,
     parse_demands,
     route_demands,
@@ -18,7 +16,7 @@ from ohmgraph import (
     unit_flow,
 )
 
-from conftest import log_uniform_expander, net_outflow, single_edge, triangle
+from conftest import delta_edge, log_uniform_expander, net_outflow, single_edge, triangle
 
 
 class TestRouteDemands:
@@ -78,6 +76,9 @@ class TestRouteDemands:
             [Demand(0, "1", 1.0)],
             [Demand(-1, 2, 1.0)],
             [Demand(0, 1, 1.0), Demand(2, 3, 1.0)],
+            [Demand(0, 1, True)],  # float() reads these three as numbers
+            [Demand(0, 1, np.True_)],
+            [Demand(0, 1, "1")],
         ],
     )
     def test_invalid_demands(self, bad):
@@ -87,12 +88,14 @@ class TestRouteDemands:
 
 class TestCompetitiveRatioBound:
     def test_single_edge(self):
-        assert competitive_ratio_bound(single_edge()) == pytest.approx(1.0, abs=1e-10)
+        bound = route_demands(single_edge(), [Demand(0, 1, 1.0)]).competitive_ratio_bound
+        assert bound == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("g", [triangle(), torus(3), parallel_paths(3)])
     def test_equals_max_delta(self, g):
         expected = max(delta_edge(g, e) for e in range(g.n_edges))
-        assert competitive_ratio_bound(g) == pytest.approx(expected, abs=1e-9)
+        bound = route_demands(g, [Demand(0, 1, 1.0)]).competitive_ratio_bound
+        assert bound == pytest.approx(expected, abs=1e-9)
 
     def test_bound_streams_pi(self, monkeypatch):
         modes = []
@@ -124,7 +127,7 @@ class TestCompetitiveRatioBound:
         assert factored == [(g.n_vertices - 1, g.n_vertices - 1)]
         superposed = sum(d.amount * unit_flow(g, d.source, d.sink) for d in demands)
         assert np.abs(report.flow - superposed).max() <= 1e-12 * np.abs(superposed).max()
-        assert report.competitive_ratio_bound == competitive_ratio_bound(g)
+        assert report.competitive_ratio_bound == TransferImpedance(g).per_edge_stats()[0].max()
 
     def test_summed_injections_superpose_unit_flows(self, monkeypatch):
         # opposite-direction and repeated pairs on a weighted graph: one solve
@@ -175,9 +178,10 @@ class TestCompetitiveRatioBound:
         assert alive[-1] is False and None in alive[:-1]
 
     def test_weighted_rejected_with_explanation(self):
+        # the routing identity holds on unweighted graphs only, so a weighted
+        # graph is routed without a bound
         g = build_graph([(0, 1, 2.0), (1, 2, 1.0), (2, 0, 1.0)])
-        with pytest.raises(ValueError, match="unweighted"):
-            competitive_ratio_bound(g)
+        assert route_demands(g, [Demand(0, 1, 1.0)]).competitive_ratio_bound is None
 
 
 class TestParseDemands:
