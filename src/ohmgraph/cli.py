@@ -208,7 +208,11 @@ def _cmd_verify(args) -> int:
                 }
             )
     _emit("\n".join(json.dumps(r) for r in records), args.out)
-    return EXIT_OK if all(r["ok"] for r in records) else EXIT_CONTRACT
+    failed = sum(not r["ok"] for r in records)
+    if failed:
+        print(f"contract failure: {failed} of {len(records)} records failed", file=sys.stderr)
+        return EXIT_CONTRACT
+    return EXIT_OK
 
 
 def _cmd_route(args) -> int:
@@ -294,7 +298,7 @@ def cli_main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError:
-        print("numerical error: out of memory; the graph is too large for the dense n x n arrays", file=sys.stderr)
+        print("numerical error: out of memory; the input is too large for the memory available", file=sys.stderr)
         return EXIT_NUMERIC
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -25,10 +25,10 @@ DENSE_EDGE_CAP = 4000
 # absolute values, so sign noise on symmetric families does not inflate norms.
 ABS_ZERO_TOL = 1e-12
 
-# Rows per block of every pass over Pi, and columns per slice of the Y
-# gather.  On a 1024-vertex weighted expander (m=2048, one BLAS thread, 2-core
-# Xeon VM) one streaming pass took 15 ms with 32 or 64 rows, 17-18 ms with 128
-# and 24-26 ms with 256.
+# Rows per block of every pass over Pi, and per slice of the Y gather.  On a
+# 1024-vertex weighted expander (m=2048, one BLAS thread, 2-core Xeon VM) one
+# streaming pass took 15 ms with 32 or 64 rows, 17-18 ms with 128 and 24-26 ms
+# with 256.
 _DEFAULT_BLOCK = 64
 
 # Columns per block of the solves that build Y.  On the same graph all 1023
@@ -62,27 +62,28 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph) -> np.ndarray:
     """``Y = L^+ B^T sqrt(C)`` as an (n, m) array.
 
     Column e is sqrt(c_e) times the potentials of a unit flow across edge e.
-    Each block of solves gives ``L^+`` columns lo..hi-1, which by symmetry
-    are also its rows lo..hi-1, so they yield ``Y[lo:hi]`` directly and the
-    full n x n ``L^+`` never exists.  A block is gathered in slices of
-    ``_DEFAULT_BLOCK`` columns, so the gather temporaries stay that narrow.
+    A block of grounded solves gives ``L^+`` columns lo..hi-1, up to one
+    constant per column that cancels in every edge drop, and by symmetry
+    rows lo..hi-1, so ``Y[lo:hi]`` follows and the n x n ``L^+`` never
+    exists.  It is written in slices of ``_DEFAULT_BLOCK`` rows, so the
+    gather temporary stays that narrow.
     """
     n = system.n
-    sqrt_c = np.sqrt(graph.conductances)[:, None]
+    sqrt_c = np.sqrt(graph.conductances)
     y = np.empty((n, graph.n_edges))
     for lo in range(0, n, _SOLVE_BLOCK):
         hi = min(lo + _SOLVE_BLOCK, n)
-        rhs = np.zeros((n, hi - lo))
+        rhs = np.zeros((n, hi - lo), order="F")
         rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        x = system.solve_columns(rhs)
+        xt = system.solve_columns(rhs).T  # C order: row j is solve lo + j
         del rhs
         for start in range(lo, hi, _DEFAULT_BLOCK):
-            cols = slice(start - lo, min(start + _DEFAULT_BLOCK, hi) - lo)
-            drop = x[graph.tails, cols]
-            drop -= x[graph.heads, cols]
-            drop *= sqrt_c
-            y[start : start + drop.shape[1]] = drop.T
-        del x, drop  # before the next block is allocated
+            stop = min(start + _DEFAULT_BLOCK, hi)
+            rows, out = xt[start - lo : stop - lo], y[start:stop]
+            np.take(rows, graph.tails, axis=1, out=out)
+            out -= np.take(rows, graph.heads, axis=1)
+            out *= sqrt_c
+        del xt, rows  # views of the solved block, freed before the next
     return y
 
 

@@ -316,23 +316,41 @@ def random_regular_expander(n: int, d: int, seed: int = 0) -> Graph:
     raise ValueError(f"failed to sample a connected {d}-regular graph on {n} vertices")
 
 
+# Largest vertex count, and largest number of edges or vertex pairs, that a
+# family spec may build.  At this size path:1000001, torus:707 and
+# complete:1414 each took 2.3-2.5 s and 210 MB of peak RSS to build, and
+# expander:500000:4 took 17.6 s and 440 MB (one process, 2-core Xeon VM).
+_FAMILY_SIZE_CAP = 10**6
+
+# name: (builder, usage, (vertices, edges or vertex pairs) from the
+# parameters); the hypercube's 2**d is never formed for an absurd d
 _FAMILIES = {
-    "parallel_paths": (parallel_paths, "k"),
-    "torus": (torus, "n"),
-    "hypercube": (hypercube, "d"),
-    "expander": (random_regular_expander, "n d [seed]"),
-    "path": (path, "n"),
-    "complete": (complete, "n"),
-    "erdos_renyi": (erdos_renyi, "n p [seed]"),
-    "triangle": (lambda: complete(3), ""),
+    "parallel_paths": (parallel_paths, "k", lambda k: (2 + k * (k - 1), k * k + 1)),
+    "torus": (torus, "n", lambda n: (n * n, 2 * n * n)),
+    "hypercube": (hypercube, "d", lambda d: (2**d, d * 2**d // 2) if d < 1024 else (math.inf, math.inf)),
+    "expander": (random_regular_expander, "n d [seed]", lambda n, d, seed=0: (n, n * d // 2)),
+    "path": (path, "n", lambda n: (n, n - 1)),
+    "complete": (complete, "n", lambda n: (n, n * (n - 1) // 2)),
+    "erdos_renyi": (erdos_renyi, "n p [seed]", lambda n, p, seed=0: (n, n * (n - 1) // 2)),
+    "triangle": (lambda: complete(3), "", lambda: (3, 3)),
 }
+
+
+def _magnitude(count) -> str:
+    """``count`` exactly below 1e15, else to three digits."""
+    if count < 10**15:
+        return str(count)
+    return f"{count:.3g}" if count < 1e300 else "over 1e300"
 
 
 def parse_family_spec(spec: str) -> Graph:
     """Parse a colon-separated family spec such as ``torus:8`` or ``expander:64:4:7``.
 
     An optional ``family:`` prefix is accepted.  The second argument of
-    ``erdos_renyi`` parses as a float, everything else as integers.
+    ``erdos_renyi`` parses as a float, everything else as integers.  The
+    vertex count and the number of edges or vertex pairs the build loops
+    over come from the parameters first, and a spec with either above
+    ``_FAMILY_SIZE_CAP`` raises ``ValueError`` before any edge exists.
     """
     body = spec.removeprefix("family:")
     parts = body.split(":")
@@ -349,11 +367,17 @@ def parse_family_spec(spec: str) -> Graph:
                 args.append(int(token))
         except ValueError:
             raise ValueError(f"bad parameter {token!r} in family spec {spec!r}")
-    builder, usage = _FAMILIES[name]
+    builder, usage, size = _FAMILIES[name]
     try:
-        return builder(*args)
+        n, steps = size(*(max(a, 0) for a in args))  # a negative size is the builder's error
     except TypeError:
-        raise ValueError(f"family {name!r} expects parameters: {usage or '(none)'}")
+        raise ValueError(f"family {name!r} expects parameters: {usage or '(none)'}") from None
+    if max(n, steps) > _FAMILY_SIZE_CAP:
+        raise ValueError(
+            f"family spec {spec!r} would build {_magnitude(n)} vertices and {_magnitude(steps)} "
+            f"edges or vertex pairs, above the cap of {_FAMILY_SIZE_CAP} per spec"
+        )
+    return builder(*args)
 
 
 # ---------------------------------------------------------------------------

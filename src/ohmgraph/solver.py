@@ -6,10 +6,10 @@ A :class:`LaplacianSystem` is built from a :class:`~ohmgraph.graph.Graph`
 only.  Its edges were validated when the graph was built, so the assembled
 Laplacian is symmetric with zero row sums by construction; the one property
 left to check is connectivity, which makes the Laplacian rank n - 1.  The
-pseudoinverse grounds vertex 0, Cholesky-factors the remaining principal
-submatrix, and re-centers the solution; exact nullspace handling for
-connected graphs without a full eigendecomposition.  Desk-scale dense path:
-intended for n up to a few thousand vertices.
+solves ground vertex 0 on a Cholesky factor of the remaining principal
+submatrix, and a single solve centres its result; exact nullspace handling
+for connected graphs without a full eigendecomposition.  Desk-scale dense
+path: intended for n up to a few thousand vertices.
 
 The eigensolver runs Lanczos from the normalized all-ones vector with full
 reorthogonalization.  A breakdown (the next Krylov direction vanishes) means
@@ -118,20 +118,21 @@ class LaplacianSystem:
         self._factor = _cho_factor(graph, grounded, "grounded")
 
     def solve(self, b) -> np.ndarray:
-        """Pseudoinverse solve: project ``b`` off the all-ones direction, solve,
-        and return the solution orthogonal to the all-ones vector."""
+        """Pseudoinverse solve ``L^+ b``: the grounded :meth:`solve_columns`
+        solution, centred to be orthogonal to the all-ones vector."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}, got shape {b.shape}")
-        return self.solve_columns(b[:, None])[:, 0]
+        x = self.solve_columns(b[:, None])[:, 0]
+        return x - x.mean()
 
     def solve_columns(self, B) -> np.ndarray:
-        """Vectorized :meth:`solve` over the columns of an ``(n, k)`` array.
-
-        The grounded rows of the centred right-hand side are written into one
-        Fortran-order buffer that LAPACK solves in place, so the only n x k
-        arrays allocated are that buffer and the returned solution.  A
-        non-finite LAPACK solve raises ``FloatingPointError``.
+        """Grounded solves of the columns of an ``(n, k)`` array: each column
+        is projected off the all-ones direction and solved with vertex 0
+        grounded, so ``X[0] = 0`` exactly and column j differs from
+        ``L^+ B[:, j]`` by one constant.  LAPACK solves in place in one
+        Fortran-order buffer, and X keeps that layout.  A non-finite solve
+        raises ``FloatingPointError``.
         """
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.n:
@@ -141,11 +142,7 @@ class LaplacianSystem:
         grounded = scipy.linalg.cho_solve(self._factor, grounded, overwrite_b=True, check_finite=False)
         if not np.isfinite(grounded).all():  # LAPACK sets no floating-point flag
             raise FloatingPointError("Laplacian solve is not finite: the potentials overflow double precision")
-        X = np.empty_like(B)
-        X[0] = 0.0
-        X[1:] = grounded
-        X -= X.mean(axis=0)
-        return X
+        return np.pad(grounded, ((1, 0), (0, 0)))  # a zero row 0, in the layout of grounded
 
 
 class PowerIterationResult(NamedTuple):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ohmgraph import (
     LaplacianSystem,
@@ -104,6 +105,20 @@ def delta_edge(graph, edge_index):
     return float(_abs_zeroed(f).sum())
 
 
+def impedance_reference(graph):
+    """``Pi_ref = W^T W`` with ``W = R^-1 B_g^T sqrt(C)``, from numpy's
+    Cholesky factor ``R`` of the grounded block ``L[1:, 1:] = R R^T`` and the
+    grounded incidence ``B_g^T`` (row 0 dropped); it shares no code with the
+    library's solves."""
+    sqrt_c = np.sqrt(graph.conductances)
+    bt = np.zeros((graph.n_vertices, graph.n_edges))
+    bt[graph.tails, np.arange(graph.n_edges)] = sqrt_c
+    bt[graph.heads, np.arange(graph.n_edges)] = -sqrt_c
+    R = np.linalg.cholesky(laplacian_matrix(graph)[1:, 1:])
+    W = scipy.linalg.solve_triangular(R, bt[1:], lower=True)
+    return W.T @ W
+
+
 def oracle_pinv_apply(graph, b):
     return laplacian_pinv(laplacian_matrix(graph)) @ np.asarray(b)
 
@@ -161,10 +176,11 @@ def random_connected_graph(rng, max_n=24, weighted=False):
     return g
 
 
-def log_uniform_expander(n, seed):
-    """Random 4-regular expander with conductances log-uniform in [1e-2, 1e2]."""
+def log_uniform_expander(n, seed, spread=1e2):
+    """Random 4-regular expander with conductances log-uniform in
+    [1/spread, spread]."""
     g = random_regular_expander(n, 4, seed=seed)
-    conds = np.exp(np.random.default_rng(seed).uniform(np.log(1e-2), np.log(1e2), g.n_edges))
+    conds = np.exp(np.random.default_rng(seed).uniform(np.log(1 / spread), np.log(spread), g.n_edges))
     return build_graph([(t, h, float(c)) for (t, h, _), c in zip(g.edge_list(), conds)], n_vertices=n)
 
 

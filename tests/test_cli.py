@@ -280,12 +280,13 @@ class TestVerify:
 
     def test_contract_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_sum_potentials", lambda sys_, e: 5.0)
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "verify", "--graph", "path:4", "--prop", "sum_potentials", "--trials", "2"
         )
         assert code == 3
         records = [json.loads(l) for l in out.splitlines()]
         assert any(not r["ok"] for r in records)
+        assert err == "contract failure: 2 of 2 records failed\n"
 
 
 class TestRoute:

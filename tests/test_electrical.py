@@ -24,6 +24,7 @@ from conftest import (
     bad_ids,
     bfs_distance,
     delta_edge,
+    impedance_reference,
     indicator_drop,
     log_uniform_expander,
     net_outflow,
@@ -258,8 +259,18 @@ class TestImpedanceOracle:
         oracle = oracle_pinv_apply(g, bt)
         assert np.abs(y - oracle).max() <= 1e-10 * np.abs(y).max()
 
+    @pytest.mark.parametrize("spread, bound", [(1e4, 1.5e-11), (1e6, 1.1e-9)])
+    def test_wide_spreads_match_cholesky_reference(self, spread, bound):
+        # over these four draws the largest |Pi - Pi_ref| was 1.46e-12 at
+        # 1e+-4 and 1.08e-10 at 1e+-6; each bound is 10x that, a margin for
+        # other BLAS builds
+        for seed in range(4):
+            g = log_uniform_expander(256, seed, spread)
+            pi = TransferImpedance(g).column_block(0, g.n_edges)
+            assert np.abs(pi - impedance_reference(g)).max() <= bound, seed
+
     def test_path_impedance_is_identity(self):
-        # at n = 4000 the largest off-diagonal |Pi - I| is 6.82e-13, the
+        # at n = 4000 the largest off-diagonal |Pi - I| is 4.55e-13, the
         # thinnest margin to ABS_ZERO_TOL measured on any graph
         for n in (2000, 4000):
             tp = TransferImpedance(path(n), mode="streaming")

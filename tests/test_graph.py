@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,35 @@ class TestFamilies:
             parse_family_spec("torus:3:4:5")
         with pytest.raises(ValueError, match=r"family 'expander' expects parameters: n d \[seed\]"):
             parse_family_spec("expander:64:4:7:1")
+
+    @pytest.mark.parametrize(
+        "spec", ["torus:3", "hypercube:4", "parallel_paths:3", "path:5", "complete:6", "expander:16:4:7", "triangle"]
+    )
+    def test_family_size_is_the_built_size(self, spec):
+        name, *args = spec.split(":")
+        n, m = graph_module._FAMILIES[name][2](*map(int, args))
+        g = parse_family_spec(spec)
+        assert (g.n_vertices, g.n_edges) == (n, m)
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            ("torus:99999999999999999999", "2e+40 edges"),
+            ("family:hypercube:200", "1.61e+60 vertices"),
+            ("complete:10000000", "49999995000000 edges"),
+            ("erdos_renyi:2000:0.5", "1999000 edges or vertex pairs"),
+            ("hypercube:99999999999", "over 1e300 vertices"),
+            ("path:1000002", "1000002 vertices"),
+        ],
+    )
+    def test_oversized_spec_refused_before_building(self, spec, count, monkeypatch):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("an oversized spec reached the builder")
+
+        for name, (_, usage, size) in graph_module._FAMILIES.items():
+            monkeypatch.setitem(graph_module._FAMILIES, name, (unbuilt, usage, size))
+        with pytest.raises(ValueError, match=rf"{re.escape(count)}.* above the cap of 1000000"):
+            parse_family_spec(spec)
 
 
 def _round_trip(g, directory):

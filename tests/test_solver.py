@@ -101,7 +101,20 @@ class TestPinvApply:
         B = rng.normal(size=(9, 4))
         X = sys.solve_columns(B)
         for j in range(4):
-            assert np.allclose(X[:, j], sys.solve(B[:, j]), atol=1e-13)
+            assert np.allclose(X[:, j] - X[:, j].mean(), sys.solve(B[:, j]), atol=1e-13)
+
+    @pytest.mark.parametrize("g", SOLVE_GRAPHS)
+    def test_solve_columns_is_grounded(self, g, rng):
+        # vertex 0 is grounded and the output is not centred: L X is the
+        # projected B, and X keeps the Fortran layout LAPACK solved in
+        sys = LaplacianSystem(g)
+        n = g.n_vertices
+        B = rng.normal(size=(n, 5))
+        X = sys.solve_columns(B)
+        assert X.shape == (n, 5) and X.flags.f_contiguous
+        assert np.all(X[0] == 0.0)
+        Z = B - B.mean(axis=0)
+        assert np.abs(laplacian_matrix(g) @ X - Z).max() <= 1e-9 * np.abs(Z).max()
 
     def test_disconnected_graph_rejected(self):
         g = build_graph([(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
