@@ -46,7 +46,10 @@ def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _check_weights(graph: Graph, w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(w)
+    if w.dtype.kind in "bSUc":  # bools, strings and bytes float() would read; complex
+        raise ValueError(f"weights must be real numbers, got an array of {w.dtype}")
+    w = w.astype(float, copy=False)
     if w.shape != (graph.n_edges,):
         raise ValueError(f"expected an edge weight vector of length {graph.n_edges}, got shape {w.shape}")
     if np.any(w < 0) or not np.all(np.isfinite(w)):

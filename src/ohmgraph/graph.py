@@ -294,16 +294,16 @@ def random_regular_expander(n: int, d: int, seed: int = 0) -> Graph:
         raise ValueError("random_regular_expander requires d < n")
     rng = np.random.default_rng(seed)
     for _ in range(_EXPANDER_TRIES):
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()  # min * n + max of every pair taken so far
         edges: list[tuple[int, int, float]] = []
         ok = True
         for _ in range(d):
             for _ in range(_EXPANDER_TRIES):
-                perm = rng.permutation(n)
-                pairs = [tuple(sorted((int(perm[2 * i]), int(perm[2 * i + 1])))) for i in range(n // 2)]
-                if len(set(pairs)) == len(pairs) and not any(p in seen for p in pairs):
-                    seen.update(pairs)
-                    edges.extend((a, b, 1.0) for a, b in pairs)
+                pairs = np.sort(rng.permutation(n).reshape(-1, 2), axis=1)
+                keys = (pairs[:, 0] * n + pairs[:, 1]).tolist()
+                if seen.isdisjoint(keys):
+                    seen.update(keys)
+                    edges.extend((a, b, 1.0) for a, b in pairs.tolist())
                     break
             else:
                 ok = False
@@ -319,7 +319,8 @@ def random_regular_expander(n: int, d: int, seed: int = 0) -> Graph:
 # Largest vertex count, and largest number of edges or vertex pairs, that a
 # family spec may build.  At this size path:1000001, torus:707 and
 # complete:1414 each took 2.3-2.5 s and 210 MB of peak RSS to build, and
-# expander:500000:4 took 17.6 s and 440 MB (one process, 2-core Xeon VM).
+# expander:500000:4 took 6.7-7.0 s and 410 MB (two runs, one process each,
+# 2-core Xeon VM).
 _FAMILY_SIZE_CAP = 10**6
 
 # name: (builder, usage, (vertices, edges or vertex pairs) from the

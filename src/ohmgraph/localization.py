@@ -182,7 +182,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     terminal pair.  On a connected graph every drop energy is positive, so
     no degree is special-cased; one below the smallest normal double raises
     ``FloatingPointError``.  A non-positive pivot diagonal raises
-    :class:`LocalizationError`.
+    :class:`~ohmgraph.schur.SchurResidueError` from the pivot step.
 
     With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is gathered from
     :func:`ohmgraph.electrical._edge_potentials` (the block solves of the n
@@ -221,7 +221,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     D[tails, edges] = 1.0
     D[heads, edges] = -1.0
     degrees = _degree_vector(D, z, c)
-    v_vals: list[float] = []
+    v_now = v_initial = None  # V_i before the coming step
     if compute_vi:
         Y = _edge_potentials(system, graph)
         P = Y[tails]
@@ -229,36 +229,34 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
         del Y
         P *= sqrt_c[:, None]  # Pi_0 = sqrt(C) B L^+ B^T sqrt(C)
         row_vals = _abs_rows(P, w)
-        v_vals.append(float(w @ row_vals))
-    pivots: list[int] = []
-    degree_vals: list[float] = []
-    rank_one_vals: list[float] = []
+        v_now = v_initial = float(w @ row_vals)
+    steps: list[EliminationStep] = []
 
-    for _ in range(n - 2):
+    for i in range(n - 2):
         lowest = degrees.min()
         k = int(np.argmax(degrees <= lowest + _TIE_RTOL * abs(lowest)))
         d = float(L[k, k])
-        if d <= 0:
-            raise LocalizationError(f"pivot diagonal {d:.3e} is not positive")
         a = D[k]  # row k is never written again once k is eliminated
+        nb, drops = _eliminate_pivot(L, D, k)  # refuses d <= 0
         rank_one = (float(np.abs(a) @ z) / math.sqrt(d)) ** 2
         degree = float(degrees[k])
         if not abs(rank_one - degree) <= _IDENTITY_TOL * max(1.0, abs(degree)):  # NaN fails
             raise LocalizationError(
                 f"rank-one correction {rank_one!r} disagrees with degree {degree!r} "
-                f"beyond {_IDENTITY_TOL:.0e} x max(1, |degree|) at step {len(pivots)}"
+                f"beyond {_IDENTITY_TOL:.0e} x max(1, |degree|) at step {i}"
             )
-        pivots.append(k)
-        degree_vals.append(degree)
-        rank_one_vals.append(rank_one)
-        nb, drops = _eliminate_pivot(L, D, k)
         degrees[k] = np.inf
         degrees[nb] = _degree_vector(drops, z, c)
+        v_i = slack = None
         if compute_vi:
+            v_i = v_now
             _downdate_rows(P, row_vals, w, a * sqrt_c, d)
-            v_vals.append(float(w @ row_vals))
+            v_now = float(w @ row_vals)
+            slack = v_i - v_now - degree
+        steps.append(EliminationStep(i, k, degree, rank_one, v_i, slack))
 
-    u, v = (int(x) for x in np.setdiff1d(np.arange(n), pivots))  # an overflowed degree is inf too
+    # an overflowed degree is inf too, so the pair is what was never a pivot
+    u, v = (int(x) for x in np.setdiff1d(np.arange(n), [s.pivot for s in steps]))
     e_uv = np.zeros(n)
     e_uv[[u, v]] = 1.0, -1.0
     phi = system.solve(e_uv)  # p_u drops by f / R, and A_T^T L_T^+ A_T = f f^T / R
@@ -273,33 +271,12 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     if compute_vi:
         del P, row_vals  # before the m x m reference
         v_ref = _pair_value(f * sqrt_c, R, w)
-        if not abs(v_vals[-1] - v_ref) <= _ORACLE_VI_RTOL * abs(v_ref):  # NaN fails
+        if not abs(v_now - v_ref) <= _ORACLE_VI_RTOL * abs(v_ref):  # NaN fails
             raise LocalizationError(
-                f"incremental V_T = {v_vals[-1]!r} differs from the from-scratch value {v_ref!r} "
+                f"incremental V_T = {v_now!r} differs from the from-scratch value {v_ref!r} "
                 f"beyond {_ORACLE_VI_RTOL:.0e} relative"
             )
-
-    steps = []
-    for i, pivot in enumerate(pivots):
-        v_i = v_vals[i] if compute_vi else None
-        slack = (v_vals[i] - v_vals[i + 1] - degree_vals[i]) if compute_vi else None
-        steps.append(
-            EliminationStep(
-                index=i,
-                pivot=pivot,
-                degree_value=degree_vals[i],
-                rank_one_value=rank_one_vals[i],
-                v_i=v_i,
-                slack=slack,
-            )
-        )
-    return EliminationTrace(
-        steps=steps,
-        terminal_pair=(u, v),
-        v_terminal=v_vals[-1] if compute_vi else None,
-        v_initial=v_vals[0] if compute_vi else None,
-        w_norm_sq=w_norm_sq,
-    )
+    return EliminationTrace(steps, (u, v), v_terminal=v_now, v_initial=v_initial, w_norm_sq=w_norm_sq)
 
 
 def _harmonic_sum(n: int) -> float:

@@ -77,7 +77,11 @@ def _validate_terminals(graph: Graph, terminals) -> np.ndarray:
     if isinstance(terminals, np.ndarray):
         S = _check_index(terminals, "terminals", n)
     else:
-        S = np.array([_check_index(t, "terminals", n) for t in terminals])
+        try:
+            ids = list(terminals)
+        except TypeError:
+            raise ValueError(f"terminals must be an iterable of vertex ids, got {terminals!r}") from None
+        S = np.array([_check_index(t, "terminals", n) for t in ids])
     S = np.unique(S)
     if S.size < 2:
         raise ValueError("terminal set must contain at least 2 distinct vertices")

@@ -16,6 +16,7 @@ from ohmgraph import (
     complete,
     degree_profile,
     eliminate_one,
+    laplacian_matrix,
     parallel_paths,
     path,
     quadratic_form_abs,
@@ -58,6 +59,26 @@ class TestDegree:
     def test_bad_terminal_ids_rejected(self, bad):
         with pytest.raises(ValueError, match=r"^terminals must"):
             degree_profile(path(4), [0, 3, bad], np.ones(3))
+
+
+# bools, strings and bytes that float() would read, and complex numbers
+NOT_REAL_WEIGHTS = [[True, True, True], ["1", "2", "3"], [b"1", b"2", b"3"], [1 + 0j, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("w", NOT_REAL_WEIGHTS, ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: run_elimination(triangle(), w),
+        lambda w: degree_profile(triangle(), [0, 2], w),
+        lambda w: harmonic_bound_check(triangle(), w),
+        lambda w: quadratic_form_abs(triangle(), w),
+    ],
+    ids=["run_elimination", "degree_profile", "harmonic_bound_check", "quadratic_form_abs"],
+)
+def test_non_real_weights_rejected(call, w):
+    with pytest.raises(ValueError, match=r"^weights must be real numbers"):
+        call(w)
 
 
 class TestDegreeProfile:
@@ -152,6 +173,35 @@ class TestRunElimination:
         g = build_graph([(1, 0, 1e-300), (0, 2, 1e300), (2, 3, 1.0)])
         with pytest.raises(SchurResidueError, match="pivot 1 has no neighbour"):
             run_elimination(g, np.ones(3), compute_vi=False)
+
+    @pytest.mark.parametrize("diagonal", [0.0, -1.0])
+    def test_non_positive_pivot_diagonal_is_numerical_failure(self, monkeypatch, diagonal):
+        # every degree of torus(3) starts at 4, so vertex 0 is the first pivot
+        def bad_laplacian(g):
+            L = laplacian_matrix(g)
+            L[0, 0] = diagonal
+            return L
+
+        monkeypatch.setattr(localization, "laplacian_matrix", bad_laplacian)
+        with pytest.raises(SchurResidueError, match=r"pivot diagonal .* is not positive"):
+            run_elimination(torus(3), np.ones(18), compute_vi=False)
+
+    @pytest.mark.parametrize("instance", ["torus4", "weighted", "expander32"])
+    def test_each_step_records_its_own_v_i_and_slack(self, instance, rng):
+        if instance == "torus4":
+            g, w = torus(4), np.ones(32)
+        elif instance == "weighted":
+            g = random_connected_graph(rng, weighted=True)
+            w = rng.uniform(0, 2, size=g.n_edges)
+        else:
+            g = random_regular_expander(32, 4, seed=0)
+            w = np.linspace(0.0, 2.0, g.n_edges)
+        trace = run_elimination(g, w)
+        assert trace.steps[0].v_i == trace.v_initial
+        after = [s.v_i for s in trace.steps[1:]] + [trace.v_terminal]
+        for i, (step, v_next) in enumerate(zip(trace.steps, after)):
+            assert step.index == i
+            assert step.slack == step.v_i - v_next - step.degree_value
 
     def test_zero_weights_run_cleanly(self):
         trace = run_elimination(triangle(), np.zeros(3))

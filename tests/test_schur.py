@@ -84,11 +84,13 @@ class TestSchurComplement:
         "terminals",
         [[0.7, 4.2, 8], ["0", "4", "8"]]
         + [[0, 4, bad] for bad in bad_ids(9)]
-        + [np.array([0.0, 4.0, 8.0]), np.array([True, False, True]), np.array([0, 4, 9]), np.array([-1, 4])],
+        + [np.array([0.0, 4.0, 8.0]), np.array([True, False, True]), np.array([0, 4, 9]), np.array([-1, 4])]
+        + [5, np.int64(5), None],
         ids=repr,
     )
     def test_bad_terminal_ids_rejected(self, terminals):
-        # the first two read as terminals 0, 4 and 8, a bool as vertex 1
+        # the first two read as terminals 0, 4 and 8, a bool as vertex 1; the
+        # last three are not iterable
         with pytest.raises(ValueError, match=r"^terminals must"):
             schur_complement(torus(3), terminals)
 
@@ -219,6 +221,17 @@ class TestEliminateOne:
             assert np.abs(L - L_ref).max() <= 1e-15 * np.abs(L_ref).max()
             assert np.abs(rows - rows_ref).max() <= 1e-15 * np.abs(rows_ref).max()
             assert np.array_equal(updated, rows[nb])
+
+    @pytest.mark.parametrize("diagonal", [0.0, -2.0])
+    def test_pivot_refuses_non_positive_diagonal_before_any_write(self, diagonal):
+        L = laplacian_matrix(path(3))
+        L[1, 1] = diagonal
+        rows = np.eye(3)
+        L_before = L.copy()
+        with pytest.raises(SchurResidueError, match=r"pivot diagonal .* is not positive"):
+            _eliminate_pivot(L, rows, 1)
+        assert np.array_equal(L, L_before)
+        assert np.array_equal(rows, np.eye(3))
 
     def test_terminal_state_rejected(self):
         sys = schur_complement(path(3), [0, 2])
