@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, _check_index
-from .solver import LaplacianSystem, PowerIterationResult, spectral_norm_nonneg
+from .graph import _NOT_REAL, Graph, _check_index
+from .solver import LaplacianSystem, PowerIterationResult, _check_connected, spectral_norm_nonneg
 
 __all__ = [
     "DENSE_EDGE_CAP",
@@ -31,11 +31,13 @@ ABS_ZERO_TOL = 1e-12
 # with 256.
 _DEFAULT_BLOCK = 64
 
-# Columns per block of the solves that build Y.  On the same graph all 1023
-# columns of the grounded system took 0.108 s of cho_solve in 64-column
-# blocks and 0.091 s in 256-column blocks (mean of 6 alternating repetitions);
-# building Y took 0.156, 0.137, 0.122 and 0.125 s with 64, 128, 256 and 512.
-_SOLVE_BLOCK = 256
+# Columns per block of the solves that build Y.  On the 1024-vertex weighted
+# expander (|S| = 682 of the Schur factor) building Y took medians of 0.091,
+# 0.081, 0.082 and 0.094 s with 64, 128, 256 and 512 columns, and on torus:32
+# (|S| = 512) 0.072, 0.065, 0.065 and 0.078 s (20 alternating repetitions, one
+# BLAS thread).  128 is as fast as 256 and halves the per-block temporaries:
+# a streaming analyze of both graphs peaked 6 MB lower in RSS.
+_SOLVE_BLOCK = 128
 
 
 def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -46,6 +48,12 @@ def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _check_weights(graph: Graph, w) -> np.ndarray:
+    if not isinstance(w, np.ndarray) and np.ndim(w) == 1:
+        # numpy reads [True, 2.0] as floats, so a bool among numbers is
+        # refused element by element, as build_graph refuses conductances
+        for x in w:
+            if isinstance(x, _NOT_REAL):
+                raise ValueError(f"weights must be real numbers, got {x!r}")
     w = np.asarray(w)
     if w.dtype.kind in "bSUc":  # bools, strings and bytes float() would read; complex
         raise ValueError(f"weights must be real numbers, got an array of {w.dtype}")
@@ -61,8 +69,8 @@ def _check_weights(graph: Graph, w) -> np.ndarray:
     return w
 
 
-def _edge_potentials(system: LaplacianSystem, graph: Graph) -> np.ndarray:
-    """``Y = L^+ B^T sqrt(C)`` as an (n, m) array.
+def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray) -> np.ndarray:
+    """``Y = L^+ B^T sqrt(C)``, written into the (n, m) array ``y``.
 
     Column e is sqrt(c_e) times the potentials of a unit flow across edge e.
     A block of grounded solves gives ``L^+`` columns lo..hi-1, up to one
@@ -73,7 +81,6 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph) -> np.ndarray:
     """
     n = system.n
     sqrt_c = np.sqrt(graph.conductances)
-    y = np.empty((n, graph.n_edges))
     for lo in range(0, n, _SOLVE_BLOCK):
         hi = min(lo + _SOLVE_BLOCK, n)
         rhs = np.zeros((n, hi - lo), order="F")
@@ -93,13 +100,16 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph) -> np.ndarray:
 class TransferImpedance:
     """The edge-space projection ``Pi = sqrt(C) B L^+ B^T sqrt(C)``.
 
-    Construction factors the grounded Laplacian once (kept as ``system``)
-    and solves, in column blocks, for the n x m edge-potential matrix
-    ``Y = L^+ B^T sqrt(C)``, whose column e is sqrt(c_e) times the
-    potentials of a unit flow across edge e; it keeps Y, never the full
-    ``L^+``.  Row f of Pi is then ``sqrt(c_f) (Y[tail(f)] - Y[head(f)])``:
-    every block of rows is two contiguous row gathers of Y, with no solve
-    and no column gather, and the diagonal costs O(m).
+    Construction factors the grounded Laplacian once (kept as ``system``),
+    with an independent set eliminated first so that only the Schur
+    complement on the other vertices is factored densely (see
+    :class:`~ohmgraph.solver.LaplacianSystem`), and solves, in column
+    blocks, for the n x m edge-potential matrix ``Y = L^+ B^T sqrt(C)``,
+    whose column e is sqrt(c_e) times the potentials of a unit flow across
+    edge e; it keeps Y, never the full ``L^+``.  Row f of Pi is then
+    ``sqrt(c_f) (Y[tail(f)] - Y[head(f)])``: every block of rows is two
+    contiguous row gathers of Y, with no solve and no column gather, and
+    the diagonal costs O(m).
 
     The norms read ``|Pi|``, with entries below ``ABS_ZERO_TOL`` zeroed.  Pi
     is symmetric, so a pass reads only its upper triangle: row block
@@ -138,9 +148,15 @@ class TransferImpedance:
             )
         self.graph = graph
         self.mode = mode
+        # Y, the largest array, is allocated before the factor: taken first,
+        # it gets the largest free block of a heap that earlier runs left
+        # fragmented, and the factor cannot split that block under it.  The
+        # graph is checked first, so a disconnected one allocates nothing.
+        _check_connected(graph)
+        y = np.empty((graph.n_vertices, m))
         self.system = LaplacianSystem(graph)
         self._sqrt_c = np.sqrt(graph.conductances)
-        self._y = _edge_potentials(self.system, graph)
+        self._y = _edge_potentials(self.system, graph, y)
         self._abs_cache = None
         self._stats = None
         if mode == "dense":

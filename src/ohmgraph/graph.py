@@ -163,6 +163,25 @@ def _graph_from_arrays(
     return Graph(n_vertices, _freeze(tails), _freeze(heads), _freeze(conds))
 
 
+def _weighted_degrees(graph: Graph) -> np.ndarray:
+    """The Laplacian's diagonal: each vertex's conductances summed in edge
+    order, over its tail ends and then its head ends.  Raises
+    ``FloatingPointError`` when a weighted degree overflows double
+    precision; every off-diagonal entry of the Laplacian, and of any Schur
+    complement of it, is bounded by a diagonal entry, so a finite diagonal
+    means finite matrices."""
+    c = graph.conductances
+    with np.errstate(over="ignore"):
+        degrees = np.bincount(
+            np.concatenate([graph.tails, graph.heads]), np.concatenate([c, c]), minlength=graph.n_vertices
+        )
+    if not np.all(np.isfinite(degrees)):
+        raise FloatingPointError(
+            "Laplacian is not finite: the weighted degrees overflow double precision"
+        )
+    return degrees
+
+
 def laplacian_matrix(graph: Graph) -> np.ndarray:
     """Dense weighted Laplacian (conductance-weighted incidence Gram matrix).
 
@@ -170,22 +189,15 @@ def laplacian_matrix(graph: Graph) -> np.ndarray:
     triangle, and mirrored, so parallel edges in both orientations cannot
     leave ``L[t, h]`` and ``L[h, t]`` an ulp apart.  Raises
     ``FloatingPointError`` when a weighted degree overflows double
-    precision.  Every off-diagonal entry is bounded by its row's diagonal
-    entry, so a finite diagonal means a finite Laplacian.
+    precision.
     """
     n = graph.n_vertices
     t, h, c = graph.tails, graph.heads, graph.conductances
     lo, hi = np.minimum(t, h), np.maximum(t, h)
     L = np.zeros((n, n))
-    with np.errstate(over="ignore"):
-        np.add.at(L, (t, t), c)
-        np.add.at(L, (h, h), c)
-        np.add.at(L, (lo, hi), -c)
+    np.fill_diagonal(L, _weighted_degrees(graph))
+    np.add.at(L, (lo, hi), -c)
     L[hi, lo] = L[lo, hi]
-    if not np.all(np.isfinite(np.diagonal(L))):
-        raise FloatingPointError(
-            "Laplacian is not finite: the weighted degrees overflow double precision"
-        )
     return L
 
 

@@ -223,7 +223,7 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     degrees = _degree_vector(D, z, c)
     v_now = v_initial = None  # V_i before the coming step
     if compute_vi:
-        Y = _edge_potentials(system, graph)
+        Y = _edge_potentials(system, graph, np.empty((n, m)))
         P = Y[tails]
         P -= Y[heads]
         del Y

@@ -119,6 +119,40 @@ def impedance_reference(graph):
     return W.T @ W
 
 
+def impedance_longdouble(graph):
+    """Pi in ``np.longdouble`` from a Cholesky factor ``R`` of the grounded
+    block, ``Pi = sqrt(C) B_g (R R^T)^-1 B_g^T sqrt(C)``, computed in natural
+    vertex order by outer-product updates.  Where long double carries more
+    digits than double (the 80-bit x87 format: eps 1.1e-19) its own error is
+    far below that of any double-precision factor, whatever the vertex
+    order, so it judges a reordered factor, which ``impedance_reference``
+    (double precision, natural order) cannot."""
+    n, m = graph.n_vertices, graph.n_edges
+    t, h = graph.tails, graph.heads
+    c = graph.conductances.astype(np.longdouble)
+    A = np.zeros((n, n), dtype=np.longdouble)
+    for rows, cols, sign in ((t, t, 1), (h, h, 1), (t, h, -1), (h, t, -1)):
+        np.add.at(A, (rows, cols), sign * c)
+    R = A[1:, 1:]
+    for j in range(n - 1):  # R R^T = L[1:, 1:], written over its lower triangle
+        R[j, j] = np.sqrt(R[j, j])
+        R[j + 1 :, j] /= R[j, j]
+        R[j + 1 :, j + 1 :] -= np.outer(R[j + 1 :, j], R[j + 1 :, j])
+    sqrt_c = np.sqrt(c)
+    X = np.zeros((n, m), dtype=np.longdouble)
+    X[t, np.arange(m)] = sqrt_c
+    X[h, np.arange(m)] = -sqrt_c
+    W = X[1:]
+    for j in range(n - 1):  # forward substitution: W = R^-1 B_g^T sqrt(C)
+        W[j] /= R[j, j]
+        W[j + 1 :] -= np.outer(R[j + 1 :, j], W[j])
+    for j in reversed(range(n - 1)):  # back substitution: X[1:] = R^-T W
+        W[j] /= R[j, j]
+        W[:j] -= np.outer(R[j, :j], W[j])
+    X[0] = 0.0
+    return sqrt_c[:, None] * (X[t] - X[h])
+
+
 def oracle_pinv_apply(graph, b):
     return laplacian_pinv(laplacian_matrix(graph)) @ np.asarray(b)
 

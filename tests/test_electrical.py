@@ -24,6 +24,7 @@ from conftest import (
     bad_ids,
     bfs_distance,
     delta_edge,
+    impedance_longdouble,
     impedance_reference,
     indicator_drop,
     log_uniform_expander,
@@ -251,7 +252,7 @@ class TestImpedanceOracle:
         monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
         monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 3)
         g = log_uniform_expander(40, 5)
-        y = electrical._edge_potentials(LaplacianSystem(g), g)
+        y = electrical._edge_potentials(LaplacianSystem(g), g, np.empty((g.n_vertices, g.n_edges)))
         sqrt_c = np.sqrt(g.conductances)
         bt = np.zeros((g.n_vertices, g.n_edges))
         bt[g.tails, np.arange(g.n_edges)] = sqrt_c
@@ -268,6 +269,19 @@ class TestImpedanceOracle:
             g = log_uniform_expander(256, seed, spread)
             pi = TransferImpedance(g).column_block(0, g.n_edges)
             assert np.abs(pi - impedance_reference(g)).max() <= bound, seed
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than double here"
+    )
+    @pytest.mark.parametrize("spread, bound", [(1e4, 1.5e-11), (1e6, 1.1e-9)])
+    def test_wide_spreads_match_longdouble_reference(self, spread, bound):
+        # the same draws against a long-double factor in natural order; the
+        # natural-order double factor's largest error was 1.50e-12 at 1e+-4
+        # and 1.08e-10 at 1e+-6, and each bound is 10x that
+        for seed in range(4):
+            g = log_uniform_expander(256, seed, spread)
+            pi = TransferImpedance(g).column_block(0, g.n_edges)
+            assert np.abs(pi - impedance_longdouble(g)).max() <= bound, seed
 
     def test_path_impedance_is_identity(self):
         # at n = 4000 the largest off-diagonal |Pi - I| is 4.55e-13, the

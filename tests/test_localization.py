@@ -61,8 +61,10 @@ class TestDegree:
             degree_profile(path(4), [0, 3, bad], np.ones(3))
 
 
-# bools, strings and bytes that float() would read, and complex numbers
-NOT_REAL_WEIGHTS = [[True, True, True], ["1", "2", "3"], [b"1", b"2", b"3"], [1 + 0j, 1.0, 1.0]]
+# bools, strings and bytes that float() would read, and complex numbers; a
+# bool among numbers, which numpy promotes to a number array
+NOT_REAL_WEIGHTS = [[True, True, True], ["1", "2", "3"], [b"1", b"2", b"3"], [1 + 0j, 1.0, 1.0],
+                    [True, 2.0, 1.0], [1.0, 1.0, np.False_], (1, False, 2)]
 
 
 @pytest.mark.parametrize("w", NOT_REAL_WEIGHTS, ids=repr)
@@ -475,7 +477,9 @@ class TestHarmonicBoundCheck:
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
         monkeypatch.setattr(localization, "run_elimination", no_elimination)
         assert harmonic_bound_check(g, np.ones(g.n_edges)).ok
-        assert factored == [(35, 35)]
+        # one factor, of the grounded Schur block on torus:6's other colour
+        # class: 18 vertices less the ground
+        assert factored == [(17, 17)]
 
     def test_report_is_the_quadratic_form_and_the_harmonic_sum(self):
         g = log_uniform_expander(40, 3)

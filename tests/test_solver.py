@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ohmgraph import (
     ConvergenceError,
@@ -18,7 +19,7 @@ from ohmgraph import (
     torus,
 )
 from ohmgraph.electrical import _abs_zeroed
-from ohmgraph.solver import KRYLOV_CAP
+from ohmgraph.solver import KRYLOV_CAP, _independent_set
 
 from conftest import (
     indicator_drop,
@@ -30,6 +31,29 @@ from conftest import (
 )
 
 SOLVE_GRAPHS = [triangle(), torus(3), parallel_paths(3), complete(5)]
+
+
+def _star(n, centre):
+    return build_graph([(centre, v, 1.0 + v) for v in range(n) if v != centre])
+
+
+def _random_multigraph(rng, n):
+    """A connected weighted multigraph on ``n`` vertices: a random spanning
+    tree plus extra edges, many repeated in the same and the other
+    orientation."""
+    edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+    edges += [tuple(int(x) for x in rng.choice(n, 2, replace=False)) for _ in range(n)]
+    edges += [(h, t) for t, h in edges if rng.random() < 0.3] + [e for e in edges if rng.random() < 0.2]
+    perm = rng.permutation(n)  # so vertex 0 is not always the tree's root
+    return build_graph([(int(perm[t]), int(perm[h]), float(rng.uniform(0.1, 10.0))) for t, h in edges])
+
+
+# the Schur block is empty (path:2 and a star centred at the ground), one
+# vertex (a star centred elsewhere), or dense (complete:6, where I is {1})
+SCHUR_EDGE_GRAPHS = [path(2), _star(7, 0), _star(7, 3), complete(6),
+                     build_graph([(0, 1, 1.0), (1, 0, 2.0), (1, 2, 3.0), (2, 1, 0.5), (2, 3, 1.0), (3, 0, 4.0),
+                                  (1, 3, 1.0), (3, 1, 2.0)])]
+SCHUR_EDGE_IDS = ["path2", "star_at_ground", "star_at_3", "complete6", "parallel_both_ways"]
 
 # |Pi| of these spans vertex-transitive, weighted, reducible (Pi = I on a path)
 # and random operators
@@ -130,6 +154,53 @@ class TestPinvApply:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * g.n_vertices**2
+
+    def test_eliminated_set_is_greedy_and_independent(self, rng):
+        for n in (2, 3, 5, 8, 13, 30):
+            g = _random_multigraph(rng, n)
+            chosen = _independent_set(g)
+            assert not chosen[0]  # the ground is never eliminated first
+            assert not np.any(chosen[g.tails] & chosen[g.heads])
+            # greedy in id order: a vertex left out has a smaller neighbour in the set
+            lo, hi = np.minimum(g.tails, g.heads), np.maximum(g.tails, g.heads)
+            for v in np.flatnonzero(~chosen)[1:]:
+                assert chosen[lo[hi == v]].any(), v
+
+    def test_schur_block_is_the_complement_of_the_set(self, monkeypatch):
+        factored = []
+        original = scipy.linalg.cho_factor
+
+        def spy(a, *args, **kwargs):
+            factored.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+        for g in (torus(6), hypercube(4), log_uniform_expander(40, 5), complete(6), path(2), _star(7, 0)):
+            factored.clear()
+            LaplacianSystem(g)
+            s = int((~_independent_set(g)).sum()) - 1  # S less the ground
+            assert factored == ([(s, s)] if s else []), g.n_vertices
+
+    @pytest.mark.parametrize("g", SCHUR_EDGE_GRAPHS, ids=SCHUR_EDGE_IDS)
+    def test_small_and_dense_schur_blocks_match_oracle(self, g, rng):
+        B = rng.normal(size=(g.n_vertices, 4))
+        X = LaplacianSystem(g).solve_columns(B)
+        assert X.flags.f_contiguous and np.all(X[0] == 0.0)
+        assert np.abs((X - X.mean(axis=0)) - oracle_pinv_apply(g, B)).max() <= 1e-13
+
+    def test_random_multigraphs_match_oracle(self, rng):
+        for n in (2, 3, 6, 11, 24):
+            g = _random_multigraph(rng, n)
+            B = rng.normal(size=(n, 3))
+            X = LaplacianSystem(g).solve_columns(B)
+            assert np.abs((X - X.mean(axis=0)) - oracle_pinv_apply(g, B)).max() <= 1e-10, n
+
+    def test_unresolvable_spread_names_the_conductances(self):
+        # 1e200 + 1e-200 rounds to 1e200: vertex 1 is eliminated first, and
+        # the pivot it leaves on vertex 2, deg - c^2 / d, is exactly 0
+        g = build_graph([(0, 1, 1e-200), (1, 2, 1e200), (2, 3, 1e-200), (3, 4, 1.0)])
+        with pytest.raises(np.linalg.LinAlgError, match="conductances span 1e-200 to 1e"):
+            LaplacianSystem(g)
 
     def test_overflowing_degrees_rejected(self):
         # each weighted degree overflows to inf, so the factor is not finite
