@@ -31,12 +31,13 @@ ABS_ZERO_TOL = 1e-12
 # with 256.
 _DEFAULT_BLOCK = 64
 
-# Columns per block of the solves that build Y.  On the 1024-vertex weighted
-# expander (|S| = 682 of the Schur factor) building Y took medians of 0.091,
-# 0.081, 0.082 and 0.094 s with 64, 128, 256 and 512 columns, and on torus:32
-# (|S| = 512) 0.072, 0.065, 0.065 and 0.078 s (20 alternating repetitions, one
-# BLAS thread).  128 is as fast as 256 and halves the per-block temporaries:
-# a streaming analyze of both graphs peaked 6 MB lower in RSS.
+# Columns per block of the solves that build Y.  With the elimination rounds
+# (|S_k| = 430 on the 1024-vertex weighted expander, 320 on torus:32) a dense
+# TransferImpedance took medians of 78, 82 and 84 ms on the expander and 63,
+# 62 and 67 ms on torus:32 with 64, 128 and 256 columns (20 alternating
+# repetitions, one BLAS thread), each within the other widths' quartiles.  No
+# width wins on both graphs; 128 keeps the per-block temporaries at half of
+# 256's.
 _SOLVE_BLOCK = 128
 
 
@@ -83,7 +84,7 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray) -> np
     sqrt_c = np.sqrt(graph.conductances)
     for lo in range(0, n, _SOLVE_BLOCK):
         hi = min(lo + _SOLVE_BLOCK, n)
-        rhs = np.zeros((n, hi - lo), order="F")
+        rhs = np.zeros((n, hi - lo))  # C order: the solve gathers its rows
         rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
         xt = system.solve_columns(rhs).T  # C order: row j is solve lo + j
         del rhs
@@ -101,8 +102,8 @@ class TransferImpedance:
     """The edge-space projection ``Pi = sqrt(C) B L^+ B^T sqrt(C)``.
 
     Construction factors the grounded Laplacian once (kept as ``system``),
-    with an independent set eliminated first so that only the Schur
-    complement on the other vertices is factored densely (see
+    with independent sets eliminated in rounds so that only the last Schur
+    complement is factored densely (see
     :class:`~ohmgraph.solver.LaplacianSystem`), and solves, in column
     blocks, for the n x m edge-potential matrix ``Y = L^+ B^T sqrt(C)``,
     whose column e is sqrt(c_e) times the potentials of a unit flow across

@@ -8,12 +8,14 @@ is symmetric with zero row sums by construction; the one property left to
 check is connectivity, which makes the Laplacian rank n - 1.  The solves
 ground vertex 0, which handles the nullspace exactly without an
 eigendecomposition, and a single solve centres its result.  The grounded
-Laplacian is factored in one fixed order: a greedy independent set I first,
-whose block is diagonal, then the remaining vertices S, so only the dense
-Schur complement on S is Cholesky-factored.  A solved column costs
-2 |S|^2 flops instead of 2 (n-1)^2; on a bipartite graph such as an even
-torus |S| = n/2, so a solve costs a quarter and the factor an eighth.
-Desk-scale dense path: intended for n up to a few thousand vertices.
+Laplacian is factored in one fixed order, multiple minimum degree in the
+sense of Liu (ACM TOMS 11(2), 1985): independent sets I_1, ..., I_k, each
+of the previous Schur complement's graph and each with a diagonal block,
+are eliminated in rounds, and only the last Schur complement S_k is
+Cholesky-factored densely.  A solved column costs 2 |S_k|^2 flops plus O(m)
+instead of 2 (n-1)^2; on torus:32 |S_k| = 320 of 1024, so a solve costs a
+tenth and the factor a thirtieth.  Desk-scale dense path: intended for n up
+to a few thousand vertices.
 
 The eigensolver runs Lanczos from the normalized all-ones vector with full
 reorthogonalization.  A breakdown (the next Krylov direction vanishes) means
@@ -65,24 +67,29 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+def _unresolvable(graph: Graph, name: str) -> np.linalg.LinAlgError:
+    """The error for a block of the Laplacian that is not numerically
+    positive definite.  On a connected graph every proper principal block is
+    positive definite, so this means the conductances span a range that
+    double precision cannot resolve (1e200 + 1e-200 rounds to 1e200); the
+    message names the smallest and largest conductance."""
+    c = graph.conductances
+    return np.linalg.LinAlgError(
+        f"the {name} block of the Laplacian is not numerically positive definite: "
+        f"the graph's conductances span {c.min():.3g} to {c.max():.3g}, "
+        "a range double precision cannot resolve"
+    )
+
+
 def _cho_factor(graph: Graph, block: np.ndarray, name: str):
     """Lower Cholesky factor of a principal block of ``graph``'s Laplacian,
-    written over ``block`` when LAPACK can.
-
-    On a connected graph every proper principal block is positive definite,
-    so a factorization that fails means the conductances span a range that
-    double precision cannot resolve (1e200 + 1e-200 rounds to 1e200).  The
-    ``LinAlgError`` raised then says so, with the smallest and largest
-    conductance, instead of LAPACK's leading-minor wording."""
+    written over ``block`` when LAPACK can.  A factorization that fails
+    raises :func:`_unresolvable`'s ``LinAlgError`` instead of LAPACK's
+    leading-minor wording."""
     try:
         return scipy.linalg.cho_factor(block, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
-        c = graph.conductances
-        raise np.linalg.LinAlgError(
-            f"the {name} block of the Laplacian is not numerically positive definite: "
-            f"the graph's conductances span {c.min():.3g} to {c.max():.3g}, "
-            "a range double precision cannot resolve"
-        ) from None
+        raise _unresolvable(graph, name) from None
 
 
 def _check_connected(graph: Graph) -> None:
@@ -96,89 +103,162 @@ def _check_connected(graph: Graph) -> None:
         )
 
 
-def _independent_set(graph: Graph) -> np.ndarray:
-    """Mask of a greedy independent set taken in vertex-id order: vertex v
-    joins when none of its smaller neighbours has.  Vertex 0, the ground,
-    never joins."""
-    t, h = graph.tails, graph.heads
-    lo, hi = np.minimum(t, h), np.maximum(t, h)
-    order = np.argsort(hi, kind="stable")
-    starts = np.searchsorted(hi[order], np.arange(graph.n_vertices + 1)).tolist()
-    smaller = lo[order].tolist()
-    chosen = [False] * graph.n_vertices
-    for v in range(1, graph.n_vertices):
-        chosen[v] = not any(chosen[u] for u in smaller[starts[v] : starts[v + 1]])
-    return np.array(chosen)
+# A round of elimination is taken only when its independent set holds at
+# least this share of the vertices that remain, the ground included; past
+# that the sets shrink and the dense factor takes the rest.
+_ROUND_FLOOR = 0.15
+
+
+def _coalesce(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int):
+    """Merge the parallel pairs of edges ``u < v`` with conductances ``w``:
+    the distinct pairs sorted by ``(u, v)``, with their conductances summed
+    in input order."""
+    keys = u * n + v
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are nonnegative
+    keys = keys[firsts]
+    return keys // n, keys % n, np.add.reduceat(w[order], firsts)
+
+
+def _greedy_set(n: int, remaining: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """A greedy independent set of the graph whose distinct edges are
+    ``(u, v)``: the vertices of ``remaining`` are visited in order of fewest
+    neighbours first, ties by id, and each joins unless a neighbour has.
+    The order reads only the structure, never a conductance."""
+    ends = np.concatenate((u, v))
+    counts = np.bincount(ends, minlength=n)
+    starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    # grouped by vertex with one sort of the keys end * n + neighbour, which
+    # is several times faster than a stable argsort of the ends
+    neighbours = np.sort(ends * n + np.concatenate((v, u))) % n
+    blocked = np.zeros(n, dtype=bool)
+    chosen = []
+    for x in remaining[np.argsort(counts[remaining], kind="stable")].tolist():
+        if not blocked[x]:
+            chosen.append(x)
+            blocked[neighbours[starts[x] : starts[x + 1]]] = True
+    return chosen
 
 
 class LaplacianSystem:
     """The Laplacian of a connected graph, grounded at vertex 0 and factored
-    with an independent set eliminated first.
+    after independent sets are eliminated round by round.
 
-    A greedy independent set I, taken in vertex-id order without vertex 0,
-    is eliminated before the remaining vertices S.  Its block of the
-    Laplacian is the diagonal D_I of weighted degrees, so only the grounded
-    Schur complement ``C = L_SS - L_SI D_I^-1 L_IS`` on S minus vertex 0 is
-    factored, built from the edge arrays without assembling the n x n
-    Laplacian.  This is Cholesky under a symmetric permutation: each
-    solved column costs 2 |S|^2 flops instead of 2 (n-1)^2, and the factor
-    |S|^3 / 3.  On a bipartite graph such as an even torus |S| = n/2; on a
-    random 4-regular expander it is about 2n/3.  Each clique term of C is
-    the product ``(c_si / d_i) c_is'`` of a weight c / d <= 1 and a
-    conductance, so no term overflows, and it rounds twice; the symmetric
-    form ``(c_si / sqrt(d_i)) (c_is' / sqrt(d_i))`` rounds four times and
-    doubled the largest off-diagonal ``|Pi - I|`` on a path.  LAPACK reads
-    only C's lower triangle.  C's diagonal is the Cholesky pivot
-    ``deg_s - sum_i (c_si / d_i) c_si``, computed by subtraction so that
-    conductances double precision cannot resolve cancel to a pivot that is
-    not positive.  The couplings between I and S are held as sparse
-    matrices of the weights c_is / d_i <= 1.
+    Each round takes a greedy independent set I_r of the current Schur
+    complement's graph (:func:`_greedy_set`) and eliminates it.  Vertex 0
+    stays in that graph, as a neighbour and among the remaining vertices,
+    but never joins a set.  I_r's block is the diagonal D_r of its pivots,
+    so the next Schur complement ``S - L_SI D_r^-1 L_IS`` is built from
+    edge arrays: the surviving edges plus one clique per eliminated vertex,
+    merged by :func:`_coalesce`, with no n x n matrix assembled.  Rounds
+    stop when a set would hold less than ``_ROUND_FLOOR`` of the remaining
+    vertices, and only the last grounded Schur block S_k is factored
+    densely; a path or a star is eliminated completely and factors
+    nothing.  This is Cholesky in the elimination order S_k (the ground
+    first), I_k, ..., I_1: each solved column costs 2 |S_k|^2 flops plus
+    O(m) for the rounds, and the factor |S_k|^3 / 3.  On torus:32 |S_k| is
+    320 of 1024 after 3 rounds, and on a weighted random 4-regular expander
+    of 1024 vertices 430.
+
+    Each clique term is the product ``(c_si / d_i) c_is'`` of a weight
+    c / d and a conductance, so no term overflows, and it rounds twice; the
+    symmetric form ``(c_si / sqrt(d_i)) (c_is' / sqrt(d_i))`` rounds four
+    times and doubled the largest off-diagonal ``|Pi - I|`` on a path.  The
+    Schur diagonal is the pivot ``d_s - sum_i (c_si / d_i) c_si``, computed
+    by subtraction so that conductances double precision cannot resolve
+    cancel to a pivot that is not positive.  The couplings between each
+    I_r and the vertices it leaves are held as sparse matrices of the
+    weights c_is / d_i.
 
     Construction raises :class:`DisconnectedGraphError` on a disconnected
     graph and ``ValueError`` below 2 vertices.  A weighted degree that
     overflows double precision raises ``FloatingPointError``; a finite
-    diagonal bounds every entry of C and of its factor
+    diagonal bounds every entry of each Schur complement and of the factor
     (``|R_ij| <= sqrt(C_ii)``), so the factor needs no check of its own.  A
-    Schur block that is not numerically positive definite raises
-    ``LinAlgError`` naming the range of the graph's conductances, which
-    then spans more than double precision can resolve.  Nothing is mutated
-    after construction, so solves against a shared system are safe to run
-    concurrently.
+    round pivot that is not positive, or a Schur block that is not
+    numerically positive definite, raises ``LinAlgError`` naming the range
+    of the graph's conductances, which then spans more than double
+    precision can resolve.  Nothing is mutated after construction, so
+    solves against a shared system are safe to run concurrently.
     """
 
     def __init__(self, graph: Graph):
         _check_connected(graph)
         n = self.n = graph.n_vertices
-        degrees = _weighted_degrees(graph)
-        in_i = _independent_set(graph)
-        # the elimination order: S with the ground first, then I; where[v] is
-        # v's place in it
-        self._order = np.argsort(in_i, kind="stable")
+        diag = _weighted_degrees(graph)  # the Schur diagonal, round by round
+        t, h = graph.tails, graph.heads
+        u, v, w = _coalesce(np.minimum(t, h), np.maximum(t, h), graph.conductances, n)
+        remaining = np.arange(1, n)
+        # per round: I_r, its pivots, and its couplings grouped by I vertex:
+        # their S ends, their count per I vertex and c_si / d_i
+        rounds = []
+        while remaining.size:
+            chosen = _greedy_set(n, remaining, u, v)
+            if len(chosen) < _ROUND_FLOOR * (remaining.size + 1):
+                break
+            in_i = np.zeros(n, dtype=bool)
+            in_i[chosen] = True
+            members = np.flatnonzero(in_i)
+            pivots = diag[members]
+            if not np.all(pivots > 0):
+                raise _unresolvable(graph, "grounded")
+            # I_r is independent, so an edge has at most one end in it; its
+            # incidences are taken grouped by I vertex
+            u_in = in_i[u]
+            couples = u_in | in_i[v]
+            i_end = np.where(u_in, u, v)[couples]
+            by_i = np.argsort(i_end, kind="stable")
+            i_end = i_end[by_i]
+            s_end = np.where(u_in, v, u)[couples][by_i]
+            c_is = w[couples][by_i]
+            ratio = c_is / diag[i_end]
+            diag -= np.bincount(s_end, weights=ratio * c_is, minlength=n)
+            # each incidence pairs with those after it on the same I vertex
+            after = np.cumsum(np.bincount(i_end, minlength=n))[i_end] - 1 - np.arange(i_end.size)
+            first = np.repeat(np.arange(i_end.size), after)
+            second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
+            a, b = s_end[first], s_end[second]
+            keep = ~couples
+            u, v, w = _coalesce(
+                np.concatenate((u[keep], np.minimum(a, b))),
+                np.concatenate((v[keep], np.maximum(a, b))),
+                np.concatenate((w[keep], ratio[first] * c_is[second])),
+                n,
+            )
+            live = s_end != 0  # the ground's potential is 0 and its equation is dropped
+            counts = np.bincount(i_end[live], minlength=n)[members]
+            rounds.append((members, pivots, s_end[live], counts, ratio[live]))
+            remaining = remaining[~in_i[remaining]]
+
+        # the elimination order: S_k with the ground first, then I_k, ..., I_1;
+        # where[v] is v's place in it
+        self._order = np.concatenate([[0], remaining] + [r[0] for r in reversed(rounds)])
         self._where = np.empty(n, dtype=np.int64)
         self._where[self._order] = np.arange(n)
-        n_s = self._n_s = n - int(in_i.sum())
-        self._d_i = degrees[self._order[n_s:], None]
-
-        t, h, c = graph.tails, graph.heads, graph.conductances
-        i_end = np.where(in_i[t], t, h)  # the I end of an edge that has one
-        s_end = np.where(in_i[t], h, t)
-        couples = (in_i[t] | in_i[h]) & (s_end != 0)
-        inside = ~(in_i[t] | in_i[h]) & (t != 0) & (h != 0)
-        rows, cols = self._where[s_end[couples]] - 1, self._where[i_end[couples]] - n_s
-        c_is, d = c[couples], degrees[i_end[couples]]
-        shape = (n_s - 1, n - n_s)
-        # x_S's right-hand side gathers b_I through L_SI D_I^-1, and x_I
-        # gathers x_S through D_I^-1 L_IS; both weights are c / d <= 1
-        self._to_s = scipy.sparse.csr_array((c_is / d, (rows, cols)), shape=shape)
-        self._to_i = self._to_s.T
-        l_si = scipy.sparse.csr_array((c_is, (rows, cols)), shape=shape)  # -L_SI
-        a, b = self._where[t[inside]] - 1, self._where[h[inside]] - 1
+        n_s = self._n_s = remaining.size + 1
+        # per round, first eliminated first: I_r's place [start, end), the
+        # weights D_r^-1 L_SI coupling it to every place before it, as columns,
+        # the same weights as the rows of D_r^-1 L_IS, and the pivots D_r
+        self._rounds = []
+        for members, pivots, s_end, counts, ratio in rounds:
+            start = int(self._where[members[0]])
+            end = start + members.size
+            arrays = (ratio, self._where[s_end], np.concatenate(([0], np.cumsum(counts))))
+            self._rounds.append((
+                start,
+                end,
+                scipy.sparse.csc_array(arrays, shape=(start, members.size)),
+                scipy.sparse.csr_array(arrays, shape=(members.size, start)),
+                pivots[:, None],
+            ))
         self._factor = None
         if n_s > 1:
-            block = (self._to_s @ l_si.T).toarray(order="F")
-            np.add.at(block, (np.maximum(a, b), np.minimum(a, b)), c[inside])  # the lower triangle of -L_SS
-            np.negative(block, out=block)
-            block[np.diag_indices(n_s - 1)] += degrees[self._order[1:n_s]]
+            block = np.zeros((n_s - 1, n_s - 1), order="F")
+            live = u != 0
+            # the lower triangle: u < v, and S_k is in id order
+            block[self._where[v[live]] - 1, self._where[u[live]] - 1] = -w[live]
+            block[np.diag_indices(n_s - 1)] = diag[remaining]
             self._factor = _cho_factor(graph, block, "grounded")
 
     def solve(self, b) -> np.ndarray:
@@ -194,33 +274,30 @@ class LaplacianSystem:
         """Grounded solves of the columns of an ``(n, k)`` array: each column
         is projected off the all-ones direction and solved with vertex 0
         grounded, so ``X[0] = 0`` exactly and column j differs from
-        ``L^+ B[:, j]`` by one constant.  The Schur block is solved for x_S
-        in place by LAPACK, and ``x_I = b_I / d_I + D_I^-1 L_IS x_S`` extends
-        it to I; X is returned in Fortran order.  A non-finite solve raises
-        ``FloatingPointError``.
+        ``L^+ B[:, j]`` by one constant.  The rows are gathered once into
+        elimination order; each round forward-eliminates its I_r into the
+        places before it, LAPACK solves the Schur block S_k, and each round
+        backward gives ``x_I = b_I / d_I + D_I^-1 L_IS x``.  X is returned
+        in Fortran order.  A non-finite solve raises ``FloatingPointError``.
         """
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.n:
             raise ValueError(f"expected shape ({self.n}, k), got {B.shape}")
         n_s = self._n_s
-        # the work runs on transposes, whose rows are the columns of B, with
-        # the vertices in elimination order
-        z = np.take(B.T, self._order, axis=1)
-        z -= B.mean(axis=0)[:, None]
-        b_i = np.ascontiguousarray(z[:, n_s:].T)
-        x_s = np.add(z[:, 1:n_s].T, self._to_s @ b_i, out=np.empty((n_s - 1, B.shape[1]), order="F"))
+        z = np.ascontiguousarray(B)[self._order]
+        z -= z.mean(axis=0)
+        for start, end, a, _, _ in self._rounds:
+            z[:start] += a @ z[start:end]
+        z[0] = 0.0
         if self._factor is not None:
-            x_s = scipy.linalg.cho_solve(self._factor, x_s, overwrite_b=True, check_finite=False)
-        b_i /= self._d_i
-        b_i += self._to_i @ x_s
-        z[:, 0] = 0.0
-        z[:, 1:n_s] = x_s.T
-        z[:, n_s:] = b_i.T
+            z[1:n_s] = scipy.linalg.cho_solve(self._factor, z[1:n_s], check_finite=False)
+        for start, end, _, a_t, d in reversed(self._rounds):
+            z_i = z[start:end]
+            z_i /= d
+            z_i += a_t @ z[:start]
         if not np.isfinite(z).all():  # LAPACK sets no floating-point flag
             raise FloatingPointError("Laplacian solve is not finite: the potentials overflow double precision")
-        X = np.empty(B.shape, order="F")
-        np.take(z, self._where, axis=1, out=X.T, mode="clip")  # indices are valid; clip skips a buffer
-        return X
+        return np.asfortranarray(z[self._where])
 
 
 class PowerIterationResult(NamedTuple):

@@ -284,7 +284,7 @@ class TestImpedanceOracle:
             assert np.abs(pi - impedance_longdouble(g)).max() <= bound, seed
 
     def test_path_impedance_is_identity(self):
-        # at n = 4000 the largest off-diagonal |Pi - I| is 4.55e-13, the
+        # at n = 4000 the largest off-diagonal |Pi - I| is 3.41e-13, the
         # thinnest margin to ABS_ZERO_TOL measured on any graph
         for n in (2000, 4000):
             tp = TransferImpedance(path(n), mode="streaming")

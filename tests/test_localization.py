@@ -477,9 +477,9 @@ class TestHarmonicBoundCheck:
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
         monkeypatch.setattr(localization, "run_elimination", no_elimination)
         assert harmonic_bound_check(g, np.ones(g.n_edges)).ok
-        # one factor, of the grounded Schur block on torus:6's other colour
-        # class: 18 vertices less the ground
-        assert factored == [(17, 17)]
+        # one factor, of the grounded Schur block left by the rounds: 14 of
+        # torus:6's 36 vertices, less the ground
+        assert factored == [(13, 13)]
 
     def test_report_is_the_quadratic_form_and_the_harmonic_sum(self):
         g = log_uniform_expander(40, 3)

@@ -124,9 +124,9 @@ class TestCompetitiveRatioBound:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
         report = route_demands(g, demands)
-        # one factor, of the grounded Schur block: the even torus is bipartite,
-        # so S is one colour class and the block has n/2 - 1 rows
-        assert factored == [(g.n_vertices // 2 - 1, g.n_vertices // 2 - 1)]
+        # one factor, of the grounded Schur block left by the rounds: 14 of
+        # torus:6's 36 vertices, the ground included
+        assert factored == [(13, 13)]
         superposed = sum(d.amount * unit_flow(g, d.source, d.sink) for d in demands)
         assert np.abs(report.flow - superposed).max() <= 1e-12 * np.abs(superposed).max()
         assert report.competitive_ratio_bound == TransferImpedance(g).per_edge_stats()[0].max()

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohmgraph import (
     ConvergenceError,
@@ -19,7 +21,8 @@ from ohmgraph import (
     torus,
 )
 from ohmgraph.electrical import _abs_zeroed
-from ohmgraph.solver import KRYLOV_CAP, _independent_set
+from ohmgraph import solver
+from ohmgraph.solver import KRYLOV_CAP
 
 from conftest import (
     indicator_drop,
@@ -48,12 +51,14 @@ def _random_multigraph(rng, n):
     return build_graph([(int(perm[t]), int(perm[h]), float(rng.uniform(0.1, 10.0))) for t, h in edges])
 
 
-# the Schur block is empty (path:2 and a star centred at the ground), one
-# vertex (a star centred elsewhere), or dense (complete:6, where I is {1})
+# small graphs whose rounds eliminate every vertex (path:2, stars centred at
+# the ground and elsewhere, complete:6 one vertex a round, parallel edges both
+# ways), one with no round (complete:8) and one with rounds and a dense block
 SCHUR_EDGE_GRAPHS = [path(2), _star(7, 0), _star(7, 3), complete(6),
                      build_graph([(0, 1, 1.0), (1, 0, 2.0), (1, 2, 3.0), (2, 1, 0.5), (2, 3, 1.0), (3, 0, 4.0),
-                                  (1, 3, 1.0), (3, 1, 2.0)])]
-SCHUR_EDGE_IDS = ["path2", "star_at_ground", "star_at_3", "complete6", "parallel_both_ways"]
+                                  (1, 3, 1.0), (3, 1, 2.0)]),
+                     complete(8), torus(6)]
+SCHUR_EDGE_IDS = ["path2", "star_at_ground", "star_at_3", "complete6", "parallel_both_ways", "complete8", "torus6"]
 
 # |Pi| of these spans vertex-transitive, weighted, reducible (Pi = I on a path)
 # and random operators
@@ -156,30 +161,27 @@ class TestPinvApply:
         assert peak < 1.5 * 8 * g.n_vertices**2
 
     def test_eliminated_set_is_greedy_and_independent(self, rng):
-        for n in (2, 3, 5, 8, 13, 30):
-            g = _random_multigraph(rng, n)
-            chosen = _independent_set(g)
-            assert not chosen[0]  # the ground is never eliminated first
-            assert not np.any(chosen[g.tails] & chosen[g.heads])
-            # greedy in id order: a vertex left out has a smaller neighbour in the set
-            lo, hi = np.minimum(g.tails, g.heads), np.maximum(g.tails, g.heads)
-            for v in np.flatnonzero(~chosen)[1:]:
-                assert chosen[lo[hi == v]].any(), v
+        graphs = [torus(6), hypercube(4), log_uniform_expander(40, 5), path(12), _star(7, 3), complete(6)]
+        graphs += [_random_multigraph(rng, n) for n in (2, 3, 5, 8, 13, 30, 60)]
+        for g in graphs:
+            sys = LaplacianSystem(g)
+            _check_rounds(g, sys)
+            sizes = [len(chosen) for chosen in _round_sets(sys)]
+            remaining = g.n_vertices - np.cumsum([0] + sizes[:-1])  # before each round, the ground included
+            assert all(k >= solver._ROUND_FLOOR * r for k, r in zip(sizes, remaining)), sizes
 
     def test_schur_block_is_the_complement_of_the_set(self, monkeypatch):
-        factored = []
-        original = scipy.linalg.cho_factor
-
-        def spy(a, *args, **kwargs):
-            factored.append(a.shape)
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
-        for g in (torus(6), hypercube(4), log_uniform_expander(40, 5), complete(6), path(2), _star(7, 0)):
+        factored = _spy_factors(monkeypatch)
+        # one factor, of S_k: torus:6 keeps 14 of 36 vertices after 2 rounds,
+        # hypercube:4 is eliminated completely, and so is complete:6, one
+        # vertex a round, since one of six is above the round floor
+        cases = [(torus(6), [(13, 13)]), (hypercube(4), []), (log_uniform_expander(40, 5), [(17, 17)]),
+                 (complete(6), []), (path(2), []), (_star(7, 0), [])]
+        for g, shapes in cases:
             factored.clear()
-            LaplacianSystem(g)
-            s = int((~_independent_set(g)).sum()) - 1  # S less the ground
-            assert factored == ([(s, s)] if s else []), g.n_vertices
+            sys = LaplacianSystem(g)
+            assert factored == shapes, g.n_vertices
+            assert [(s, s) for s in [sys._n_s - 1] if s] == shapes
 
     @pytest.mark.parametrize("g", SCHUR_EDGE_GRAPHS, ids=SCHUR_EDGE_IDS)
     def test_small_and_dense_schur_blocks_match_oracle(self, g, rng):
@@ -195,6 +197,25 @@ class TestPinvApply:
             X = LaplacianSystem(g).solve_columns(B)
             assert np.abs((X - X.mean(axis=0)) - oracle_pinv_apply(g, B)).max() <= 1e-10, n
 
+    def test_zero_round_pivot_is_refused_before_any_factor(self, monkeypatch):
+        # round 1's pivots are weighted degrees, so a pivot that cancels to 0
+        # is a Schur diagonal of a later round; the path is eliminated
+        # completely, so no factor is ever attempted
+        factored = _spy_factors(monkeypatch)
+        rounds = []
+        greedy = solver._greedy_set
+
+        def counting(*args):
+            rounds.append(1)
+            return greedy(*args)
+
+        monkeypatch.setattr(solver, "_greedy_set", counting)
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-200), (3, 4, 1e200), (4, 5, 1e-200), (5, 6, 1.0),
+                         (6, 7, 1.0), (7, 8, 1.0)])
+        with pytest.raises(np.linalg.LinAlgError, match="grounded block .* conductances span 1e-200 to 1e"):
+            LaplacianSystem(g)
+        assert len(rounds) >= 2 and factored == []
+
     def test_unresolvable_spread_names_the_conductances(self):
         # 1e200 + 1e-200 rounds to 1e200: vertex 1 is eliminated first, and
         # the pivot it leaves on vertex 2, deg - c^2 / d, is exactly 0
@@ -207,6 +228,105 @@ class TestPinvApply:
         g = build_graph([(0, 1, 1e308), (1, 2, 1e308), (2, 3, 1e308), (3, 0, 1e308), (0, 2, 1e308)])
         with pytest.raises(FloatingPointError, match="not finite"):
             LaplacianSystem(g)
+
+
+def _spy_factors(monkeypatch):
+    """The shapes passed to ``scipy.linalg.cho_factor`` from now on."""
+    factored = []
+    original = scipy.linalg.cho_factor
+
+    def spy(a, *args, **kwargs):
+        factored.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    return factored
+
+
+def _round_sets(sys):
+    """Each round's eliminated vertices, first round first."""
+    return [sys._order[start:end] for start, end, *_ in sys._rounds]
+
+
+def _check_rounds(g, sys):
+    """Each round's set is independent in that round's graph, the graph of
+    the Schur complement onto the vertices not yet eliminated, ground
+    included, and is greedy: every vertex of that graph left out but the
+    ground has a neighbour in the set with fewer neighbours, or as many and
+    a smaller id."""
+    n = g.n_vertices
+    assert np.array_equal(np.sort(sys._order), np.arange(n)) and sys._order[0] == 0
+    adj = np.zeros((n, n), dtype=bool)
+    adj[g.tails, g.heads] = adj[g.heads, g.tails] = True
+    alive = np.ones(n, dtype=bool)
+    for chosen in _round_sets(sys):
+        assert 0 not in chosen and alive[chosen].all()
+        assert not adj[np.ix_(chosen, chosen)].any()
+        degree = adj.sum(axis=1)
+        in_i = np.zeros(n, dtype=bool)
+        in_i[chosen] = True
+        for v in np.flatnonzero(alive & ~in_i)[1:]:
+            earlier = [i for i in np.flatnonzero(adj[v] & in_i) if (degree[i], i) < (degree[v], v)]
+            assert earlier, v
+        for i in chosen:  # its neighbours become a clique
+            nbrs = np.flatnonzero(adj[i])
+            adj[np.ix_(nbrs, nbrs)] = True
+            adj[i] = adj[:, i] = False
+        adj[np.diag_indices(n)] = False
+        alive[chosen] = False
+
+
+@st.composite
+def _multigraphs(draw):
+    """A connected multigraph on n <= 12 vertices: a random spanning tree
+    plus extra edges, repeated in the same and the other orientation, with
+    conductances log-uniform in [1e-3, 1e3]."""
+    n = draw(st.integers(2, 12))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    ends += draw(st.lists(pair, max_size=2 * n))
+    ends += [(h, t) for t, h in draw(st.lists(st.sampled_from(ends), max_size=n))]
+    exponents = draw(st.lists(st.floats(-3, 3), min_size=len(ends), max_size=len(ends)))
+    return build_graph([(t, h, 10.0**x) for (t, h), x in zip(ends, exponents)], n_vertices=n)
+
+
+class TestEliminationRounds:
+    @pytest.mark.parametrize("g", [path(50), _star(9, 3)], ids=["path50", "star_at_3"])
+    def test_trees_are_eliminated_completely(self, g, monkeypatch, rng):
+        factored = _spy_factors(monkeypatch)
+        sys = LaplacianSystem(g)
+        assert factored == [] and sys._n_s == 1
+        B = rng.normal(size=(g.n_vertices, 3))
+        X = sys.solve_columns(B)
+        assert np.abs((X - X.mean(axis=0)) - oracle_pinv_apply(g, B)).max() <= 1e-10
+
+    def test_complete_graph_takes_no_round(self, monkeypatch):
+        # one vertex of eight, the ground included, is under the round floor,
+        # so K8 is factored whole
+        factored = _spy_factors(monkeypatch)
+        sys = LaplacianSystem(complete(8))
+        assert sys._rounds == [] and factored == [(7, 7)]
+        assert np.array_equal(sys._order, np.arange(8))
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e3])
+    def test_order_reads_no_conductance(self, factor):
+        for g in (log_uniform_expander(60, 2), _random_multigraph(np.random.default_rng(4), 40)):
+            scaled = build_graph([(t, h, c * factor) for t, h, c in g.edge_list()], n_vertices=g.n_vertices)
+            base, other = LaplacianSystem(g), LaplacianSystem(scaled)
+            assert np.array_equal(base._order, other._order)
+            assert [r[:2] for r in base._rounds] == [r[:2] for r in other._rounds]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=_multigraphs())
+    def test_solves_match_oracle_on_random_multigraphs(self, g):
+        B = np.random.default_rng(g.n_edges).normal(size=(g.n_vertices, 3))
+        sys = LaplacianSystem(g)
+        _check_rounds(g, sys)
+        X = sys.solve_columns(B)
+        assert X.flags.f_contiguous and np.all(X[0] == 0.0)
+        Z = oracle_pinv_apply(g, B)
+        # a 1e-3 conductance puts potentials near 1e3, so the bound scales
+        assert np.abs((X - X.mean(axis=0)) - Z).max() <= 1e-10 * max(np.abs(Z).max(), 1.0)
 
 
 class TestPowerIteration:
