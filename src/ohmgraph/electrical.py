@@ -31,13 +31,13 @@ ABS_ZERO_TOL = 1e-12
 # with 256.
 _DEFAULT_BLOCK = 64
 
-# Columns per block of the solves that build Y.  With the elimination rounds
-# (|S_k| = 430 on the 1024-vertex weighted expander, 320 on torus:32) a dense
-# TransferImpedance took medians of 78, 82 and 84 ms on the expander and 63,
-# 62 and 67 ms on torus:32 with 64, 128 and 256 columns (20 alternating
-# repetitions, one BLAS thread), each within the other widths' quartiles.  No
-# width wins on both graphs; 128 keeps the per-block temporaries at half of
-# 256's.
+# Columns per block of the solves of S_k's columns and of the round products
+# that fill the rest of the grounded inverse behind Y.  A streaming
+# TransferImpedance took medians of 43.9, 44.2 and 45.8 ms on the 1024-vertex
+# weighted expander (|S_k| = 430) and 34.0, 34.2 and 35.1 ms on torus:32
+# (|S_k| = 320) with 64, 128 and 256 columns (20 alternating repetitions, one
+# BLAS thread, 2-core Xeon VM): 64 and 128 within each other's quartiles, 256
+# about 1 ms slower.  128 keeps the per-block temporaries at n x 128.
 _SOLVE_BLOCK = 128
 
 
@@ -70,32 +70,40 @@ def _check_weights(graph: Graph, w) -> np.ndarray:
     return w
 
 
-def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray) -> np.ndarray:
-    """``Y = L^+ B^T sqrt(C)``, written into the (n, m) array ``y``.
+def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray):
+    """``Y = L^+ B^T sqrt(C)`` up to one constant per column, written into
+    the (n, m) array ``y`` with its rows in elimination order.  Returns y
+    and the rows of each edge's tail and head.
 
-    Column e is sqrt(c_e) times the potentials of a unit flow across edge e.
-    A block of grounded solves gives ``L^+`` columns lo..hi-1, up to one
-    constant per column that cancels in every edge drop, and by symmetry
-    rows lo..hi-1, so ``Y[lo:hi]`` follows and the n x n ``L^+`` never
-    exists.  It is written in slices of ``_DEFAULT_BLOCK`` rows, so the
-    gather temporary stays that narrow.
+    Column e is sqrt(c_e) times the potentials of a unit flow across edge
+    e.  The grounded inverse G is formed in Y's own first n - 1 columns
+    (a connected graph has m >= n - 1) by
+    :meth:`~ohmgraph.solver.LaplacianSystem.grounded_inverse`, and each row
+    of Y is ``sqrt(C)`` times the drops of the same row of G across the
+    edges, so ``Y = G B^T sqrt(C)`` is converted in place in slices of
+    ``_DEFAULT_BLOCK`` rows and no n x n array is allocated beside it.  G
+    differs from ``L^+`` by ``u 1^T + 1 v^T``, which puts one constant into
+    each column of Y and cancels from every edge drop, since ``B 1 = 0``.
     """
     n = system.n
+    system.grounded_inverse(y[1:, : n - 1], _SOLVE_BLOCK)
+    tails, heads = system._where[graph.tails], system._where[graph.heads]
     sqrt_c = np.sqrt(graph.conductances)
-    for lo in range(0, n, _SOLVE_BLOCK):
-        hi = min(lo + _SOLVE_BLOCK, n)
-        rhs = np.zeros((n, hi - lo))  # C order: the solve gathers its rows
-        rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        xt = system.solve_columns(rhs).T  # C order: row j is solve lo + j
-        del rhs
-        for start in range(lo, hi, _DEFAULT_BLOCK):
-            stop = min(start + _DEFAULT_BLOCK, hi)
-            rows, out = xt[start - lo : stop - lo], y[start:stop]
-            np.take(rows, graph.tails, axis=1, out=out)
-            out -= np.take(rows, graph.heads, axis=1)
-            out *= sqrt_c
-        del xt, rows  # views of the solved block, freed before the next
-    return y
+    # The buffers are reused: a fresh one per slice costs more in page faults
+    # than the gather into it.  The places are in range by construction, and
+    # mode "clip" spares np.take the buffered copy of ``out`` that its
+    # default mode makes.
+    g_rows = np.zeros((_DEFAULT_BLOCK, n))  # G's rows, after the ground's zero column
+    at_heads = np.empty((_DEFAULT_BLOCK, y.shape[1]))
+    y[0] = 0.0  # the ground's row of G is zero
+    for lo in range(1, n, _DEFAULT_BLOCK):
+        hi = min(lo + _DEFAULT_BLOCK, n)
+        rows, out, sub = g_rows[: hi - lo], y[lo:hi], at_heads[: hi - lo]
+        rows[:, 1:] = out[:, : n - 1]
+        np.take(rows, tails, axis=1, out=out, mode="clip")
+        out -= np.take(rows, heads, axis=1, out=sub, mode="clip")
+        out *= sqrt_c
+    return y, tails, heads
 
 
 class TransferImpedance:
@@ -103,14 +111,17 @@ class TransferImpedance:
 
     Construction factors the grounded Laplacian once (kept as ``system``),
     with independent sets eliminated in rounds so that only the last Schur
-    complement is factored densely (see
-    :class:`~ohmgraph.solver.LaplacianSystem`), and solves, in column
-    blocks, for the n x m edge-potential matrix ``Y = L^+ B^T sqrt(C)``,
-    whose column e is sqrt(c_e) times the potentials of a unit flow across
-    edge e; it keeps Y, never the full ``L^+``.  Row f of Pi is then
-    ``sqrt(c_f) (Y[tail(f)] - Y[head(f)])``: every block of rows is two
-    contiguous row gathers of Y, with no solve and no column gather, and
-    the diagonal costs O(m).
+    complement S_k is factored densely (see
+    :class:`~ohmgraph.solver.LaplacianSystem`), and builds the n x m
+    edge-potential matrix ``Y = L^+ B^T sqrt(C)`` up to one constant per
+    column (see :func:`_edge_potentials`): column e is sqrt(c_e) times the
+    potentials of a unit flow across edge e.  The grounded inverse is
+    formed in Y's own buffer, from solves of S_k's columns only, and
+    converted in place, so no n x n array is allocated beside Y, and
+    ``L^+`` is never held.  Y's rows are in elimination order, and row f of
+    Pi is ``sqrt(c_f) (Y[where[tail(f)]] - Y[where[head(f)]])``: every
+    block of rows is two contiguous row gathers of Y, with no solve and no
+    column gather, and the diagonal costs O(m).
 
     The norms read ``|Pi|``, with entries below ``ABS_ZERO_TOL`` zeroed.  Pi
     is symmetric, so a pass reads only its upper triangle: row block
@@ -128,10 +139,11 @@ class TransferImpedance:
     The instance is immutable, so :meth:`per_edge_stats` is computed once
     and memoized; its column sums are ``|Pi| 1``, which
     :meth:`abs_spectral_norm` takes as its first product instead of making
-    another pass.  Entries are differences of ``L^+`` entries, so their
-    absolute error scales with machine epsilon times ``max |L^+|`` (about
-    n/3 on a path).  Blocks are pure functions of the cached Y and safe to
-    compute concurrently.
+    another pass.  Entries are differences of entries of the grounded
+    inverse, so their absolute error scales with machine epsilon times its
+    largest entry, the largest resistance to vertex 0 (n - 1 on a unit
+    path).  Blocks are pure functions of the cached Y and safe to compute
+    concurrently.
     """
 
     def __init__(self, graph: Graph, mode: str = "auto"):
@@ -152,12 +164,13 @@ class TransferImpedance:
         # Y, the largest array, is allocated before the factor: taken first,
         # it gets the largest free block of a heap that earlier runs left
         # fragmented, and the factor cannot split that block under it.  The
-        # graph is checked first, so a disconnected one allocates nothing.
+        # graph is checked first, so a disconnected one allocates nothing;
+        # it keeps the answer, so the system's own check runs no second BFS.
         _check_connected(graph)
         y = np.empty((graph.n_vertices, m))
         self.system = LaplacianSystem(graph)
         self._sqrt_c = np.sqrt(graph.conductances)
-        self._y = _edge_potentials(self.system, graph, y)
+        self._y, self._tails, self._heads = _edge_potentials(self.system, graph, y)
         self._abs_cache = None
         self._stats = None
         if mode == "dense":
@@ -169,9 +182,9 @@ class TransferImpedance:
 
     def _rows(self, lo: int, hi: int, start: int = 0) -> np.ndarray:
         """Exact signed impedance rows ``lo..hi-1`` over columns ``start..m-1``."""
-        g, y = self.graph, self._y
-        rows = y[g.tails[lo:hi], start:]
-        rows -= y[g.heads[lo:hi], start:]
+        y = self._y
+        rows = y[self._tails[lo:hi], start:]
+        rows -= y[self._heads[lo:hi], start:]
         rows *= self._sqrt_c[lo:hi, None]
         return rows
 
@@ -223,14 +236,14 @@ class TransferImpedance:
         read-only arrays.
         """
         if self._stats is None:
-            g, y, sqrt_c = self.graph, self._y, self._sqrt_c
+            y, sqrt_c = self._y, self._sqrt_c
             # |Pi| is symmetric, so its row sums are its column sums, and
             # |flow on e for unit injection across f| = sqrt(c_e/c_f) |Pi_fe|
             sums = self._abs_apply(np.column_stack([np.ones(self.n_edges), sqrt_c]))
             colsums = sums[:, 0].copy()
             l1 = sums[:, 1] / sqrt_c
             e = np.arange(self.n_edges)
-            diag = sqrt_c * (y[g.tails, e] - y[g.heads, e])
+            diag = sqrt_c * (y[self._tails, e] - y[self._heads, e])
             for a in (colsums, l1, diag):
                 a.flags.writeable = False
             self._stats = (colsums, l1, diag)

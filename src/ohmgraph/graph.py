@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,12 @@ class Graph:
     def is_unweighted(self) -> bool:
         """True when every conductance is exactly 1."""
         return bool(np.all(self.conductances == 1.0))
+
+    @cached_property
+    def _reaches_all(self) -> bool:
+        """Whether a BFS from vertex 0 reaches every vertex; the graph is
+        immutable, so the BFS runs once and the answer is kept."""
+        return -1 not in _hops(self, 0)
 
     def edge_list(self) -> list[tuple[int, int, float]]:
         """Edges as ``(tail, head, conductance)`` tuples, in stored order."""
@@ -458,12 +465,12 @@ def _hops(graph: Graph, source: int) -> list[int]:
 
 
 def is_connected(graph: Graph) -> bool:
-    """BFS reachability of every vertex from vertex 0.  Fewer than n-1 edges
-    cannot connect n vertices; that answer comes before anything of size n
-    is allocated."""
+    """BFS reachability of every vertex from vertex 0, run once per graph.
+    Fewer than n-1 edges cannot connect n vertices; that answer comes before
+    anything of size n is allocated."""
     n = graph.n_vertices
     if n <= 1:
         return True
     if graph.n_edges < n - 1:
         return False
-    return -1 not in _hops(graph, 0)
+    return graph._reaches_all

@@ -185,15 +185,17 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     :class:`~ohmgraph.schur.SchurResidueError` from the pivot step.
 
     With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is gathered from
-    :func:`ohmgraph.electrical._edge_potentials` (the block solves of the n
-    identity columns that :class:`~ohmgraph.electrical.TransferImpedance`
-    makes) and ``Pi_{i+1} = Pi_i - s_k s_k^T / L[k, k]`` with the scaled
-    drop ``s_k = sqrt(C) a_k``.  Entries below ``ABS_ZERO_TOL`` are zeroed as
-    in :func:`~ohmgraph.electrical.quadratic_form_abs`, so V_0 is that form
-    and every V_i is unchanged when all conductances are scaled.  Only the
-    rows of Pi in ``supp(a_k)`` change, so only they are downdated and only
-    their row values ``|Pi[r]| w`` recomputed.  Pi is one m x m array, so
-    tracking is refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
+    the rows of :func:`ohmgraph.electrical._edge_potentials` at each edge's
+    ends (the grounded inverse that
+    :class:`~ohmgraph.electrical.TransferImpedance` forms, solving S_k's
+    columns only), and ``Pi_{i+1} = Pi_i - s_k s_k^T / L[k, k]`` with the
+    scaled drop ``s_k = sqrt(C) a_k``.  Entries below ``ABS_ZERO_TOL`` are
+    zeroed as in :func:`~ohmgraph.electrical.quadratic_form_abs`, so V_0 is
+    that form and every V_i is unchanged when all conductances are scaled.
+    Only the rows of Pi in ``supp(a_k)`` change, so only they are downdated
+    and only their row values ``|Pi[r]| w`` recomputed.  Pi is one m x m
+    array, so tracking is refused with ``ValueError`` above
+    ``DENSE_EDGE_CAP`` edges.
 
     The terminal pair u < v is one resistor, checked by one pair solve
     ``phi = L^+ (e_u - e_v)``: with drops ``f = phi[tails] - phi[heads]``
@@ -223,9 +225,9 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     degrees = _degree_vector(D, z, c)
     v_now = v_initial = None  # V_i before the coming step
     if compute_vi:
-        Y = _edge_potentials(system, graph, np.empty((n, m)))
-        P = Y[tails]
-        P -= Y[heads]
+        Y, rows_t, rows_h = _edge_potentials(system, graph, np.empty((n, m)))
+        P = Y[rows_t]
+        P -= Y[rows_h]
         del Y
         P *= sqrt_c[:, None]  # Pi_0 = sqrt(C) B L^+ B^T sqrt(C)
         row_vals = _abs_rows(P, w)

@@ -14,8 +14,10 @@ of the previous Schur complement's graph and each with a diagonal block,
 are eliminated in rounds, and only the last Schur complement S_k is
 Cholesky-factored densely.  A solved column costs 2 |S_k|^2 flops plus O(m)
 instead of 2 (n-1)^2; on torus:32 |S_k| = 320 of 1024, so a solve costs a
-tenth and the factor a thirtieth.  Desk-scale dense path: intended for n up
-to a few thousand vertices.
+tenth and the factor a thirtieth.  The whole grounded inverse solves only
+S_k's columns and fills the eliminated vertices' from the rounds' sparse
+couplings.  Desk-scale dense path: intended for n up to a few thousand
+vertices.
 
 The eigensolver runs Lanczos from the normalized all-ones vector with full
 reorthogonalization.  A breakdown (the next Krylov direction vanishes) means
@@ -159,7 +161,9 @@ class LaplacianSystem:
     first), I_k, ..., I_1: each solved column costs 2 |S_k|^2 flops plus
     O(m) for the rounds, and the factor |S_k|^3 / 3.  On torus:32 |S_k| is
     320 of 1024 after 3 rounds, and on a weighted random 4-regular expander
-    of 1024 vertices 430.
+    of 1024 vertices 430.  :meth:`grounded_inverse` solves only the columns
+    of S_k and the ground, so the n x n inverse costs 2 |S_k|^3 flops plus
+    sparse products, not 2 n |S_k|^2.
 
     Each clique term is the product ``(c_si / d_i) c_is'`` of a weight
     c / d and a conductance, so no term overflows, and it rounds twice; the
@@ -238,18 +242,19 @@ class LaplacianSystem:
         self._where[self._order] = np.arange(n)
         n_s = self._n_s = remaining.size + 1
         # per round, first eliminated first: I_r's place [start, end), the
-        # weights D_r^-1 L_SI coupling it to every place before it, as columns,
-        # the same weights as the rows of D_r^-1 L_IS, and the pivots D_r
+        # weights D_r^-1 L_SI coupling it to the places before it, as columns
+        # with place p at row p - 1 and the ground left out, the same weights
+        # as the rows of D_r^-1 L_IS, and the pivots D_r
         self._rounds = []
         for members, pivots, s_end, counts, ratio in rounds:
             start = int(self._where[members[0]])
             end = start + members.size
-            arrays = (ratio, self._where[s_end], np.concatenate(([0], np.cumsum(counts))))
+            arrays = (ratio, self._where[s_end] - 1, np.concatenate(([0], np.cumsum(counts))))
             self._rounds.append((
                 start,
                 end,
-                scipy.sparse.csc_array(arrays, shape=(start, members.size)),
-                scipy.sparse.csr_array(arrays, shape=(members.size, start)),
+                scipy.sparse.csc_array(arrays, shape=(start - 1, members.size)),
+                scipy.sparse.csr_array(arrays, shape=(members.size, start - 1)),
                 pivots[:, None],
             ))
         self._factor = None
@@ -287,17 +292,65 @@ class LaplacianSystem:
         z = np.ascontiguousarray(B)[self._order]
         z -= z.mean(axis=0)
         for start, end, a, _, _ in self._rounds:
-            z[:start] += a @ z[start:end]
+            z[1:start] += a @ z[start:end]
         z[0] = 0.0
         if self._factor is not None:
             z[1:n_s] = scipy.linalg.cho_solve(self._factor, z[1:n_s], check_finite=False)
         for start, end, _, a_t, d in reversed(self._rounds):
             z_i = z[start:end]
             z_i /= d
-            z_i += a_t @ z[:start]
+            z_i += a_t @ z[1:start]
         if not np.isfinite(z).all():  # LAPACK sets no floating-point flag
             raise FloatingPointError("Laplacian solve is not finite: the potentials overflow double precision")
         return np.asfortranarray(z[self._where])
+
+    def grounded_inverse(self, out: np.ndarray, block: int) -> np.ndarray:
+        """The inverse G of the grounded Laplacian in elimination order,
+        written into ``out``, an (n-1, n-1) array or view: ``out[p-1, q-1]``
+        is G at places p and q, where place p holds vertex ``_order[p]`` and
+        place 0, the ground, is left out.
+
+        Only the unit columns of the ground and of S_k's other places are
+        solved, by :meth:`solve_columns` in blocks of ``block`` columns: n_s
+        of n columns, 320 of 1024 on torus:32.  The ground's comes back as
+        ``-G 1 / n``, so G's column q is X[:, q] - X[:, 0].  The rest is
+        the block form of a sparse inverse from its factor (Takahashi, Fagan
+        and Chen, 1973): from the round eliminated last to the first, with R
+        the places before I_r, ``G[I, R] = A_t G[R, R]`` over R's eliminated
+        columns, its transpose ``G[R, I]``, and
+        ``G[I, I] = D^-1 + A_t G[R, I]``, where A_t holds the weights
+        D_r^-1 L_IS.  Every term is nonnegative, so nothing cancels.  The
+        products run in blocks of ``block`` columns, so no temporary
+        outgrows n x ``block``.  A non-finite G raises
+        ``FloatingPointError``.
+        """
+        n, n_s = self.n, self._n_s
+        if n_s > 1:
+            ground = None
+            for lo in range(0, n_s, block):
+                hi = min(lo + block, n_s)
+                x = np.zeros((n, hi - lo))  # the right sides, then the solves
+                x[self._order[lo:hi], np.arange(hi - lo)] = 1.0
+                x = self.solve_columns(x)[self._order[1:]]
+                if ground is None:
+                    ground, x = x[:, :1].copy(), x[:, 1:]
+                np.subtract(x, ground, out=out[:, max(lo, 1) - 1 : hi - 1])
+                del x  # before the next block's right sides
+        for start, end, _, a_t, d in reversed(self._rounds):
+            r, i = slice(0, start - 1), slice(start - 1, end - 1)  # out's indices
+            for lo in range(n_s - 1, start - 1, block):
+                hi = min(lo + block, start - 1)
+                out[i, lo:hi] = a_t @ out[r, lo:hi]
+            for lo in range(0, end - start, block):  # G[R, I] and G[I, I], by columns
+                hi = min(lo + block, end - start)
+                cols = slice(start - 1 + lo, start - 1 + hi)
+                out[r, cols] = out[cols, r].T  # a transpose in blocks keeps to the cache
+                g_ii = a_t @ out[r, cols]
+                g_ii[np.arange(lo, hi), np.arange(hi - lo)] += 1.0 / d[lo:hi, 0]
+                out[i, cols] = g_ii
+        if not np.isfinite(out).all():
+            raise FloatingPointError("grounded inverse is not finite: the potentials overflow double precision")
+        return out
 
 
 class PowerIterationResult(NamedTuple):

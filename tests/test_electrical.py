@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ohmgraph.electrical as electrical
+import ohmgraph.graph as graph_module
 from ohmgraph import (
     ABS_ZERO_TOL,
     DisconnectedGraphError,
@@ -247,18 +250,25 @@ class TestImpedanceOracle:
         assert np.abs(diag - np.diag(oracle)).max() <= 1e-12
 
     def test_edge_potentials_from_partial_solve_blocks(self, monkeypatch):
-        # 7-column solves: five full blocks and one partial block of 5, each
-        # gathered in 3-column slices of which the last is partial
+        # S_k's 18 columns are solved in 7-column blocks, the last partial,
+        # the round products run in 7-column blocks and the 39 rows past the
+        # ground are converted in 5-row slices, the last partial
         monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
-        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 3)
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 5)
         g = log_uniform_expander(40, 5)
-        y = electrical._edge_potentials(LaplacianSystem(g), g, np.empty((g.n_vertices, g.n_edges)))
+        system = LaplacianSystem(g)
+        assert system._n_s == 18
+        y, tails, heads = electrical._edge_potentials(system, g, np.empty((g.n_vertices, g.n_edges)))
+        assert np.array_equal(tails, system._where[g.tails]) and np.array_equal(heads, system._where[g.heads])
         sqrt_c = np.sqrt(g.conductances)
         bt = np.zeros((g.n_vertices, g.n_edges))
         bt[g.tails, np.arange(g.n_edges)] = sqrt_c
         bt[g.heads, np.arange(g.n_edges)] = -sqrt_c
         oracle = oracle_pinv_apply(g, bt)
-        assert np.abs(y - oracle).max() <= 1e-10 * np.abs(y).max()
+        # Y's rows are in elimination order, and each of its columns is
+        # L^+ B^T sqrt(C)'s up to one constant
+        y = y[system._where]
+        assert np.abs(y - y.mean(axis=0) - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("spread, bound", [(1e4, 1.5e-11), (1e6, 1.1e-9)])
     def test_wide_spreads_match_cholesky_reference(self, spread, bound):
@@ -284,8 +294,9 @@ class TestImpedanceOracle:
             assert np.abs(pi - impedance_longdouble(g)).max() <= bound, seed
 
     def test_path_impedance_is_identity(self):
-        # at n = 4000 the largest off-diagonal |Pi - I| is 3.41e-13, the
-        # thinnest margin to ABS_ZERO_TOL measured on any graph
+        # a path is eliminated completely, so its grounded inverse comes from
+        # the round recursion alone, with nothing to cancel: the largest
+        # off-diagonal |Pi - I| is 0 at n = 2000 and 4000
         for n in (2000, 4000):
             tp = TransferImpedance(path(n), mode="streaming")
             m = tp.n_edges
@@ -296,7 +307,9 @@ class TestImpedanceOracle:
                 assert np.abs(block).max() < ABS_ZERO_TOL, (n, lo)
             del tp
 
-    def test_streaming_solves_n_columns_once(self, monkeypatch):
+    def test_streaming_solves_schur_columns_once(self, monkeypatch):
+        # the n_s unit columns of the ground and S_k, in blocks, at
+        # construction; no pass over Pi solves
         solved = []
         original = LaplacianSystem.solve_columns
 
@@ -308,11 +321,31 @@ class TestImpedanceOracle:
         monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
         g = log_uniform_expander(40, 5)
         tp = TransferImpedance(g, mode="streaming")
+        assert solved == [7, 7, 4] and tp.system._n_s == 18
         tp.per_edge_stats()
         result = tp.abs_spectral_norm()
         assert result.iterations > 2
-        assert sum(solved) == g.n_vertices
-        assert max(solved) <= electrical._SOLVE_BLOCK
+        assert solved == [7, 7, 4]
+
+    def test_connectivity_is_searched_once_and_before_y(self, monkeypatch):
+        # the impedance and its system share one BFS of the graph, and a
+        # disconnected graph with n - 1 edges is refused before Y is allocated
+        searched = []
+        hops = graph_module._hops
+        monkeypatch.setattr(graph_module, "_hops", lambda g, source: searched.append(source) or hops(g, source))
+        TransferImpedance(torus(4))
+        assert searched == [0]
+        halves = [(v, v + 1, 1.0) for v in range(999)] + [(v, v + 1, 1.0) for v in range(1000, 1999)]
+        g = build_graph(halves + [(0, 1, 2.0)])
+        assert g.n_edges == g.n_vertices - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError):
+                TransferImpedance(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * g.n_vertices * g.n_edges
 
 
 class TestUpperTriangleApply:

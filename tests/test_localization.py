@@ -366,9 +366,10 @@ class TestIncrementalEngine:
         with pytest.raises(LocalizationError, match="from-scratch value"):
             run_elimination(torus(3), np.ones(18))
 
-    def test_tracked_run_solves_n_identity_columns_and_the_pair(self, monkeypatch):
-        # Pi_0 comes from the impedance's own block solves of the n identity
-        # columns, not from a solve of the m incidence columns
+    def test_tracked_run_solves_schur_columns_and_the_pair(self, monkeypatch):
+        # Pi_0 comes from the impedance's own grounded inverse, which solves
+        # the n_s unit columns of the ground and S_k, not from a solve of
+        # the m incidence columns
         widths = []
         solve_columns = LaplacianSystem.solve_columns
 
@@ -380,7 +381,8 @@ class TestIncrementalEngine:
         monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 8)
         g = torus(5)
         run_elimination(g, np.ones(g.n_edges))
-        assert widths == [8, 8, 8, 1, 1]  # 25 columns for Pi_0, then the pair solve
+        assert LaplacianSystem(g)._n_s == 11
+        assert widths == [8, 3, 1]  # 11 columns for Pi_0, then the pair solve
         widths.clear()
         run_elimination(g, np.ones(g.n_edges), compute_vi=False)
         assert widths == [1]

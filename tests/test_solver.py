@@ -329,6 +329,46 @@ class TestEliminationRounds:
         assert np.abs((X - X.mean(axis=0)) - Z).max() <= 1e-10 * max(np.abs(Z).max(), 1.0)
 
 
+def _inverse_error(g, block):
+    """The largest error of ``grounded_inverse``, written into a strided
+    view as into Y's buffer, against ``inv(L[1:, 1:])`` in elimination
+    order, relative to its largest entry."""
+    sys = LaplacianSystem(g)
+    n = g.n_vertices
+    out = np.full((n, n + 2), np.nan)[1:, 2:-1]
+    assert sys.grounded_inverse(out, block) is out
+    places = sys._order[1:] - 1
+    ref = np.linalg.inv(laplacian_matrix(g)[1:, 1:])[np.ix_(places, places)]
+    return np.abs(out - ref).max() / np.abs(ref).max()
+
+
+class TestGroundedInverse:
+    # the impedance oracle's graphs, trees (n_s = 1), a graph with no round
+    GRAPHS = [torus(6), hypercube(4), log_uniform_expander(40, 5), path(50), _star(9, 3), complete(8)]
+    IDS = ["torus6", "hypercube4", "weighted_expander40", "path50", "star_at_3", "complete8"]
+
+    @pytest.mark.parametrize("block", [5, 128])
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_matches_dense_inverse(self, g, block):
+        assert _inverse_error(g, block) <= 1e-13
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(g=_multigraphs(), block=st.sampled_from([1, 3, 128]))
+    def test_matches_dense_inverse_on_random_multigraphs(self, g, block):
+        assert _inverse_error(g, block) <= 1e-10
+
+    def test_overflow_raises_from_the_recursion(self):
+        # a path of 200 resistances of 1e306 is grounded at one end, so G
+        # reaches 1.99e308; no column is solved, since the path factors nothing
+        g = path(200)
+        g = build_graph([(t, h, 1e-306) for t, h, _ in g.edge_list()])
+        sys = LaplacianSystem(g)
+        assert sys._n_s == 1
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="grounded inverse is not finite"):
+                sys.grounded_inverse(np.empty((199, 199)), 128)
+
+
 class TestPowerIteration:
     def test_identity_operator(self):
         res = spectral_norm_nonneg(lambda v: v, 7)
