@@ -111,6 +111,20 @@ def _check_index(value, name: str, bound: int | None = None):
     return index
 
 
+def _check_ids(ids, name: str, bound: int) -> np.ndarray:
+    """A set of vertex ids, sorted and distinct, through :func:`_check_index`:
+    an array is checked whole, any other iterable id by id."""
+    if isinstance(ids, np.ndarray):
+        ids = _check_index(ids, name, bound)
+    else:
+        try:
+            ids = list(ids)
+        except TypeError:
+            raise ValueError(f"{name} must be an iterable of vertex ids, got {ids!r}") from None
+        ids = [_check_index(v, name, bound) for v in ids]
+    return np.unique(np.asarray(ids, dtype=np.int64))
+
+
 def _edge_error(t: int, h: int, c: float) -> str | None:
     """Why ``(t, h, c)`` is not a valid edge, or None when it is."""
     if t == h:

@@ -1,6 +1,7 @@
 """Schur complements of graph Laplacians with their random-walk
-hitting-probability maps, both from one block elimination, plus checkers for
-the distribution, energy-fraction, and conductance-preservation identities.
+hitting-probability maps, both from one solve grounded at the terminal set,
+plus checkers for the distribution, energy-fraction, and
+conductance-preservation identities.
 
 A :class:`SchurSystem` is an immutable snapshot of a terminal set ``S``: the
 eliminated Laplacian on ``S`` and the probability map ``prob_map[i, x]`` =
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, _check_index, is_connected, laplacian_matrix
-from .solver import DisconnectedGraphError, _cho_factor
+from .graph import Graph, _check_ids, _check_index
+from .solver import LaplacianSystem
 
 __all__ = [
     "SELF_LOOP_RESIDUE_TOL",
@@ -71,46 +72,29 @@ class SchurSystem:
         return pos
 
 
-def _validate_terminals(graph: Graph, terminals) -> np.ndarray:
-    """Sorted distinct terminal ids; an array is checked whole, a list id by id."""
-    n = graph.n_vertices
-    if isinstance(terminals, np.ndarray):
-        S = _check_index(terminals, "terminals", n)
-    else:
-        try:
-            ids = list(terminals)
-        except TypeError:
-            raise ValueError(f"terminals must be an iterable of vertex ids, got {terminals!r}") from None
-        S = np.array([_check_index(t, "terminals", n) for t in ids])
-    S = np.unique(S)
-    if S.size < 2:
-        raise ValueError("terminal set must contain at least 2 distinct vertices")
-    return S
-
-
 def _block_prob_map(graph: Graph, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probability map and Schur Laplacian from the block elimination formula.
+    """Probability map and Schur Laplacian from one Dirichlet block solve.
 
-    The Laplacian is split into terminal/non-terminal blocks; eliminating the
-    non-terminal block yields both the reduced Laplacian and, per vertex, the
-    harmonic extension that encodes the hitting probabilities.
+    With ``a[x, i]`` the conductance between vertex x and terminal
+    ``S[i]``, the system grounded at S solves ``X = L_FF^-1 a_F`` off S (F
+    the other vertices) and is 0 on S, so X is the map's transpose off the
+    terminals: a walk from x hits ``S[i]`` first with probability
+    ``X[x, i]``.  The Schur Laplacian is ``L_SS - L_SF L_FF^-1 L_FS =
+    diag(deg_S) - a[S] - a^T X``, symmetrized.  No n x n array is built.
     """
-    n = graph.n_vertices
-    L = laplacian_matrix(graph)
-    comp = np.setdiff1d(np.arange(n), S)
-    s = S.size
-    pm = np.zeros((s, n))
-    pm[np.arange(s), S] = 1.0
-    P = L[np.ix_(S, S)]
-    if comp.size == 0:
-        return pm, P
-    Q = L[np.ix_(S, comp)]
-    R = L[np.ix_(comp, comp)]
-    factor = _cho_factor(graph, R, "interior")
-    X = scipy.linalg.cho_solve(factor, Q.T, check_finite=False)  # R^{-1} Q^T
-    schur = P - Q @ X
+    n, s = graph.n_vertices, S.size
+    local = np.full(n, -1)
+    local[S] = np.arange(s)
+    ends, others = np.concatenate((graph.tails, graph.heads)), np.concatenate((graph.heads, graph.tails))
+    c = np.concatenate((graph.conductances, graph.conductances))
+    at_s = local[others] >= 0
+    a = np.bincount(ends[at_s] * s + local[others[at_s]], weights=c[at_s], minlength=n * s).reshape(n, s)
+    X = LaplacianSystem(graph, S).solve_columns(a)
+    off = local < 0  # X is 0 on S, so the product runs over the other rows
+    schur = np.diag(a.sum(axis=0)) - a[S] - a[off].T @ X[off]
     schur = (schur + schur.T) / 2.0
-    pm[:, comp] = -X.T
+    pm = X.T  # C order, since X is in Fortran order
+    pm[np.arange(s), S] = 1.0
     return pm, schur
 
 
@@ -144,11 +128,12 @@ def schur_complement(graph: Graph, terminals) -> SchurSystem:
 
     The result is electrically equivalent to the input on the terminal set:
     quadratic forms of the pseudoinverse on terminal-supported vectors are
-    preserved.
+    preserved.  The system grounded at the terminals refuses a disconnected
+    graph with :class:`~ohmgraph.solver.DisconnectedGraphError`.
     """
-    S = _validate_terminals(graph, terminals)
-    if not is_connected(graph):
-        raise DisconnectedGraphError("Schur elimination requires a connected graph")
+    S = _check_ids(terminals, "terminals", graph.n_vertices)
+    if S.size < 2:
+        raise ValueError("terminal set must contain at least 2 distinct vertices")
     pm, schur = _block_prob_map(graph, S)
     _check_schur(schur)
     return SchurSystem(base=graph, vertices=S, laplacian=schur, prob_map=pm)

@@ -1,23 +1,23 @@
-"""Dense pseudoinverse solves against the Laplacian of a connected graph,
-plus a Lanczos eigensolver with a certified bracket for entrywise-nonnegative
-symmetric operators.
+"""Dense Dirichlet and pseudoinverse solves against the Laplacian of a
+connected graph, plus a Lanczos eigensolver with a certified bracket for
+entrywise-nonnegative symmetric operators.
 
 A :class:`LaplacianSystem` is built from a :class:`~ohmgraph.graph.Graph`
-only.  Its edges were validated when the graph was built, so the Laplacian
-is symmetric with zero row sums by construction; the one property left to
-check is connectivity, which makes the Laplacian rank n - 1.  The solves
-ground vertex 0, which handles the nullspace exactly without an
-eigendecomposition, and a single solve centres its result.  The grounded
-Laplacian is factored in one fixed order, multiple minimum degree in the
-sense of Liu (ACM TOMS 11(2), 1985): independent sets I_1, ..., I_k, each
-of the previous Schur complement's graph and each with a diagonal block,
-are eliminated in rounds, and only the last Schur complement S_k is
-Cholesky-factored densely.  A solved column costs 2 |S_k|^2 flops plus O(m)
-instead of 2 (n-1)^2; on torus:32 |S_k| = 320 of 1024, so a solve costs a
-tenth and the factor a thirtieth.  The whole grounded inverse solves only
-S_k's columns and fills the eliminated vertices' from the rounds' sparse
-couplings.  Desk-scale dense path: intended for n up to a few thousand
-vertices.
+and a ground, the vertices held at potential 0.  The graph's edges were
+validated when it was built, so the one property left to check is
+connectivity, which makes the Laplacian off any ground positive definite.
+Grounded at vertex 0, a centred solve is the pseudoinverse solve; grounded
+at a terminal set, one solve gives the hitting probabilities and the Schur
+complement onto it.  The Laplacian is factored in one fixed order,
+multiple minimum degree in the sense of Liu (ACM TOMS 11(2), 1985):
+independent sets I_1, ..., I_k, each of the previous Schur complement's
+graph and each with a diagonal block, are eliminated in rounds, and only
+the last Schur complement S_k is Cholesky-factored densely.  A solved
+column costs 2 |S_k|^2 flops plus O(m) instead of 2 (n-1)^2; on torus:32
+|S_k| = 320 of 1024, so a solve costs a tenth and the factor a thirtieth.
+The whole grounded inverse solves only S_k's columns and fills the
+eliminated vertices' from the rounds' sparse couplings.  Desk-scale dense
+path: intended for n up to a few thousand vertices.
 
 The eigensolver runs Lanczos from the normalized all-ones vector with full
 reorthogonalization.  A breakdown (the next Krylov direction vanishes) means
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .graph import Graph, _weighted_degrees, is_connected
+from .graph import Graph, _check_ids, _weighted_degrees, is_connected
 
 __all__ = [
     "DisconnectedGraphError",
@@ -69,29 +69,18 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _unresolvable(graph: Graph, name: str) -> np.linalg.LinAlgError:
-    """The error for a block of the Laplacian that is not numerically
-    positive definite.  On a connected graph every proper principal block is
-    positive definite, so this means the conductances span a range that
-    double precision cannot resolve (1e200 + 1e-200 rounds to 1e200); the
-    message names the smallest and largest conductance."""
+def _unresolvable(graph: Graph) -> np.linalg.LinAlgError:
+    """The error for a grounded block of the Laplacian that is not
+    numerically positive definite, in place of LAPACK's leading-minor
+    wording.  On a connected graph every such block is positive definite,
+    so the conductances span a range double precision cannot resolve
+    (1e200 + 1e-200 rounds to 1e200); the message names the extremes."""
     c = graph.conductances
     return np.linalg.LinAlgError(
-        f"the {name} block of the Laplacian is not numerically positive definite: "
+        "the grounded block of the Laplacian is not numerically positive definite: "
         f"the graph's conductances span {c.min():.3g} to {c.max():.3g}, "
         "a range double precision cannot resolve"
     )
-
-
-def _cho_factor(graph: Graph, block: np.ndarray, name: str):
-    """Lower Cholesky factor of a principal block of ``graph``'s Laplacian,
-    written over ``block`` when LAPACK can.  A factorization that fails
-    raises :func:`_unresolvable`'s ``LinAlgError`` instead of LAPACK's
-    leading-minor wording."""
-    try:
-        return scipy.linalg.cho_factor(block, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise _unresolvable(graph, name) from None
 
 
 def _check_connected(graph: Graph) -> None:
@@ -144,25 +133,26 @@ def _greedy_set(n: int, remaining: np.ndarray, u: np.ndarray, v: np.ndarray) -> 
 
 
 class LaplacianSystem:
-    """The Laplacian of a connected graph, grounded at vertex 0 and factored
-    after independent sets are eliminated round by round.
+    """The Laplacian of a connected graph, grounded at a vertex set and
+    factored after independent sets are eliminated round by round.
 
-    Each round takes a greedy independent set I_r of the current Schur
-    complement's graph (:func:`_greedy_set`) and eliminates it.  Vertex 0
-    stays in that graph, as a neighbour and among the remaining vertices,
-    but never joins a set.  I_r's block is the diagonal D_r of its pivots,
-    so the next Schur complement ``S - L_SI D_r^-1 L_IS`` is built from
-    edge arrays: the surviving edges plus one clique per eliminated vertex,
-    merged by :func:`_coalesce`, with no n x n matrix assembled.  Rounds
-    stop when a set would hold less than ``_ROUND_FLOOR`` of the remaining
-    vertices, and only the last grounded Schur block S_k is factored
+    The ground (vertex 0 by default) is held at potential 0, so its rows
+    and columns drop out.  Each round takes a greedy independent set I_r of
+    the current Schur complement's graph (:func:`_greedy_set`) outside the
+    ground and eliminates it; the ground stays in that graph as a
+    neighbour.  I_r's block is the diagonal D_r of its pivots, so the next
+    Schur complement ``S - L_SI D_r^-1 L_IS`` is built from edge arrays:
+    the surviving edges plus one clique per eliminated vertex, merged by
+    :func:`_coalesce`, with no n x n matrix assembled.  Rounds stop when a
+    set would hold less than ``_ROUND_FLOOR`` of the vertices left, ground
+    included, and only the last Schur block S_k off the ground is factored
     densely; a path or a star is eliminated completely and factors
-    nothing.  This is Cholesky in the elimination order S_k (the ground
-    first), I_k, ..., I_1: each solved column costs 2 |S_k|^2 flops plus
-    O(m) for the rounds, and the factor |S_k|^3 / 3.  On torus:32 |S_k| is
-    320 of 1024 after 3 rounds, and on a weighted random 4-regular expander
-    of 1024 vertices 430.  :meth:`grounded_inverse` solves only the columns
-    of S_k and the ground, so the n x n inverse costs 2 |S_k|^3 flops plus
+    nothing.  This is Cholesky in the elimination order ground, S_k, I_k,
+    ..., I_1: each solved column costs 2 |S_k|^2 flops plus O(m) for the
+    rounds, and the factor |S_k|^3 / 3.  Grounded at vertex 0, |S_k| is 320
+    of 1024 on torus:32 after 3 rounds, and 430 on a weighted random
+    4-regular expander of 1024 vertices.  :meth:`grounded_inverse` solves
+    only the columns of S_k, so the inverse costs 2 |S_k|^3 flops plus
     sparse products, not 2 n |S_k|^2.
 
     Each clique term is the product ``(c_si / d_i) c_is'`` of a weight
@@ -172,11 +162,13 @@ class LaplacianSystem:
     Schur diagonal is the pivot ``d_s - sum_i (c_si / d_i) c_si``, computed
     by subtraction so that conductances double precision cannot resolve
     cancel to a pivot that is not positive.  The couplings between each
-    I_r and the vertices it leaves are held as sparse matrices of the
-    weights c_is / d_i.
+    I_r and the vertices it leaves off the ground are held as sparse
+    matrices of the weights c_is / d_i.
 
     Construction raises :class:`DisconnectedGraphError` on a disconnected
-    graph and ``ValueError`` below 2 vertices.  A weighted degree that
+    graph, and ``ValueError`` below 2 vertices or on an empty ground or a
+    ground id :func:`~ohmgraph.graph._check_index` refuses; duplicate
+    ground ids are merged.  A weighted degree that
     overflows double precision raises ``FloatingPointError``; a finite
     diagonal bounds every entry of each Schur complement and of the factor
     (``|R_ij| <= sqrt(C_ii)``), so the factor needs no check of its own.  A
@@ -187,26 +179,32 @@ class LaplacianSystem:
     solves against a shared system are safe to run concurrently.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, ground=(0,)):
         _check_connected(graph)
         n = self.n = graph.n_vertices
+        ground = _check_ids(ground, "ground", n)
+        if not ground.size:
+            raise ValueError("ground must hold at least one vertex")
+        n_g = self._n_g = ground.size
+        in_ground = np.zeros(n, dtype=bool)
+        in_ground[ground] = True
         diag = _weighted_degrees(graph)  # the Schur diagonal, round by round
         t, h = graph.tails, graph.heads
         u, v, w = _coalesce(np.minimum(t, h), np.maximum(t, h), graph.conductances, n)
-        remaining = np.arange(1, n)
+        remaining = np.flatnonzero(~in_ground)
         # per round: I_r, its pivots, and its couplings grouped by I vertex:
         # their S ends, their count per I vertex and c_si / d_i
         rounds = []
         while remaining.size:
             chosen = _greedy_set(n, remaining, u, v)
-            if len(chosen) < _ROUND_FLOOR * (remaining.size + 1):
+            if len(chosen) < _ROUND_FLOOR * (remaining.size + n_g):
                 break
             in_i = np.zeros(n, dtype=bool)
             in_i[chosen] = True
             members = np.flatnonzero(in_i)
             pivots = diag[members]
             if not np.all(pivots > 0):
-                raise _unresolvable(graph, "grounded")
+                raise _unresolvable(graph)
             # I_r is independent, so an edge has at most one end in it; its
             # incidences are taken grouped by I vertex
             u_in = in_i[u]
@@ -230,124 +228,126 @@ class LaplacianSystem:
                 np.concatenate((w[keep], ratio[first] * c_is[second])),
                 n,
             )
-            live = s_end != 0  # the ground's potential is 0 and its equation is dropped
+            live = ~in_ground[s_end]  # the ground's potential is 0 and its equations are dropped
             counts = np.bincount(i_end[live], minlength=n)[members]
             rounds.append((members, pivots, s_end[live], counts, ratio[live]))
             remaining = remaining[~in_i[remaining]]
 
-        # the elimination order: S_k with the ground first, then I_k, ..., I_1;
-        # where[v] is v's place in it
-        self._order = np.concatenate([[0], remaining] + [r[0] for r in reversed(rounds)])
+        # the elimination order: the ground, S_k, then I_k, ..., I_1; where[v]
+        # is v's place in it
+        self._order = np.concatenate([ground, remaining] + [r[0] for r in reversed(rounds)])
         self._where = np.empty(n, dtype=np.int64)
         self._where[self._order] = np.arange(n)
-        n_s = self._n_s = remaining.size + 1
+        n_s = self._n_s = remaining.size + n_g
         # per round, first eliminated first: I_r's place [start, end), the
         # weights D_r^-1 L_SI coupling it to the places before it, as columns
-        # with place p at row p - 1 and the ground left out, the same weights
-        # as the rows of D_r^-1 L_IS, and the pivots D_r
+        # with place p at row p - n_g and the ground left out, the same
+        # weights as the rows of D_r^-1 L_IS, and the pivots D_r
         self._rounds = []
         for members, pivots, s_end, counts, ratio in rounds:
             start = int(self._where[members[0]])
             end = start + members.size
-            arrays = (ratio, self._where[s_end] - 1, np.concatenate(([0], np.cumsum(counts))))
+            arrays = (ratio, self._where[s_end] - n_g, np.concatenate(([0], np.cumsum(counts))))
             self._rounds.append((
                 start,
                 end,
-                scipy.sparse.csc_array(arrays, shape=(start - 1, members.size)),
-                scipy.sparse.csr_array(arrays, shape=(members.size, start - 1)),
+                scipy.sparse.csc_array(arrays, shape=(start - n_g, members.size)),
+                scipy.sparse.csr_array(arrays, shape=(members.size, start - n_g)),
                 pivots[:, None],
             ))
         self._factor = None
-        if n_s > 1:
-            block = np.zeros((n_s - 1, n_s - 1), order="F")
-            live = u != 0
+        if n_s > n_g:
+            block = np.zeros((n_s - n_g, n_s - n_g), order="F")
+            live = ~(in_ground[u] | in_ground[v])
             # the lower triangle: u < v, and S_k is in id order
-            block[self._where[v[live]] - 1, self._where[u[live]] - 1] = -w[live]
-            block[np.diag_indices(n_s - 1)] = diag[remaining]
-            self._factor = _cho_factor(graph, block, "grounded")
+            block[self._where[v[live]] - n_g, self._where[u[live]] - n_g] = -w[live]
+            block[np.diag_indices(n_s - n_g)] = diag[remaining]
+            try:
+                self._factor = scipy.linalg.cho_factor(block, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                raise _unresolvable(graph) from None
 
     def solve(self, b) -> np.ndarray:
-        """Pseudoinverse solve ``L^+ b``: the grounded :meth:`solve_columns`
-        solution, centred to be orthogonal to the all-ones vector."""
+        """Pseudoinverse solve ``L^+ b``: ``b`` projected off the all-ones
+        vector, solved by :meth:`solve_columns` and centred.  A system
+        grounded at more than one vertex raises ``ValueError``."""
+        if self._n_g > 1:
+            raise ValueError(f"a pseudoinverse solve needs one ground vertex, not {self._n_g}")
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}, got shape {b.shape}")
-        x = self.solve_columns(b[:, None])[:, 0]
+        x = self.solve_columns((b - b.mean())[:, None])[:, 0]
         return x - x.mean()
 
     def solve_columns(self, B) -> np.ndarray:
-        """Grounded solves of the columns of an ``(n, k)`` array: each column
-        is projected off the all-ones direction and solved with vertex 0
-        grounded, so ``X[0] = 0`` exactly and column j differs from
-        ``L^+ B[:, j]`` by one constant.  The rows are gathered once into
-        elimination order; each round forward-eliminates its I_r into the
-        places before it, LAPACK solves the Schur block S_k, and each round
-        backward gives ``x_I = b_I / d_I + D_I^-1 L_IS x``.  X is returned
-        in Fortran order.  A non-finite solve raises ``FloatingPointError``.
+        """Dirichlet solves of the columns of an ``(n, k)`` array: X is 0 on
+        the ground and ``L X = B`` on every other row, so the ground's rows
+        of B are not read.  Grounded at one vertex, a column of B that sums
+        to 0 gives ``L^+ B[:, j]`` up to one constant.  The rows are
+        gathered once into elimination order; each round forward-eliminates
+        its I_r into the places before it, LAPACK solves the Schur block
+        S_k, and each round backward gives ``x_I = b_I / d_I + D_I^-1 L_IS
+        x``.  X is returned in Fortran order.  A non-finite solve raises
+        ``FloatingPointError``, whatever numpy's error state.
         """
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.n:
             raise ValueError(f"expected shape ({self.n}, k), got {B.shape}")
-        n_s = self._n_s
+        g, n_s = self._n_g, self._n_s
         z = np.ascontiguousarray(B)[self._order]
-        z -= z.mean(axis=0)
-        for start, end, a, _, _ in self._rounds:
-            z[1:start] += a @ z[start:end]
-        z[0] = 0.0
-        if self._factor is not None:
-            z[1:n_s] = scipy.linalg.cho_solve(self._factor, z[1:n_s], check_finite=False)
-        for start, end, _, a_t, d in reversed(self._rounds):
-            z_i = z[start:end]
-            z_i /= d
-            z_i += a_t @ z[1:start]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause
+            for start, end, a, _, _ in self._rounds:
+                z[g:start] += a @ z[start:end]
+            z[:g] = 0.0
+            if self._factor is not None:
+                z[g:n_s] = scipy.linalg.cho_solve(self._factor, z[g:n_s], check_finite=False)
+            for start, end, _, a_t, d in reversed(self._rounds):
+                z_i = z[start:end]
+                z_i /= d
+                z_i += a_t @ z[g:start]
         if not np.isfinite(z).all():  # LAPACK sets no floating-point flag
             raise FloatingPointError("Laplacian solve is not finite: the potentials overflow double precision")
         return np.asfortranarray(z[self._where])
 
     def grounded_inverse(self, out: np.ndarray, block: int) -> np.ndarray:
         """The inverse G of the grounded Laplacian in elimination order,
-        written into ``out``, an (n-1, n-1) array or view: ``out[p-1, q-1]``
-        is G at places p and q, where place p holds vertex ``_order[p]`` and
-        place 0, the ground, is left out.
+        written into ``out``, an (n - n_g, n - n_g) array or view for a
+        ground of n_g vertices: ``out[p - n_g, q - n_g]`` is G at places p
+        and q, where place p holds vertex ``_order[p]``.
 
-        Only the unit columns of the ground and of S_k's other places are
-        solved, by :meth:`solve_columns` in blocks of ``block`` columns: n_s
-        of n columns, 320 of 1024 on torus:32.  The ground's comes back as
-        ``-G 1 / n``, so G's column q is X[:, q] - X[:, 0].  The rest is
-        the block form of a sparse inverse from its factor (Takahashi, Fagan
-        and Chen, 1973): from the round eliminated last to the first, with R
-        the places before I_r, ``G[I, R] = A_t G[R, R]`` over R's eliminated
-        columns, its transpose ``G[R, I]``, and
+        Only the unit columns of S_k's places are solved, by
+        :meth:`solve_columns` in blocks of ``block`` columns, each block
+        written straight into ``out``: 320 of 1024 columns on torus:32.  The
+        rest is the block form of a sparse inverse from its factor
+        (Takahashi, Fagan and Chen, 1973): from the round eliminated last to
+        the first, with R the places before I_r, ``G[I, R] = A_t G[R, R]``
+        over R's eliminated columns, its transpose ``G[R, I]``, and
         ``G[I, I] = D^-1 + A_t G[R, I]``, where A_t holds the weights
         D_r^-1 L_IS.  Every term is nonnegative, so nothing cancels.  The
         products run in blocks of ``block`` columns, so no temporary
         outgrows n x ``block``.  A non-finite G raises
-        ``FloatingPointError``.
+        ``FloatingPointError``, whatever numpy's error state.
         """
-        n, n_s = self.n, self._n_s
-        if n_s > 1:
-            ground = None
-            for lo in range(0, n_s, block):
+        n, g, n_s = self.n, self._n_g, self._n_s
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause
+            for lo in range(g, n_s, block):
                 hi = min(lo + block, n_s)
-                x = np.zeros((n, hi - lo))  # the right sides, then the solves
-                x[self._order[lo:hi], np.arange(hi - lo)] = 1.0
-                x = self.solve_columns(x)[self._order[1:]]
-                if ground is None:
-                    ground, x = x[:, :1].copy(), x[:, 1:]
-                np.subtract(x, ground, out=out[:, max(lo, 1) - 1 : hi - 1])
-                del x  # before the next block's right sides
-        for start, end, _, a_t, d in reversed(self._rounds):
-            r, i = slice(0, start - 1), slice(start - 1, end - 1)  # out's indices
-            for lo in range(n_s - 1, start - 1, block):
-                hi = min(lo + block, start - 1)
-                out[i, lo:hi] = a_t @ out[r, lo:hi]
-            for lo in range(0, end - start, block):  # G[R, I] and G[I, I], by columns
-                hi = min(lo + block, end - start)
-                cols = slice(start - 1 + lo, start - 1 + hi)
-                out[r, cols] = out[cols, r].T  # a transpose in blocks keeps to the cache
-                g_ii = a_t @ out[r, cols]
-                g_ii[np.arange(lo, hi), np.arange(hi - lo)] += 1.0 / d[lo:hi, 0]
-                out[i, cols] = g_ii
+                rhs = np.zeros((n, hi - lo))
+                rhs[self._order[lo:hi], np.arange(hi - lo)] = 1.0
+                out[:, lo - g : hi - g] = self.solve_columns(rhs)[self._order[g:]]
+                del rhs  # before the next block's
+            for start, end, _, a_t, d in reversed(self._rounds):
+                r, i = slice(0, start - g), slice(start - g, end - g)  # out's indices
+                for lo in range(n_s - g, start - g, block):
+                    hi = min(lo + block, start - g)
+                    out[i, lo:hi] = a_t @ out[r, lo:hi]
+                for lo in range(0, end - start, block):  # G[R, I] and G[I, I], by columns
+                    hi = min(lo + block, end - start)
+                    cols = slice(start - g + lo, start - g + hi)
+                    out[r, cols] = out[cols, r].T  # a transpose in blocks keeps to the cache
+                    g_ii = a_t @ out[r, cols]
+                    g_ii[np.arange(lo, hi), np.arange(hi - lo)] += 1.0 / d[lo:hi, 0]
+                    out[i, cols] = g_ii
         if not np.isfinite(out).all():
             raise FloatingPointError("grounded inverse is not finite: the potentials overflow double precision")
         return out

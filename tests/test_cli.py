@@ -518,6 +518,22 @@ class TestExitCodes:
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert "conductances span 1e-200 to 1e+200" in err and "leading minor" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["eliminate"], ["route", "--demands", "0 199 1"]],
+        ids=lambda a: a[0],
+    )
+    def test_overflowing_potentials_name_the_overflow(self, capsys, tmp_path, argv):
+        # 199 resistances of 1e306 in series: the potentials grounded at one
+        # end reach 1.99e308, past the largest double; the solver's own check
+        # names it, not numpy's warning of the first add that overflowed
+        f = tmp_path / "long.txt"
+        f.write_text("".join(f"{i} {i + 1} 1e-306\n" for i in range(199)))
+        code, out, err = run(capsys, argv[0], "--graph", str(f), *argv[1:])
+        assert (code, out) == (2, ""), err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert "is not finite: the potentials overflow double precision" in err, err
+
     def test_memory_error_is_numerical_failure(self, capsys, monkeypatch):
         def exhausted(spec):
             raise MemoryError

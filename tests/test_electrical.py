@@ -250,7 +250,7 @@ class TestImpedanceOracle:
         assert np.abs(diag - np.diag(oracle)).max() <= 1e-12
 
     def test_edge_potentials_from_partial_solve_blocks(self, monkeypatch):
-        # S_k's 18 columns are solved in 7-column blocks, the last partial,
+        # S_k's 17 columns are solved in 7-column blocks, the last partial,
         # the round products run in 7-column blocks and the 39 rows past the
         # ground are converted in 5-row slices, the last partial
         monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
@@ -272,9 +272,9 @@ class TestImpedanceOracle:
 
     @pytest.mark.parametrize("spread, bound", [(1e4, 1.5e-11), (1e6, 1.1e-9)])
     def test_wide_spreads_match_cholesky_reference(self, spread, bound):
-        # over these four draws the largest |Pi - Pi_ref| was 1.46e-12 at
-        # 1e+-4 and 1.08e-10 at 1e+-6; each bound is 10x that, a margin for
-        # other BLAS builds
+        # over these four draws the largest |Pi - Pi_ref| was 3.54e-12 at
+        # 1e+-4 and 2.36e-10 at 1e+-6 (one BLAS thread); the bounds are 4.2x
+        # and 4.7x that, a margin for other BLAS builds
         for seed in range(4):
             g = log_uniform_expander(256, seed, spread)
             pi = TransferImpedance(g).column_block(0, g.n_edges)
@@ -285,9 +285,10 @@ class TestImpedanceOracle:
     )
     @pytest.mark.parametrize("spread, bound", [(1e4, 1.5e-11), (1e6, 1.1e-9)])
     def test_wide_spreads_match_longdouble_reference(self, spread, bound):
-        # the same draws against a long-double factor in natural order; the
-        # natural-order double factor's largest error was 1.50e-12 at 1e+-4
-        # and 1.08e-10 at 1e+-6, and each bound is 10x that
+        # the same draws against a long-double factor in natural order: the
+        # largest error was 3.54e-12 at 1e+-4 and 1.56e-10 at 1e+-6 (one BLAS
+        # thread), and 1.50e-12 and 8.41e-11 for the natural-order double
+        # factor; the bounds are 4.2x and 7.1x the first two
         for seed in range(4):
             g = log_uniform_expander(256, seed, spread)
             pi = TransferImpedance(g).column_block(0, g.n_edges)
@@ -308,8 +309,8 @@ class TestImpedanceOracle:
             del tp
 
     def test_streaming_solves_schur_columns_once(self, monkeypatch):
-        # the n_s unit columns of the ground and S_k, in blocks, at
-        # construction; no pass over Pi solves
+        # the n_s - 1 unit columns of S_k, in blocks, at construction; no
+        # pass over Pi solves
         solved = []
         original = LaplacianSystem.solve_columns
 
@@ -321,11 +322,11 @@ class TestImpedanceOracle:
         monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
         g = log_uniform_expander(40, 5)
         tp = TransferImpedance(g, mode="streaming")
-        assert solved == [7, 7, 4] and tp.system._n_s == 18
+        assert solved == [7, 7, 3] and tp.system._n_s == 18
         tp.per_edge_stats()
         result = tp.abs_spectral_norm()
         assert result.iterations > 2
-        assert solved == [7, 7, 4]
+        assert solved == [7, 7, 3]
 
     def test_connectivity_is_searched_once_and_before_y(self, monkeypatch):
         # the impedance and its system share one BFS of the graph, and a

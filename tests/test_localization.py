@@ -368,8 +368,8 @@ class TestIncrementalEngine:
 
     def test_tracked_run_solves_schur_columns_and_the_pair(self, monkeypatch):
         # Pi_0 comes from the impedance's own grounded inverse, which solves
-        # the n_s unit columns of the ground and S_k, not from a solve of
-        # the m incidence columns
+        # the n_s - 1 unit columns of S_k, not from a solve of the m
+        # incidence columns
         widths = []
         solve_columns = LaplacianSystem.solve_columns
 
@@ -382,7 +382,7 @@ class TestIncrementalEngine:
         g = torus(5)
         run_elimination(g, np.ones(g.n_edges))
         assert LaplacianSystem(g)._n_s == 11
-        assert widths == [8, 3, 1]  # 11 columns for Pi_0, then the pair solve
+        assert widths == [8, 2, 1]  # 10 columns for Pi_0, then the pair solve
         widths.clear()
         run_elimination(g, np.ones(g.n_edges), compute_vi=False)
         assert widths == [1]

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohmgraph import (
     DisconnectedGraphError,
@@ -21,7 +25,16 @@ from ohmgraph import (
 
 from ohmgraph.schur import _check_schur, _eliminate_pivot
 
-from conftest import bad_ids, identify_prob_map, laplacian_pinv, random_connected_graph, triangle, walk_prob_map
+from conftest import (
+    bad_ids,
+    block_prob_map_reference,
+    identify_prob_map,
+    laplacian_pinv,
+    multigraphs,
+    random_connected_graph,
+    triangle,
+    walk_prob_map,
+)
 
 # The library's one route to hitting probabilities and the two float oracles
 # it is checked against, each on a sorted terminal array.
@@ -39,6 +52,21 @@ def gamblers_ruin_oracle(n):
     k = np.arange(n)
     p0 = (n - 1 - k) / (n - 1)
     return np.vstack([p0, 1 - p0])
+
+
+@st.composite
+def _terminal_sets(draw):
+    """A multigraph from ``multigraphs`` with a sorted terminal set: two
+    vertices, all of them, a set without vertex 0 (on three vertices or
+    more), or any set of two or more."""
+    g = draw(multigraphs())
+    n = g.n_vertices
+    kind = draw(st.sampled_from(["pair", "all", "without_0", "any"]))
+    if kind == "all":
+        return g, np.arange(n)
+    pool = list(range(1, n)) if kind == "without_0" and n > 2 else list(range(n))
+    size = 2 if kind == "pair" else draw(st.integers(2, len(pool)))
+    return g, np.sort(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)))
 
 
 class TestSchurComplement:
@@ -70,6 +98,30 @@ class TestSchurComplement:
             quad_schur = float(b_local @ laplacian_pinv(sys.laplacian) @ b_local)
             quad_base = effective_resistance(g, int(S[x]), int(S[y]))
             assert abs(quad_schur - quad_base) <= 1e-9 * max(1.0, abs(quad_base))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(instance=_terminal_sets())
+    def test_matches_dense_block_reference(self, instance):
+        # against the dense block formula, factored in natural order: over
+        # 2000 random draws the two differed by up to 1.4e-10 on the map and
+        # 2.2e-10 of max|L| on the Laplacian; over 1000 draws each was up to
+        # 4.6e-11 and 1.5e-10 from a long-double solve
+        g, S = instance
+        sys = schur_complement(g, S)
+        pm, L = block_prob_map_reference(g, S)
+        assert np.array_equal(sys.vertices, S)
+        assert np.abs(sys.prob_map - pm).max() <= 1e-9
+        assert np.abs(sys.laplacian - L).max() <= 1e-9 * np.abs(L).max()
+
+    def test_no_n_by_n_array_is_built(self):
+        g = torus(32)  # n = 1024: one n x n array is 8 MiB
+        tracemalloc.start()
+        try:
+            schur_complement(g, [0, 500])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n_vertices**2
 
     def test_too_small_terminal_set(self):
         with pytest.raises(ValueError):

@@ -25,8 +25,10 @@ from ohmgraph import solver
 from ohmgraph.solver import KRYLOV_CAP
 
 from conftest import (
+    bad_ids,
     indicator_drop,
     log_uniform_expander,
+    multigraphs,
     oracle_pinv_apply,
     random_connected_graph,
     single_edge,
@@ -128,22 +130,46 @@ class TestPinvApply:
         g = torus(3)
         sys = LaplacianSystem(g)
         B = rng.normal(size=(9, 4))
+        B -= B.mean(axis=0)  # in L's range, so X is L^+ B up to one constant per column
         X = sys.solve_columns(B)
         for j in range(4):
             assert np.allclose(X[:, j] - X[:, j].mean(), sys.solve(B[:, j]), atol=1e-13)
 
     @pytest.mark.parametrize("g", SOLVE_GRAPHS)
     def test_solve_columns_is_grounded(self, g, rng):
-        # vertex 0 is grounded and the output is not centred: L X is the
-        # projected B, and X keeps the Fortran layout LAPACK solved in
+        # the Dirichlet solve: X is 0 at vertex 0, the ground, L X = B on
+        # every other row, B's ground row is not read, and X keeps the
+        # Fortran layout LAPACK solved in
         sys = LaplacianSystem(g)
         n = g.n_vertices
         B = rng.normal(size=(n, 5))
         X = sys.solve_columns(B)
         assert X.shape == (n, 5) and X.flags.f_contiguous
         assert np.all(X[0] == 0.0)
-        Z = B - B.mean(axis=0)
-        assert np.abs(laplacian_matrix(g) @ X - Z).max() <= 1e-9 * np.abs(Z).max()
+        assert np.abs((laplacian_matrix(g) @ X - B)[1:]).max() <= 1e-9 * np.abs(B).max()
+        B[0] = rng.normal(size=5)
+        assert np.array_equal(sys.solve_columns(B), X)
+
+    @pytest.mark.parametrize(
+        "ground", [[bad] for bad in bad_ids(9)] + [[], np.array([], dtype=np.int64), np.array([0.0])], ids=repr
+    )
+    def test_bad_ground_refused(self, ground):
+        with pytest.raises(ValueError, match=r"^ground must"):
+            LaplacianSystem(torus(3), ground)
+
+    def test_vertex_set_ground(self, rng):
+        # duplicate ids merge; X is 0 on the whole ground and L X = B on the
+        # other rows; a pseudoinverse solve needs a single ground vertex
+        g = torus(4)
+        sys = LaplacianSystem(g, [9, 3, 9])
+        assert sys._order[:2].tolist() == [3, 9] and 3 not in sys._order[2:] and 9 not in sys._order[2:]
+        B = rng.normal(size=(16, 3))
+        X = sys.solve_columns(B)
+        assert np.all(X[[3, 9]] == 0.0)
+        off = np.setdiff1d(np.arange(16), [3, 9])
+        assert np.abs((laplacian_matrix(g) @ X - B)[off]).max() <= 1e-9 * np.abs(B).max()
+        with pytest.raises(ValueError, match="one ground vertex, not 2"):
+            sys.solve(np.zeros(16))
 
     def test_disconnected_graph_rejected(self):
         g = build_graph([(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
@@ -186,6 +212,7 @@ class TestPinvApply:
     @pytest.mark.parametrize("g", SCHUR_EDGE_GRAPHS, ids=SCHUR_EDGE_IDS)
     def test_small_and_dense_schur_blocks_match_oracle(self, g, rng):
         B = rng.normal(size=(g.n_vertices, 4))
+        B -= B.mean(axis=0)
         X = LaplacianSystem(g).solve_columns(B)
         assert X.flags.f_contiguous and np.all(X[0] == 0.0)
         assert np.abs((X - X.mean(axis=0)) - oracle_pinv_apply(g, B)).max() <= 1e-13
@@ -194,6 +221,7 @@ class TestPinvApply:
         for n in (2, 3, 6, 11, 24):
             g = _random_multigraph(rng, n)
             B = rng.normal(size=(n, 3))
+            B -= B.mean(axis=0)
             X = LaplacianSystem(g).solve_columns(B)
             assert np.abs((X - X.mean(axis=0)) - oracle_pinv_apply(g, B)).max() <= 1e-10, n
 
@@ -276,20 +304,6 @@ def _check_rounds(g, sys):
         alive[chosen] = False
 
 
-@st.composite
-def _multigraphs(draw):
-    """A connected multigraph on n <= 12 vertices: a random spanning tree
-    plus extra edges, repeated in the same and the other orientation, with
-    conductances log-uniform in [1e-3, 1e3]."""
-    n = draw(st.integers(2, 12))
-    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    ends += draw(st.lists(pair, max_size=2 * n))
-    ends += [(h, t) for t, h in draw(st.lists(st.sampled_from(ends), max_size=n))]
-    exponents = draw(st.lists(st.floats(-3, 3), min_size=len(ends), max_size=len(ends)))
-    return build_graph([(t, h, 10.0**x) for (t, h), x in zip(ends, exponents)], n_vertices=n)
-
-
 class TestEliminationRounds:
     @pytest.mark.parametrize("g", [path(50), _star(9, 3)], ids=["path50", "star_at_3"])
     def test_trees_are_eliminated_completely(self, g, monkeypatch, rng):
@@ -297,6 +311,7 @@ class TestEliminationRounds:
         sys = LaplacianSystem(g)
         assert factored == [] and sys._n_s == 1
         B = rng.normal(size=(g.n_vertices, 3))
+        B -= B.mean(axis=0)
         X = sys.solve_columns(B)
         assert np.abs((X - X.mean(axis=0)) - oracle_pinv_apply(g, B)).max() <= 1e-10
 
@@ -317,9 +332,10 @@ class TestEliminationRounds:
             assert [r[:2] for r in base._rounds] == [r[:2] for r in other._rounds]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(g=_multigraphs())
+    @given(g=multigraphs())
     def test_solves_match_oracle_on_random_multigraphs(self, g):
         B = np.random.default_rng(g.n_edges).normal(size=(g.n_vertices, 3))
+        B -= B.mean(axis=0)
         sys = LaplacianSystem(g)
         _check_rounds(g, sys)
         X = sys.solve_columns(B)
@@ -353,7 +369,7 @@ class TestGroundedInverse:
         assert _inverse_error(g, block) <= 1e-13
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(g=_multigraphs(), block=st.sampled_from([1, 3, 128]))
+    @given(g=multigraphs(), block=st.sampled_from([1, 3, 128]))
     def test_matches_dense_inverse_on_random_multigraphs(self, g, block):
         assert _inverse_error(g, block) <= 1e-10
 
