@@ -3,6 +3,9 @@ transfer impedance projection with its entrywise-absolute norms."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from .graph import _NOT_REAL, Graph, _check_index
@@ -26,9 +29,10 @@ DENSE_EDGE_CAP = 4000
 ABS_ZERO_TOL = 1e-12
 
 # Rows per block of every pass over Pi, and per slice of the Y gather.  On a
-# 1024-vertex weighted expander (m=2048, one BLAS thread, 2-core Xeon VM) one
-# streaming pass took 15 ms with 32 or 64 rows, 17-18 ms with 128 and 24-26 ms
-# with 256.
+# 1024-vertex weighted expander (m=2048, one BLAS thread, 2-core Xeon VM), one
+# streaming pass split between two threads took medians of 5.9-6.1, 5.4-5.5
+# and 7.6-7.7 ms with 32, 64 and 128 rows (two runs of 30 alternating
+# repetitions); one thread took 7.3, 7.9 and 12.7 ms.
 _DEFAULT_BLOCK = 64
 
 # Columns per block of the solves of S_k's columns and of the round products
@@ -39,6 +43,41 @@ _DEFAULT_BLOCK = 64
 # BLAS thread, 2-core Xeon VM): 64 and 128 within each other's quartiles, 256
 # about 1 ms slower.  128 keeps the per-block temporaries at n x 128.
 _SOLVE_BLOCK = 128
+
+
+def _new_worker() -> None:
+    """Make the executor of the one worker thread behind :func:`_both`; it
+    starts the thread on first use."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ohmgraph-pass")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the executor but not its thread, and would
+    # wait forever on its first half
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _both(fn, items):
+    """``(fn(items[0::2]), fn(items[1::2]))``: the even half on the worker
+    thread and the odd half in the caller, both under the caller's numpy
+    error state, which does not reach other threads.  ``fn`` runs only
+    numpy work and private helpers, so every public call and every LAPACK
+    solve stays on the caller's thread.  The worker's half is awaited even
+    when the caller's raises."""
+    err = np.geterr()
+
+    def even():
+        with np.errstate(**err):
+            return fn(items[0::2])
+
+    future = _WORKER.submit(even)
+    try:
+        odd = fn(items[1::2])
+    finally:
+        wait((future,))
+    return future.result(), odd
 
 
 def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -89,20 +128,25 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray):
     system.grounded_inverse(y[1:, : n - 1], _SOLVE_BLOCK)
     tails, heads = system._where[graph.tails], system._where[graph.heads]
     sqrt_c = np.sqrt(graph.conductances)
-    # The buffers are reused: a fresh one per slice costs more in page faults
-    # than the gather into it.  The places are in range by construction, and
-    # mode "clip" spares np.take the buffered copy of ``out`` that its
-    # default mode makes.
-    g_rows = np.zeros((_DEFAULT_BLOCK, n))  # G's rows, after the ground's zero column
-    at_heads = np.empty((_DEFAULT_BLOCK, y.shape[1]))
+
+    def convert(starts):
+        # Each slice reads and writes only its own rows of y.  The buffers
+        # are reused: a fresh one per slice costs more in page faults than
+        # the gather into it.  The places are in range by construction, and
+        # mode "clip" spares np.take the buffered copy of ``out`` that its
+        # default mode makes.
+        g_rows = np.zeros((_DEFAULT_BLOCK, n))  # G's rows, after the ground's zero column
+        at_heads = np.empty((_DEFAULT_BLOCK, y.shape[1]))
+        for lo in starts:
+            hi = min(lo + _DEFAULT_BLOCK, n)
+            rows, out, sub = g_rows[: hi - lo], y[lo:hi], at_heads[: hi - lo]
+            rows[:, 1:] = out[:, : n - 1]
+            np.take(rows, tails, axis=1, out=out, mode="clip")
+            out -= np.take(rows, heads, axis=1, out=sub, mode="clip")
+            out *= sqrt_c
+
     y[0] = 0.0  # the ground's row of G is zero
-    for lo in range(1, n, _DEFAULT_BLOCK):
-        hi = min(lo + _DEFAULT_BLOCK, n)
-        rows, out, sub = g_rows[: hi - lo], y[lo:hi], at_heads[: hi - lo]
-        rows[:, 1:] = out[:, : n - 1]
-        np.take(rows, tails, axis=1, out=out, mode="clip")
-        out -= np.take(rows, heads, axis=1, out=sub, mode="clip")
-        out *= sqrt_c
+    _both(convert, range(1, n, _DEFAULT_BLOCK))
     return y, tails, heads
 
 
@@ -135,6 +179,16 @@ class TransferImpedance:
     ``mode='streaming'`` recomputes them on every pass, holding
     O(n * m + m * block) memory and never an m x m array; on a d-regular
     graph n * m is (d/2) n^2.
+
+    Every pass, the dense cache build and the conversion of G into Y split
+    their blocks into two fixed halves (see :func:`_both`): the
+    even-indexed blocks run on one worker thread and the odd-indexed ones
+    in the caller.  The halves are fixed, so the bits do not depend on
+    timing or core count; the cached blocks and Y are bitwise those of one
+    thread, and a product differs from an in-order loop only in its
+    summation order.  The solves behind G stay serial on the caller's
+    thread: LAPACK through scipy holds the GIL for much of each solve, so
+    a second thread beside it gained nothing.
 
     The instance is immutable, so :meth:`per_edge_stats` is computed once
     and memoized; its column sums are ``|Pi| 1``, which
@@ -174,7 +228,10 @@ class TransferImpedance:
         self._abs_cache = None
         self._stats = None
         if mode == "dense":
-            self._abs_cache = list(self._upper_blocks())
+            starts = range(0, m, _DEFAULT_BLOCK)
+            blocks = [None] * len(starts)
+            blocks[0::2], blocks[1::2] = _both(lambda part: [self._upper_block(lo) for lo in part], starts)
+            self._abs_cache = blocks
 
     @property
     def n_edges(self) -> int:
@@ -197,27 +254,35 @@ class TransferImpedance:
             raise ValueError(f"hi must exceed lo, got lo={lo}, hi={hi}")
         return self._rows(lo, hi).T
 
-    def _upper_blocks(self):
-        """Yield ``(lo, hi, |Pi| rows lo..hi-1 over columns lo..m-1)`` with a
-        symmetrized leading square and entries below ``ABS_ZERO_TOL`` zeroed."""
+    def _upper_block(self, lo: int) -> np.ndarray:
+        """``|Pi|`` rows lo..hi-1 over columns lo..m-1, for a block start
+        ``lo`` and ``hi = min(lo + _DEFAULT_BLOCK, m)``, with a symmetrized
+        leading square and entries below ``ABS_ZERO_TOL`` zeroed."""
         if self._abs_cache is not None:
-            yield from self._abs_cache
-            return
-        m = self.n_edges
-        for lo in range(0, m, _DEFAULT_BLOCK):
-            hi = min(lo + _DEFAULT_BLOCK, m)
-            upper = self._rows(lo, hi, lo)
-            square = upper[:, : hi - lo]
-            square[...] = 0.5 * (square + square.T)
-            yield lo, hi, _abs_zeroed(upper, out=upper)
+            return self._abs_cache[lo // _DEFAULT_BLOCK]
+        hi = min(lo + _DEFAULT_BLOCK, self.n_edges)
+        upper = self._rows(lo, hi, lo)
+        square = upper[:, : hi - lo]
+        square[...] = 0.5 * (square + square.T)
+        return _abs_zeroed(upper, out=upper)
 
     def _abs_apply(self, v: np.ndarray) -> np.ndarray:
-        """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), from the upper triangle."""
-        out = np.zeros(v.shape)
-        for lo, hi, upper in self._upper_blocks():
-            out[lo:hi] += upper @ v[lo:]
-            out[hi:] += upper[:, hi - lo :].T @ v[lo:hi]
-        return out
+        """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), from the upper
+        triangle.  Each half of the blocks (see :func:`_both`) sums into its
+        own vector, and the result is always even + odd."""
+        m = self.n_edges
+
+        def half(starts):
+            out = np.zeros(v.shape)
+            for lo in starts:
+                hi = min(lo + _DEFAULT_BLOCK, m)
+                upper = self._upper_block(lo)
+                out[lo:hi] += upper @ v[lo:]
+                out[hi:] += upper[:, hi - lo :].T @ v[lo:hi]
+            return out
+
+        even, odd = _both(half, range(0, m, _DEFAULT_BLOCK))
+        return even + odd
 
     def abs_matvec(self, v) -> np.ndarray:
         """Entrywise-absolute impedance applied to ``v``."""

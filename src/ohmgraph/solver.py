@@ -277,7 +277,8 @@ class LaplacianSystem:
         if b.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}, got shape {b.shape}")
         x = self.solve_columns((b - b.mean())[:, None])[:, 0]
-        return x - x.mean()
+        # the mean of x / n: the sum of representable potentials may overflow
+        return x - (x / self.n).sum()
 
     def solve_columns(self, B) -> np.ndarray:
         """Dirichlet solves of the columns of an ``(n, k)`` array: X is 0 on

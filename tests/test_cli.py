@@ -534,6 +534,18 @@ class TestExitCodes:
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert "is not finite: the potentials overflow double precision" in err, err
 
+    def test_representable_potentials_with_an_overflowing_sum_route(self, capsys, tmp_path):
+        # the same path with a demand 0 -> 5: every potential is at most
+        # 5e306, but 194 of them sum past the largest double, so centring
+        # the solution must not sum them
+        f = tmp_path / "long.txt"
+        f.write_text("".join(f"{i} {i + 1} 1e-306\n" for i in range(199)))
+        code, out, err = run(capsys, "route", "--graph", str(f), "--demands", "0 5 1")
+        assert code == 0, err
+        flows = [e["flow"] for e in json.loads(out)["per_edge"]]
+        assert flows[:5] == pytest.approx([1.0] * 5, rel=1e-12)
+        assert flows[5:] == pytest.approx([0.0] * 194, abs=1e-12)
+
     def test_memory_error_is_numerical_failure(self, capsys, monkeypatch):
         def exhausted(spec):
             raise MemoryError

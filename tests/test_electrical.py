@@ -1,8 +1,16 @@
+import functools
+import inspect
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import ohmgraph.cli as cli
 import ohmgraph.electrical as electrical
 import ohmgraph.graph as graph_module
 from ohmgraph import (
@@ -19,6 +27,7 @@ from ohmgraph import (
     path,
     quadratic_form_abs,
     random_regular_expander,
+    spectral_norm_nonneg,
     torus,
     unit_flow,
 )
@@ -387,6 +396,112 @@ class TestUpperTriangleApply:
         assert np.array_equal(dense.abs_matvec(v), streaming.abs_matvec(v))
         for a, b in zip(dense.per_edge_stats(), streaming.per_edge_stats()):
             assert np.array_equal(a, b)
+
+
+class TestTwoHalves:
+    """Every pass over Pi, the dense cache and the Y conversion run their
+    blocks in two fixed halves, the even-indexed ones on a worker thread."""
+
+    def test_worker_half_overflow_raises_in_the_caller(self):
+        ran = {}
+
+        def scale(part):
+            ran[tuple(part)] = threading.current_thread()
+            return np.asarray(part) * 10.0
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                electrical._both(scale, [1e308, 1.0])
+        assert ran[(1e308,)] is not threading.main_thread()
+        assert ran[(1.0,)] is threading.main_thread()
+
+    def test_public_calls_stay_on_the_main_thread(self, monkeypatch, capsys):
+        # wraps every public function and method of the ohmgraph modules, and
+        # the Cholesky calls, as the benchmark's tracer does: its one span
+        # stack holds only while they all run on one thread
+        calls = []
+
+        def watch(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "ohmgraph"]
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if attr.startswith("_") or getattr(value, "__module__", None) != mod.__name__:
+                    continue
+                if inspect.isclass(value) and not issubclass(value, BaseException):
+                    for key, meth in list(vars(value).items()):
+                        if inspect.isfunction(meth) and (key == "__init__" or not key.startswith("_")):
+                            monkeypatch.setattr(value, key, watch(f"{value.__name__}.{key}", meth))
+                elif inspect.isfunction(value):
+                    wrapper = watch(attr, value)
+                    for other in modules:
+                        for key, bound in list(vars(other).items()):
+                            if bound is value:
+                                monkeypatch.setattr(other, key, wrapper)
+        for attr in ("cho_factor", "cho_solve"):
+            monkeypatch.setattr(scipy.linalg, attr, watch(attr, getattr(scipy.linalg, attr)))
+        # a private helper the worker runs, to show the worker did run
+        monkeypatch.setattr(electrical, "_abs_zeroed", watch("_abs_zeroed", electrical._abs_zeroed))
+
+        spec = "expander:128:4:3"  # m = 256: four blocks of 64, two per half
+        for argv in (["analyze", "--mode", "dense"], ["analyze", "--mode", "streaming"], ["route", "--demands", "0 5 1"]):
+            assert cli.cli_main([argv[0], "--graph", spec, *argv[1:]]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        public = {name for name, _ in calls if name != "_abs_zeroed"}
+        assert {"cli_main", "TransferImpedance.__init__", "TransferImpedance.abs_matvec", "cho_factor", "cho_solve"} <= public
+        off_main = {name for name, on_main in calls if not on_main}
+        assert off_main == {"_abs_zeroed"}
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+    def test_a_forked_child_runs_passes(self):
+        # the parent's worker thread has run, and is not in the child
+        g = torus(8)  # m = 128: two blocks, one per half
+        expected = TransferImpedance(g, mode="streaming").per_edge_stats()[0]
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=lambda: queue.put(TransferImpedance(g, mode="streaming").per_edge_stats()[0]))
+        child.start()
+        try:
+            got = queue.get(timeout=30)
+            child.join(timeout=30)
+            assert not child.is_alive()
+        finally:
+            child.kill()
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("mode", ["dense", "streaming"])
+    def test_halves_are_deterministic_and_match_a_serial_loop(self, mode):
+        g = log_uniform_expander(200, 7)  # m = 400: seven blocks of 64
+        first, second = TransferImpedance(g, mode=mode), TransferImpedance(g, mode=mode)
+        for a, b in zip(first.per_edge_stats(), second.per_edge_stats()):
+            assert np.array_equal(a, b)
+        assert first.abs_spectral_norm() == second.abs_spectral_norm()
+
+        m, block = g.n_edges, electrical._DEFAULT_BLOCK
+
+        def serial(v):
+            out = np.zeros(v.shape)
+            for lo in range(0, m, block):
+                hi = min(lo + block, m)
+                upper = first._upper_block(lo)
+                out[lo:hi] += upper @ v[lo:]
+                out[hi:] += upper[:, hi - lo :].T @ v[lo:hi]
+            return out
+
+        sqrt_c = np.sqrt(g.conductances)
+        colsums, l1, _ = first.per_edge_stats()
+        want = serial(np.column_stack([np.ones(m), sqrt_c]))
+        assert np.abs(colsums - want[:, 0]).max() <= 1e-14 * np.abs(want[:, 0]).max()
+        assert np.abs(l1 - want[:, 1] / sqrt_c).max() <= 1e-14 * np.abs(want[:, 1] / sqrt_c).max()
+        norm = first.abs_spectral_norm().value
+        want_norm = spectral_norm_nonneg(serial, m, first_product=want[:, 0] / np.sqrt(m)).value
+        assert abs(norm - want_norm) <= 1e-14 * want_norm
 
 
 class TestAbsNorms:
