@@ -28,20 +28,13 @@ DENSE_EDGE_CAP = 4000
 # absolute values, so sign noise on symmetric families does not inflate norms.
 ABS_ZERO_TOL = 1e-12
 
-# Rows per block of every pass over Pi, and per slice of the Y gather.  On a
-# 1024-vertex weighted expander (m=2048, one BLAS thread, 2-core Xeon VM), one
-# streaming pass split between two threads took medians of 5.9-6.1, 5.4-5.5
-# and 7.6-7.7 ms with 32, 64 and 128 rows (two runs of 30 alternating
-# repetitions); one thread took 7.3, 7.9 and 12.7 ms.
+# Rows per block of every pass over Pi, and per slice of the Y conversion:
+# the fastest measured width for a pass split between two threads.
 _DEFAULT_BLOCK = 64
 
 # Columns per block of the solves of S_k's columns and of the round products
-# that fill the rest of the grounded inverse behind Y.  A streaming
-# TransferImpedance took medians of 43.9, 44.2 and 45.8 ms on the 1024-vertex
-# weighted expander (|S_k| = 430) and 34.0, 34.2 and 35.1 ms on torus:32
-# (|S_k| = 320) with 64, 128 and 256 columns (20 alternating repetitions, one
-# BLAS thread, 2-core Xeon VM): 64 and 128 within each other's quartiles, 256
-# about 1 ms slower.  128 keeps the per-block temporaries at n x 128.
+# that fill the rest of the grounded inverse behind Y.  Narrower blocks were
+# no faster and wider ones slower; the per-block temporaries stay n x 128.
 _SOLVE_BLOCK = 128
 
 
@@ -153,17 +146,12 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray):
 class TransferImpedance:
     """The edge-space projection ``Pi = sqrt(C) B L^+ B^T sqrt(C)``.
 
-    Construction factors the grounded Laplacian once (kept as ``system``),
-    with independent sets eliminated in rounds so that only the last Schur
-    complement S_k is factored densely (see
-    :class:`~ohmgraph.solver.LaplacianSystem`), and builds the n x m
-    edge-potential matrix ``Y = L^+ B^T sqrt(C)`` up to one constant per
-    column (see :func:`_edge_potentials`): column e is sqrt(c_e) times the
-    potentials of a unit flow across edge e.  The grounded inverse is
-    formed in Y's own buffer, from solves of S_k's columns only, and
-    converted in place, so no n x n array is allocated beside Y, and
-    ``L^+`` is never held.  Y's rows are in elimination order, and row f of
-    Pi is ``sqrt(c_f) (Y[where[tail(f)]] - Y[where[head(f)]])``: every
+    Construction factors the Laplacian grounded at vertex 0 once (kept as
+    ``system``, see :class:`~ohmgraph.solver.LaplacianSystem`) and builds
+    the n x m edge-potential matrix ``Y = L^+ B^T sqrt(C)`` up to one
+    constant per column, with no n x n array beside it (see
+    :func:`_edge_potentials`).  Y's rows are in elimination order, and row
+    f of Pi is ``sqrt(c_f) (Y[where[tail(f)]] - Y[where[head(f)]])``: every
     block of rows is two contiguous row gathers of Y, with no solve and no
     column gather, and the diagonal costs O(m).
 
@@ -187,8 +175,8 @@ class TransferImpedance:
     timing or core count; the cached blocks and Y are bitwise those of one
     thread, and a product differs from an in-order loop only in its
     summation order.  The solves behind G stay serial on the caller's
-    thread: LAPACK through scipy holds the GIL for much of each solve, so
-    a second thread beside it gained nothing.
+    thread, since LAPACK through scipy holds the GIL for much of each
+    solve.
 
     The instance is immutable, so :meth:`per_edge_stats` is computed once
     and memoized; its column sums are ``|Pi| 1``, which

@@ -350,10 +350,8 @@ def random_regular_expander(n: int, d: int, seed: int = 0) -> Graph:
 
 
 # Largest vertex count, and largest number of edges or vertex pairs, that a
-# family spec may build.  At this size path:1000001, torus:707 and
-# complete:1414 each took 2.3-2.5 s and 210 MB of peak RSS to build, and
-# expander:500000:4 took 6.7-7.0 s and 410 MB (two runs, one process each,
-# 2-core Xeon VM).
+# family spec may build: a spec at the cap still builds in seconds and a few
+# hundred MB, far past what the dense analyses can use.
 _FAMILY_SIZE_CAP = 10**6
 
 # name: (builder, usage, (vertices, edges or vertex pairs) from the

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, _edge_potentials, quadratic_form_abs
+from .electrical import DENSE_EDGE_CAP, TransferImpedance, _abs_zeroed, _check_weights, quadratic_form_abs
 from .graph import Graph, laplacian_matrix
-from .schur import _check_drop_energy, _eliminate_pivot, schur_complement
-from .solver import LaplacianSystem
+from .schur import SchurResidueError, _check_drop_energy, schur_complement
+from .solver import LaplacianSystem, _check_connected
 
 __all__ = [
     "LocalizationError",
@@ -123,6 +123,58 @@ def degree_profile(graph: Graph, terminals, w) -> DegreeProfile:
     return DegreeProfile(vertices=system.vertices, degrees=degrees, total=float(degrees.sum()), bound=bound)
 
 
+def _eliminate_pivot(L: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate vertex ``k`` in place by one star-clique step.
+
+    ``L`` is an exactly symmetric Laplacian in which every index eliminated
+    so far has a zero row and column, and ``D`` holds one row per index,
+    linear in the probability map's rows, such as the edge drops ``pm
+    B^T``.  Only the neighbours ``nb`` of ``k`` (the nonzeros of row ``k``
+    off the diagonal) change: ``L[nb, nb] -= L[nb, k] L[k, nb] / L[k, k]``
+    and ``D[nb] += (-L[nb, k] / L[k, k]) D[k]``, since a walk that would
+    first hit ``k`` now moves on to neighbour j with probability ``-L[j, k]
+    / L[k, k]``.  Row and column ``k`` of ``L`` are zeroed and ``D[k]`` is
+    left as it was.  Returns ``nb`` and the updated ``D[nb]``.  A
+    non-positive pivot diagonal, or a pivot with no neighbour left (its row
+    no longer sums to zero), raises
+    :class:`~ohmgraph.schur.SchurResidueError`.
+
+    Both updates are in-place BLAS rank-one updates (``dger``) on the
+    gathered rows ``L[nb]`` and ``D[nb]``, written back afterwards; the
+    transpose of a freshly gathered C-order block is the Fortran-order
+    matrix ``dger`` updates without a copy.  The clique update subtracts
+    ``s_i x_j`` from ``L[nb]``, where ``s = L[nb, k] / sqrt(L[k, k])`` and
+    x is s scattered into a zero n-vector, so only the ``nb x nb`` block
+    changes.  Its ``(i, j)`` and ``(j, i)`` entries get the same product
+    ``s_i s_j`` (the factor -1 is exact), so as long as BLAS rounds every
+    entry of one update the same way, fused multiply-add or not, an exactly
+    symmetric ``L`` stays exactly symmetric, as reading row ``k`` for
+    column ``k`` requires.
+    """
+    d = L[k, k]
+    if d <= 0:
+        raise SchurResidueError(f"pivot diagonal {d:.3e} is not positive")
+    L[k, k] = 0.0
+    nb = np.flatnonzero(L[k])
+    c = L[k, nb]
+    L[k] = 0.0
+    if not nb.size:  # also keeps dger from an empty update
+        raise SchurResidueError(
+            f"pivot {k} has no neighbour left; an underflowed update cut the eliminated network apart"
+        )
+    s = c / np.sqrt(d)  # c_i c_j alone can overflow
+    x = np.zeros(L.shape[0])
+    x[nb] = s
+    block = L[nb]
+    scipy.linalg.blas.dger(-1.0, x, s, a=block.T, overwrite_a=True)
+    block[:, k] = 0.0
+    L[nb] = block
+    updated = D[nb]
+    scipy.linalg.blas.dger(1.0, D[k], -c / d, a=updated.T, overwrite_a=True)
+    D[nb] = updated
+    return nb, updated
+
+
 def _abs_rows(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row values ``|P| w`` with entries below ``ABS_ZERO_TOL`` zeroed, so that
     ``w^T |P| w = w . _abs_rows(P, w)``.  Works in row blocks, so
@@ -167,35 +219,34 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     all conductances, or all weights, are scaled.  With ``compute_vi`` each
     step also records the slack of ``V_i <= V_{i+1} + degree``.
 
-    The run holds one factor, ``LaplacianSystem(graph)``, built before
-    anything of size n: it rejects fewer than 2 vertices, a disconnected
-    graph and overflowing degrees, and serves every ``L^+`` of the run.
-    The state is the Laplacian L (n x n) and the edge drops ``D = pm B^T``
-    (n x m): row j holds the drop ``p_j(tail) - p_j(head)`` of vertex j's
-    hitting probability across every edge, so the n x n probability map is
-    never held.  D starts as the signed incidence matrix.  Both are updated
-    in place by :func:`ohmgraph.schur._eliminate_pivot`, which changes and
-    returns only the rows of the pivot's current neighbours; only their
-    degrees are recomputed, so a step costs O(deg_k * m).  An eliminated
-    index has a zero row and column in L and an infinite degree, so it is
-    never a neighbour or a pivot again; the two ids never picked are the
-    terminal pair.  On a connected graph every drop energy is positive, so
-    no degree is special-cased; one below the smallest normal double raises
+    The run holds one factor, of the Laplacian grounded at vertex 0, built
+    before L and D; a graph of fewer than 2 vertices raises ``ValueError``,
+    a disconnected one :class:`~ohmgraph.solver.DisconnectedGraphError` and
+    an overflowing weighted degree ``FloatingPointError``.  The state is the
+    Laplacian L (n x n) and the edge drops ``D = pm B^T`` (n x m): row j
+    holds the drop ``p_j(tail) - p_j(head)`` of vertex j's hitting
+    probability across every edge, so the n x n probability map is never
+    held.  D starts as the signed incidence matrix.  Both are updated in
+    place by :func:`_eliminate_pivot`, which changes and returns only the
+    rows of the pivot's current neighbours; only their degrees are
+    recomputed, so a step costs O(deg_k * m).  An eliminated index has a
+    zero row and column in L and an infinite degree, so it is never a
+    neighbour or a pivot again; the two ids never picked are the terminal
+    pair.  On a connected graph every drop energy is positive, so no degree
+    is special-cased; one below the smallest normal double raises
     ``FloatingPointError``.  A non-positive pivot diagonal raises
     :class:`~ohmgraph.schur.SchurResidueError` from the pivot step.
 
-    With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is gathered from
-    the rows of :func:`ohmgraph.electrical._edge_potentials` at each edge's
-    ends (the grounded inverse that
-    :class:`~ohmgraph.electrical.TransferImpedance` forms, solving S_k's
-    columns only), and ``Pi_{i+1} = Pi_i - s_k s_k^T / L[k, k]`` with the
-    scaled drop ``s_k = sqrt(C) a_k``.  Entries below ``ABS_ZERO_TOL`` are
-    zeroed as in :func:`~ohmgraph.electrical.quadratic_form_abs`, so V_0 is
-    that form and every V_i is unchanged when all conductances are scaled.
-    Only the rows of Pi in ``supp(a_k)`` change, so only they are downdated
-    and only their row values ``|Pi[r]| w`` recomputed.  Pi is one m x m
-    array, so tracking is refused with ``ValueError`` above
-    ``DENSE_EDGE_CAP`` edges.
+    With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is every column of
+    a streaming :class:`~ohmgraph.electrical.TransferImpedance`, whose
+    factor the run keeps and whose Y it frees, and ``Pi_{i+1} = Pi_i - s_k
+    s_k^T / L[k, k]`` with the scaled drop ``s_k = sqrt(C) a_k``.  Entries
+    below ``ABS_ZERO_TOL`` are zeroed as in
+    :func:`~ohmgraph.electrical.quadratic_form_abs`, so V_0 is that form and
+    every V_i is unchanged when all conductances are scaled.  Only the rows
+    of Pi in ``supp(a_k)`` change, so only they are downdated and only their
+    row values ``|Pi[r]| w`` recomputed.  Pi is one m x m array, so
+    tracking is refused with ``ValueError`` above ``DENSE_EDGE_CAP`` edges.
 
     The terminal pair u < v is one resistor, checked by one pair solve
     ``phi = L^+ (e_u - e_v)``: with drops ``f = phi[tails] - phi[heads]``
@@ -211,11 +262,21 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
             f"tracking V_i holds an m x m matrix and caps at m={DENSE_EDGE_CAP} "
             f"(got m={m}); use compute_vi=False (--skip-vi on the command line)"
         )
-    system = LaplacianSystem(graph)  # checks n >= 2, connectivity and overflow
+    _check_connected(graph)  # refuses an edgeless graph before the impedance would
     tails, heads, c = graph.tails, graph.heads, graph.conductances
     sqrt_c = np.sqrt(c)
     z = w * sqrt_c
     w_norm_sq = float(w @ w)
+    v_now = v_initial = None  # V_i before the coming step
+    if compute_vi:
+        tp = TransferImpedance(graph, mode="streaming")
+        system = tp.system
+        P = tp.column_block(0, m).T  # Pi_0, in C order
+        del tp  # and its Y
+        row_vals = _abs_rows(P, w)
+        v_now = v_initial = float(w @ row_vals)
+    else:
+        system = LaplacianSystem(graph)
 
     L = laplacian_matrix(graph)
     D = np.zeros((n, m))
@@ -223,15 +284,6 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     D[tails, edges] = 1.0
     D[heads, edges] = -1.0
     degrees = _degree_vector(D, z, c)
-    v_now = v_initial = None  # V_i before the coming step
-    if compute_vi:
-        Y, rows_t, rows_h = _edge_potentials(system, graph, np.empty((n, m)))
-        P = Y[rows_t]
-        P -= Y[rows_h]
-        del Y
-        P *= sqrt_c[:, None]  # Pi_0 = sqrt(C) B L^+ B^T sqrt(C)
-        row_vals = _abs_rows(P, w)
-        v_now = v_initial = float(w @ row_vals)
     steps: list[EliminationStep] = []
 
     for i in range(n - 2):
@@ -293,9 +345,11 @@ def harmonic_bound_check(graph: Graph, w) -> HarmonicBoundReport:
     The left side is :func:`~ohmgraph.electrical.quadratic_form_abs`, one
     factorization and one streaming pass over Pi, so no m x m array is held
     and no edge count is refused; the bound depends only on ``||w||^2`` and
-    the vertex count, so no elimination runs.
+    the vertex count, so no elimination runs.  Both sides scale with
+    ``||w||^2``, so the verdict's slack is relative: ``lhs <= bound * (1 +
+    1e-9)``.
     """
     w = _check_weights(graph, w)
     lhs = quadratic_form_abs(graph, w)
     bound = float(w @ w) * (1.0 + _harmonic_sum(graph.n_vertices))
-    return HarmonicBoundReport(lhs=lhs, harmonic_bound=bound, ok=bool(lhs <= bound + 1e-9))
+    return HarmonicBoundReport(lhs=lhs, harmonic_bound=bound, ok=bool(lhs <= bound * (1 + 1e-9)))

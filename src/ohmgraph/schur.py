@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import Graph, _check_ids, _check_index
 from .solver import LaplacianSystem
@@ -27,7 +26,6 @@ __all__ = [
     "SchurResidueError",
     "SchurSystem",
     "schur_complement",
-    "eliminate_one",
     "check_sum_potentials",
     "check_norm_energy",
     "check_schur_conductance",
@@ -137,80 +135,6 @@ def schur_complement(graph: Graph, terminals) -> SchurSystem:
     pm, schur = _block_prob_map(graph, S)
     _check_schur(schur)
     return SchurSystem(base=graph, vertices=S, laplacian=schur, prob_map=pm)
-
-
-def _eliminate_pivot(L: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate row ``k`` in place by one star-clique step.
-
-    ``L`` is an exactly symmetric Laplacian in which every index eliminated
-    so far has a zero row and column.  ``rows`` holds one row per index of
-    any quantity linear in the probability map's rows: the map ``pm`` itself
-    in :func:`eliminate_one`, its edge drops ``D = pm B^T`` in
-    :func:`ohmgraph.localization.run_elimination`.  Only the neighbours
-    ``nb`` of ``k`` (the nonzeros of row ``k`` off the diagonal) change:
-    ``L[nb, nb] -= L[nb, k] L[k, nb] / L[k, k]`` and
-    ``rows[nb] += (-L[nb, k] / L[k, k]) rows[k]``, since a walk that would
-    first hit ``k`` now moves on to neighbour j with probability
-    ``-L[j, k] / L[k, k]``.  Row and column ``k`` of ``L`` are zeroed and
-    ``rows[k]`` is left as it was.  Returns ``nb`` and the updated
-    ``rows[nb]``.  A non-positive pivot diagonal, or a pivot with no
-    neighbour left (its row no longer sums to zero), raises
-    :class:`SchurResidueError`.
-
-    Both updates are in-place BLAS rank-one updates (``dger``) on the
-    gathered rows ``L[nb]`` and ``rows[nb]``, written back afterwards; the
-    transpose of a freshly gathered C-order block is the Fortran-order
-    matrix ``dger`` updates without a copy.  The clique update subtracts
-    ``s_i x_j`` from ``L[nb]``, where ``s = L[nb, k] / sqrt(L[k, k])`` and
-    x is s scattered into a zero n-vector, so only the ``nb x nb`` block
-    changes.  Its ``(i, j)`` and ``(j, i)`` entries get the same product
-    ``s_i s_j`` (the factor -1 is exact), so as long as BLAS rounds every
-    entry of one update the same way, fused multiply-add or not, an exactly
-    symmetric ``L`` stays exactly symmetric, as reading row ``k`` for
-    column ``k`` requires.
-    """
-    d = L[k, k]
-    if d <= 0:
-        raise SchurResidueError(f"pivot diagonal {d:.3e} is not positive")
-    L[k, k] = 0.0
-    nb = np.flatnonzero(L[k])
-    c = L[k, nb]
-    L[k] = 0.0
-    if not nb.size:  # also keeps dger from an empty update
-        raise SchurResidueError(
-            f"pivot {k} has no neighbour left; an underflowed update cut the eliminated network apart"
-        )
-    s = c / np.sqrt(d)  # c_i c_j alone can overflow
-    x = np.zeros(L.shape[0])
-    x[nb] = s
-    block = L[nb]
-    scipy.linalg.blas.dger(-1.0, x, s, a=block.T, overwrite_a=True)
-    block[:, k] = 0.0
-    L[nb] = block
-    updated = rows[nb]
-    scipy.linalg.blas.dger(1.0, rows[k], -c / d, a=updated.T, overwrite_a=True)
-    rows[nb] = updated
-    return nb, updated
-
-
-def eliminate_one(system: SchurSystem, v: int) -> SchurSystem:
-    """Eliminate a single terminal by a star-clique update of the current
-    Laplacian and the matching one-step update of the probability map.
-
-    Equals the from-scratch elimination onto the smaller terminal set.  Runs
-    the same pivot update as :func:`ohmgraph.localization.run_elimination`
-    on copies of the system's arrays, so nothing is re-solved.
-    """
-    if system.size <= 2:
-        raise ValueError("cannot eliminate below 2 terminals (termination state)")
-    k = system.local_index(v)
-    L = system.laplacian.copy()
-    pm = system.prob_map.copy()
-    _eliminate_pivot(L, pm, k)
-    keep = np.arange(system.size) != k
-    updated = L[np.ix_(keep, keep)]
-    _check_schur(updated)
-    return SchurSystem(base=system.base, vertices=system.vertices[keep], laplacian=updated, prob_map=pm[keep])
 
 
 def _check_drop_energy(energy: float) -> None:

@@ -13,11 +13,10 @@ multiple minimum degree in the sense of Liu (ACM TOMS 11(2), 1985):
 independent sets I_1, ..., I_k, each of the previous Schur complement's
 graph and each with a diagonal block, are eliminated in rounds, and only
 the last Schur complement S_k is Cholesky-factored densely.  A solved
-column costs 2 |S_k|^2 flops plus O(m) instead of 2 (n-1)^2; on torus:32
-|S_k| = 320 of 1024, so a solve costs a tenth and the factor a thirtieth.
-The whole grounded inverse solves only S_k's columns and fills the
-eliminated vertices' from the rounds' sparse couplings.  Desk-scale dense
-path: intended for n up to a few thousand vertices.
+column costs 2 |S_k|^2 flops plus O(m) instead of 2 (n-1)^2.  The whole
+grounded inverse solves only S_k's columns and fills the eliminated
+vertices' from the rounds' sparse couplings.  Desk-scale dense path:
+intended for n up to a few thousand vertices.
 
 The eigensolver runs Lanczos from the normalized all-ones vector with full
 reorthogonalization.  A breakdown (the next Krylov direction vanishes) means
@@ -115,15 +114,18 @@ def _coalesce(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int):
 def _greedy_set(n: int, remaining: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[int]:
     """A greedy independent set of the graph whose distinct edges are
     ``(u, v)``: the vertices of ``remaining`` are visited in order of fewest
-    neighbours first, ties by id, and each joins unless a neighbour has.
-    The order reads only the structure, never a conductance."""
+    neighbours first, ties by id, and each joins unless a neighbour has or
+    its clique would hold more terms than the graph has edges.  The order
+    reads only the structure, never a conductance."""
     ends = np.concatenate((u, v))
     counts = np.bincount(ends, minlength=n)
     starts = np.concatenate(([0], np.cumsum(counts))).tolist()
     # grouped by vertex with one sort of the keys end * n + neighbour, which
     # is several times faster than a stable argsort of the ends
     neighbours = np.sort(ends * n + np.concatenate((v, u))) % n
-    blocked = np.zeros(n, dtype=bool)
+    # a vertex whose clique, d(d - 1)/2 terms, would outnumber the graph's
+    # edges stays out, so a hub's clique is never built
+    blocked = counts * (counts - 1) // 2 > u.size
     chosen = []
     for x in remaining[np.argsort(counts[remaining], kind="stable")].tolist():
         if not blocked[x]:
@@ -149,9 +151,7 @@ class LaplacianSystem:
     densely; a path or a star is eliminated completely and factors
     nothing.  This is Cholesky in the elimination order ground, S_k, I_k,
     ..., I_1: each solved column costs 2 |S_k|^2 flops plus O(m) for the
-    rounds, and the factor |S_k|^3 / 3.  Grounded at vertex 0, |S_k| is 320
-    of 1024 on torus:32 after 3 rounds, and 430 on a weighted random
-    4-regular expander of 1024 vertices.  :meth:`grounded_inverse` solves
+    rounds, and the factor |S_k|^3 / 3.  :meth:`grounded_inverse` solves
     only the columns of S_k, so the inverse costs 2 |S_k|^3 flops plus
     sparse products, not 2 n |S_k|^2.
 
@@ -241,20 +241,15 @@ class LaplacianSystem:
         n_s = self._n_s = remaining.size + n_g
         # per round, first eliminated first: I_r's place [start, end), the
         # weights D_r^-1 L_SI coupling it to the places before it, as columns
-        # with place p at row p - n_g and the ground left out, the same
-        # weights as the rows of D_r^-1 L_IS, and the pivots D_r
+        # with place p at row p - n_g and the ground left out, their
+        # transpose (a view: the rows of D_r^-1 L_IS), and the pivots D_r
         self._rounds = []
         for members, pivots, s_end, counts, ratio in rounds:
             start = int(self._where[members[0]])
             end = start + members.size
             arrays = (ratio, self._where[s_end] - n_g, np.concatenate(([0], np.cumsum(counts))))
-            self._rounds.append((
-                start,
-                end,
-                scipy.sparse.csc_array(arrays, shape=(start - n_g, members.size)),
-                scipy.sparse.csr_array(arrays, shape=(members.size, start - n_g)),
-                pivots[:, None],
-            ))
+            a = scipy.sparse.csc_array(arrays, shape=(start - n_g, members.size))
+            self._rounds.append((start, end, a, a.T, pivots[:, None]))
         self._factor = None
         if n_s > n_g:
             block = np.zeros((n_s - n_g, n_s - n_g), order="F")
@@ -318,16 +313,15 @@ class LaplacianSystem:
 
         Only the unit columns of S_k's places are solved, by
         :meth:`solve_columns` in blocks of ``block`` columns, each block
-        written straight into ``out``: 320 of 1024 columns on torus:32.  The
-        rest is the block form of a sparse inverse from its factor
-        (Takahashi, Fagan and Chen, 1973): from the round eliminated last to
-        the first, with R the places before I_r, ``G[I, R] = A_t G[R, R]``
-        over R's eliminated columns, its transpose ``G[R, I]``, and
-        ``G[I, I] = D^-1 + A_t G[R, I]``, where A_t holds the weights
-        D_r^-1 L_IS.  Every term is nonnegative, so nothing cancels.  The
-        products run in blocks of ``block`` columns, so no temporary
-        outgrows n x ``block``.  A non-finite G raises
-        ``FloatingPointError``, whatever numpy's error state.
+        written straight into ``out``.  The rest is the block form of a
+        sparse inverse from its factor (Takahashi, Fagan and Chen, 1973):
+        from the round eliminated last to the first, with R the places
+        before I_r, ``G[I, R] = A_t G[R, R]`` over R's eliminated columns,
+        its transpose ``G[R, I]``, and ``G[I, I] = D^-1 + A_t G[R, I]``,
+        where A_t holds the weights D_r^-1 L_IS.  Every term is nonnegative,
+        so nothing cancels.  The products run in blocks of ``block``
+        columns, so no temporary outgrows n x ``block``.  A non-finite G
+        raises ``FloatingPointError``, whatever numpy's error state.
         """
         n, g, n_s = self.n, self._n_g, self._n_s
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause

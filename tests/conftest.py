@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ohmgraph import (
     LaplacianSystem,
+    SchurSystem,
     build_graph,
     complete,
     erdos_renyi,
@@ -20,6 +21,8 @@ from ohmgraph import (
 )
 from ohmgraph.electrical import _abs_zeroed
 from ohmgraph.graph import _check_index, _graph_from_arrays, _hops
+from ohmgraph.localization import _eliminate_pivot
+from ohmgraph.schur import _check_schur
 
 
 def laplacian_pinv(L):
@@ -124,6 +127,24 @@ def delta_edge(graph, edge_index):
     edge_index = _check_index(edge_index, "edge_index", graph.n_edges)
     f = unit_flow(graph, int(graph.tails[edge_index]), int(graph.heads[edge_index]))
     return float(_abs_zeroed(f).sum())
+
+
+def eliminate_one(system, v):
+    """Eliminate one terminal of a :class:`SchurSystem` by a star-clique
+    update of its Laplacian and the matching one-step update of its
+    probability map: the pivot step of ``run_elimination`` on copies of the
+    system's arrays, so nothing is re-solved.  Equals the from-scratch
+    elimination onto the smaller terminal set."""
+    if system.size <= 2:
+        raise ValueError("cannot eliminate below 2 terminals (termination state)")
+    k = system.local_index(v)
+    L = system.laplacian.copy()
+    pm = system.prob_map.copy()
+    _eliminate_pivot(L, pm, k)
+    keep = np.arange(system.size) != k
+    updated = L[np.ix_(keep, keep)]
+    _check_schur(updated)
+    return SchurSystem(base=system.base, vertices=system.vertices[keep], laplacian=updated, prob_map=pm[keep])
 
 
 def impedance_reference(graph):

@@ -44,6 +44,7 @@ def test_package_exports_every_module_name(module):
         "_walk_prob_map",
         "competitive_ratio_bound",
         "delta_edge",
+        "eliminate_one",
     ],
 )
 def test_removed_wrappers_are_gone(name):
@@ -67,7 +68,6 @@ def test_numpy_integer_ids_give_the_int_results():
 
     def results(i):
         system = ohmgraph.schur_complement(g, [i(0), i(5), i(10), i(15)])
-        smaller = ohmgraph.eliminate_one(system, i(5))
         return [
             ohmgraph.unit_flow(g, i(0), i(5)),
             ohmgraph.effective_resistance(g, i(0), i(5)),
@@ -75,8 +75,6 @@ def test_numpy_integer_ids_give_the_int_results():
             system.vertices,
             system.laplacian,
             system.prob_map,
-            smaller.laplacian,
-            smaller.prob_map,
             ohmgraph.check_sum_potentials(system, i(7)),
             ohmgraph.check_norm_energy(system, i(10), 0.4),
             ohmgraph.check_schur_conductance(system, i(15)),

@@ -10,12 +10,12 @@ import ohmgraph.electrical as electrical
 import ohmgraph.localization as localization
 from ohmgraph import (
     DENSE_EDGE_CAP,
+    DisconnectedGraphError,
     LocalizationError,
     SchurResidueError,
     build_graph,
     complete,
     degree_profile,
-    eliminate_one,
     laplacian_matrix,
     parallel_paths,
     path,
@@ -26,11 +26,26 @@ from ohmgraph import (
     schur_complement,
     torus,
 )
-from ohmgraph.localization import _abs_rows, _degree_vector, _downdate_rows, _harmonic_sum, _pair_value
-from ohmgraph.schur import _block_prob_map, _eliminate_pivot
+from ohmgraph.localization import (
+    _abs_rows,
+    _degree_vector,
+    _downdate_rows,
+    _eliminate_pivot,
+    _harmonic_sum,
+    _pair_value,
+)
+from ohmgraph.schur import _block_prob_map
 from ohmgraph.solver import LaplacianSystem
 
-from conftest import bad_ids, laplacian_pinv, log_uniform_expander, random_connected_graph, single_edge, triangle
+from conftest import (
+    bad_ids,
+    eliminate_one,
+    laplacian_pinv,
+    log_uniform_expander,
+    random_connected_graph,
+    single_edge,
+    triangle,
+)
 
 
 def star(k):
@@ -152,6 +167,12 @@ class TestRunElimination:
         assert pivots[0] == 0
         assert len(set(pivots)) == len(pivots) == g.n_vertices - 2
         assert not set(trace.terminal_pair) & set(pivots)
+
+    @pytest.mark.parametrize("compute_vi", [True, False])
+    def test_edgeless_graph_is_disconnected(self, compute_vi):
+        # refused by the connectivity check before the impedance is built
+        with pytest.raises(DisconnectedGraphError):
+            run_elimination(build_graph([], n_vertices=3), np.ones(0), compute_vi=compute_vi)
 
     def test_skip_vi_records_only_degrees(self):
         trace = run_elimination(torus(3), np.ones(18), compute_vi=False)
@@ -489,6 +510,16 @@ class TestHarmonicBoundCheck:
         rep = harmonic_bound_check(g, w)
         assert rep.lhs == quadratic_form_abs(g, w)
         assert rep.harmonic_bound == float(w @ w) * (1.0 + _harmonic_sum(g.n_vertices))
+
+    @pytest.mark.parametrize("excess, ok", [(100.0, False), (1 + 1e-10, True)])
+    def test_slack_is_relative(self, monkeypatch, excess, ok):
+        # with w = 1e-8 both sides are about 1e-13, far below an absolute 1e-9
+        g = torus(4)
+        w = np.full(g.n_edges, 1e-8)
+        bound = float(w @ w) * (1.0 + _harmonic_sum(g.n_vertices))
+        monkeypatch.setattr(localization, "quadratic_form_abs", lambda graph, w: excess * bound)
+        rep = harmonic_bound_check(g, w)
+        assert rep.harmonic_bound == bound and rep.ok is ok
 
     def test_accepts_more_edges_than_the_dense_cap(self):
         # a 10-cycle with every edge 410 times: no m x m array is held

@@ -15,7 +15,6 @@ from ohmgraph import (
     check_sum_potentials,
     complete,
     effective_resistance,
-    eliminate_one,
     laplacian_matrix,
     path,
     random_regular_expander,
@@ -23,11 +22,13 @@ from ohmgraph import (
     torus,
 )
 
-from ohmgraph.schur import _check_schur, _eliminate_pivot
+from ohmgraph.localization import _eliminate_pivot
+from ohmgraph.schur import _check_schur
 
 from conftest import (
     bad_ids,
     block_prob_map_reference,
+    eliminate_one,
     identify_prob_map,
     laplacian_pinv,
     multigraphs,

@@ -15,6 +15,7 @@ from ohmgraph import (
     complete,
     hypercube,
     laplacian_matrix,
+    parse_family_spec,
     parallel_paths,
     path,
     spectral_norm_nonneg,
@@ -281,7 +282,8 @@ def _check_rounds(g, sys):
     the Schur complement onto the vertices not yet eliminated, ground
     included, and is greedy: every vertex of that graph left out but the
     ground has a neighbour in the set with fewer neighbours, or as many and
-    a smaller id."""
+    a smaller id, or has more clique terms, d(d - 1)/2 for d neighbours,
+    than that graph has edges."""
     n = g.n_vertices
     assert np.array_equal(np.sort(sys._order), np.arange(n)) and sys._order[0] == 0
     adj = np.zeros((n, n), dtype=bool)
@@ -294,6 +296,8 @@ def _check_rounds(g, sys):
         in_i = np.zeros(n, dtype=bool)
         in_i[chosen] = True
         for v in np.flatnonzero(alive & ~in_i)[1:]:
+            if degree[v] * (degree[v] - 1) // 2 > degree.sum() // 2:
+                continue
             earlier = [i for i in np.flatnonzero(adj[v] & in_i) if (degree[i], i) < (degree[v], v)]
             assert earlier, v
         for i in chosen:  # its neighbours become a clique
@@ -322,6 +326,40 @@ class TestEliminationRounds:
         sys = LaplacianSystem(complete(8))
         assert sys._rounds == [] and factored == [(7, 7)]
         assert np.array_equal(sys._order, np.arange(8))
+
+    @pytest.mark.parametrize(
+        "spec, sizes",
+        [
+            ("torus:12", [72, 18, 9]),
+            ("torus:16", [128, 32, 16]),
+            ("torus:20", [200, 50, 25]),
+            ("torus:32", [512, 128, 64]),
+            ("expander:128:4:1", [42, 20, 11]),
+        ],
+    )
+    def test_round_sizes(self, spec, sizes):
+        assert [len(r) for r in _round_sets(LaplacianSystem(parse_family_spec(spec)))] == sizes
+
+    def test_hub_never_builds_its_clique(self):
+        # vertex 0 and a hub at the last id joined by 2000 disjoint paths of
+        # three edges: the hub's 2000 neighbours would make 1999000 clique
+        # terms, more than the 6000 edges, so it stays out until one is left;
+        # building that clique once peaked at over 200 MB
+        hub = 4001
+        edges = []
+        for a in range(1, hub, 2):
+            edges += [(0, a, 1.0), (a, a + 1, 1.0), (a + 1, hub, 1.0)]
+        g = build_graph(edges)
+        tracemalloc.start()
+        try:
+            sys = LaplacianSystem(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert [len(r) for r in _round_sets(sys)] == [2000, 2000, 1]
+        assert _round_sets(sys)[-1].tolist() == [hub]
+        _check_rounds(g, sys)
 
     @pytest.mark.parametrize("factor", [1e-3, 1e3])
     def test_order_reads_no_conductance(self, factor):
