@@ -203,13 +203,17 @@ class TransferImpedance:
             )
         self.graph = graph
         self.mode = mode
-        # Y, the largest array, is allocated before the factor: taken first,
-        # it gets the largest free block of a heap that earlier runs left
-        # fragmented, and the factor cannot split that block under it.  The
-        # graph is checked first, so a disconnected one allocates nothing;
-        # it keeps the answer, so the system's own check runs no second BFS.
+        # Y, the largest array, is allocated on the worker thread, which
+        # glibc serves from an arena of its own.  In the caller's arena the
+        # block a freed Y leaves takes the caller's small allocations, and
+        # one that outlives the call (a caller's captured output, a cache)
+        # splits it, so the next Y grows the heap by most of its size;
+        # which allocation lands there depends on thread timing.  The worker
+        # allocates only its halves' blocks.  The graph is checked first, so
+        # a disconnected one allocates nothing; it keeps the answer, so the
+        # system's own check runs no second BFS.
         _check_connected(graph)
-        y = np.empty((graph.n_vertices, m))
+        y = _WORKER.submit(np.empty, (graph.n_vertices, m)).result()
         self.system = LaplacianSystem(graph)
         self._sqrt_c = np.sqrt(graph.conductances)
         self._y, self._tails, self._heads = _edge_potentials(self.system, graph, y)

@@ -340,11 +340,20 @@ class TestImpedanceOracle:
     def test_connectivity_is_searched_once_and_before_y(self, monkeypatch):
         # the impedance and its system share one BFS of the graph, and a
         # disconnected graph with n - 1 edges is refused before Y is allocated
-        searched = []
+        searched, allocated = [], []
         hops = graph_module._hops
         monkeypatch.setattr(graph_module, "_hops", lambda g, source: searched.append(source) or hops(g, source))
+        submit = electrical._WORKER.submit
+
+        def spy(fn, *args):
+            if fn is np.empty:
+                allocated.append(args)
+            return submit(fn, *args)
+
+        # Y is allocated on the worker thread, in its allocator arena
+        monkeypatch.setattr(electrical._WORKER, "submit", spy)
         TransferImpedance(torus(4))
-        assert searched == [0]
+        assert searched == [0] and allocated == [((16, 32),)]
         halves = [(v, v + 1, 1.0) for v in range(999)] + [(v, v + 1, 1.0) for v in range(1000, 1999)]
         g = build_graph(halves + [(0, 1, 2.0)])
         assert g.n_edges == g.n_vertices - 1
@@ -355,6 +364,7 @@ class TestImpedanceOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert allocated == [((16, 32),)]
         assert peak < 0.1 * 8 * g.n_vertices * g.n_edges
 
 
