@@ -76,7 +76,8 @@ def _both(fn, items):
 def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``|x|`` with entries below ``ABS_ZERO_TOL`` set to exactly zero."""
     out = np.abs(x, out=out)
-    np.copyto(out, 0.0, where=out < ABS_ZERO_TOL)
+    if out.min(initial=np.inf) < ABS_ZERO_TOL:  # NaN stays NaN either way
+        np.copyto(out, 0.0, where=out < ABS_ZERO_TOL)
     return out
 
 
@@ -161,22 +162,21 @@ class TransferImpedance:
     leading square, as columns.  The leading square is symmetrized (the
     mean of itself and its transpose) before the absolute value, so every
     pass applies an exactly symmetric ``|Pi|``.  ``mode='dense'`` (allowed
-    for ``m <= DENSE_EDGE_CAP``) computes these blocks once at construction
-    and caches them, about m^2/2 entries, so every later pass reads the
-    cache and gives bitwise the same result as a streaming pass;
+    for ``m <= DENSE_EDGE_CAP``) keeps the blocks its first pass computes,
+    about m^2/2 entries, so every later pass reads them and gives bitwise
+    the same result as a streaming pass;
     ``mode='streaming'`` recomputes them on every pass, holding
     O(n * m + m * block) memory and never an m x m array; on a d-regular
     graph n * m is (d/2) n^2.
 
-    Every pass, the dense cache build and the conversion of G into Y split
-    their blocks into two fixed halves (see :func:`_both`): the
-    even-indexed blocks run on one worker thread and the odd-indexed ones
-    in the caller.  The halves are fixed, so the bits do not depend on
-    timing or core count; the cached blocks and Y are bitwise those of one
-    thread, and a product differs from an in-order loop only in its
-    summation order.  The solves behind G stay serial on the caller's
-    thread, since LAPACK through scipy holds the GIL for much of each
-    solve.
+    Every pass and the conversion of G into Y split their blocks into two
+    fixed halves (see :func:`_both`): the even-indexed blocks run on one
+    worker thread and the odd-indexed ones in the caller.  The halves are
+    fixed, so the bits do not depend on timing or core count; the cached
+    blocks and Y are bitwise those of one thread, and a product differs
+    from an in-order loop only in its summation order.  The solves behind
+    G stay serial on the caller's thread, since LAPACK through scipy holds
+    the GIL for much of each solve.
 
     The instance is immutable, so :meth:`per_edge_stats` is computed once
     and memoized; its column sums are ``|Pi| 1``, which
@@ -185,7 +185,7 @@ class TransferImpedance:
     inverse, so their absolute error scales with machine epsilon times its
     largest entry, the largest resistance to vertex 0 (n - 1 on a unit
     path).  Blocks are pure functions of the cached Y and safe to compute
-    concurrently.
+    concurrently; two first passes at once store equal blocks.
     """
 
     def __init__(self, graph: Graph, mode: str = "auto"):
@@ -217,13 +217,8 @@ class TransferImpedance:
         self.system = LaplacianSystem(graph)
         self._sqrt_c = np.sqrt(graph.conductances)
         self._y, self._tails, self._heads = _edge_potentials(self.system, graph, y)
-        self._abs_cache = None
+        self._abs_cache = [None] * -(-m // _DEFAULT_BLOCK) if mode == "dense" else None
         self._stats = None
-        if mode == "dense":
-            starts = range(0, m, _DEFAULT_BLOCK)
-            blocks = [None] * len(starts)
-            blocks[0::2], blocks[1::2] = _both(lambda part: [self._upper_block(lo) for lo in part], starts)
-            self._abs_cache = blocks
 
     @property
     def n_edges(self) -> int:
@@ -249,14 +244,19 @@ class TransferImpedance:
     def _upper_block(self, lo: int) -> np.ndarray:
         """``|Pi|`` rows lo..hi-1 over columns lo..m-1, for a block start
         ``lo`` and ``hi = min(lo + _DEFAULT_BLOCK, m)``, with a symmetrized
-        leading square and entries below ``ABS_ZERO_TOL`` zeroed."""
-        if self._abs_cache is not None:
-            return self._abs_cache[lo // _DEFAULT_BLOCK]
+        leading square and entries below ``ABS_ZERO_TOL`` zeroed, kept in
+        its slot in dense mode."""
+        cache, slot = self._abs_cache, lo // _DEFAULT_BLOCK
+        if cache is not None and cache[slot] is not None:
+            return cache[slot]
         hi = min(lo + _DEFAULT_BLOCK, self.n_edges)
         upper = self._rows(lo, hi, lo)
         square = upper[:, : hi - lo]
         square[...] = 0.5 * (square + square.T)
-        return _abs_zeroed(upper, out=upper)
+        _abs_zeroed(upper, out=upper)
+        if cache is not None:
+            cache[slot] = upper
+        return upper
 
     def _abs_apply(self, v: np.ndarray) -> np.ndarray:
         """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), from the upper

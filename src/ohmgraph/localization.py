@@ -143,8 +143,8 @@ def _eliminate_pivot(L: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, 
     gathered rows ``L[nb]`` and ``D[nb]``, written back afterwards; the
     transpose of a freshly gathered C-order block is the Fortran-order
     matrix ``dger`` updates without a copy.  The clique update subtracts
-    ``s_i x_j`` from ``L[nb]``, where ``s = L[nb, k] / sqrt(L[k, k])`` and
-    x is s scattered into a zero n-vector, so only the ``nb x nb`` block
+    ``s_i x_j`` from ``L[nb]``, where ``x = L[k] / sqrt(L[k, k])`` with
+    ``L[k, k]`` cleared and ``s = x[nb]``, so only the ``nb x nb`` block
     changes.  Its ``(i, j)`` and ``(j, i)`` entries get the same product
     ``s_i s_j`` (the factor -1 is exact), so as long as BLAS rounds every
     entry of one update the same way, fused multiply-add or not, an exactly
@@ -157,16 +157,14 @@ def _eliminate_pivot(L: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, 
     L[k, k] = 0.0
     nb = np.flatnonzero(L[k])
     c = L[k, nb]
+    x = L[k] / np.sqrt(d)  # zero off nb; c_i c_j alone can overflow
     L[k] = 0.0
     if not nb.size:  # also keeps dger from an empty update
         raise SchurResidueError(
             f"pivot {k} has no neighbour left; an underflowed update cut the eliminated network apart"
         )
-    s = c / np.sqrt(d)  # c_i c_j alone can overflow
-    x = np.zeros(L.shape[0])
-    x[nb] = s
     block = L[nb]
-    scipy.linalg.blas.dger(-1.0, x, s, a=block.T, overwrite_a=True)
+    scipy.linalg.blas.dger(-1.0, x, x[nb], a=block.T, overwrite_a=True)
     block[:, k] = 0.0
     L[nb] = block
     updated = D[nb]

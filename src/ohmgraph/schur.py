@@ -91,7 +91,7 @@ def _block_prob_map(graph: Graph, S: np.ndarray) -> tuple[np.ndarray, np.ndarray
     off = local < 0  # X is 0 on S, so the product runs over the other rows
     schur = np.diag(a.sum(axis=0)) - a[S] - a[off].T @ X[off]
     schur = (schur + schur.T) / 2.0
-    pm = X.T  # C order, since X is in Fortran order
+    pm = X.T
     pm[np.arange(s), S] = 1.0
     return pm, schur
 

@@ -282,14 +282,19 @@ def rng():
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, conductances=None):
     """A connected multigraph on n <= 12 vertices: a random spanning tree
     plus extra edges, repeated in the same and the other orientation, with
-    conductances log-uniform in [1e-3, 1e3]."""
+    conductances log-uniform in [1e-3, 1e3], or drawn from the strategy
+    ``conductances`` when one is given."""
     n = draw(st.integers(2, 12))
     ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     ends += draw(st.lists(pair, max_size=2 * n))
     ends += [(h, t) for t, h in draw(st.lists(st.sampled_from(ends), max_size=n))]
-    exponents = draw(st.lists(st.floats(-3, 3), min_size=len(ends), max_size=len(ends)))
-    return build_graph([(t, h, 10.0**x) for (t, h), x in zip(ends, exponents)], n_vertices=n)
+    if conductances is None:
+        exponents = draw(st.lists(st.floats(-3, 3), min_size=len(ends), max_size=len(ends)))
+        conds = [10.0**x for x in exponents]
+    else:
+        conds = draw(st.lists(conductances, min_size=len(ends), max_size=len(ends)))
+    return build_graph([(t, h, c) for (t, h), c in zip(ends, conds)], n_vertices=n)

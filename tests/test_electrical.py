@@ -407,6 +407,28 @@ class TestUpperTriangleApply:
         for a, b in zip(dense.per_edge_stats(), streaming.per_edge_stats()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("mode", ["dense", "streaming"])
+    def test_dense_cache_is_filled_by_the_first_pass(self, mode, monkeypatch):
+        # construction computes no block; dense mode keeps each block the
+        # stats pass computes, streaming computes every block on every pass
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        computed = []
+        rows = TransferImpedance._rows
+        monkeypatch.setattr(
+            TransferImpedance, "_rows", lambda self, lo, hi, start=0: computed.append(lo) or rows(self, lo, hi, start)
+        )
+        g = log_uniform_expander(40, 5)
+        starts = list(range(0, g.n_edges, 7))
+        assert len(starts) == 12
+        tp = TransferImpedance(g, mode=mode)
+        assert computed == []
+        tp.per_edge_stats()
+        assert sorted(computed) == starts
+        computed.clear()
+        passes = tp.abs_spectral_norm().iterations - 1  # the first product is the stats pass's
+        assert passes > 1
+        assert sorted(computed) == (sorted(starts * passes) if mode == "streaming" else [])
+
 
 class TestTwoHalves:
     """Every pass over Pi, the dense cache and the Y conversion run their
@@ -424,6 +446,29 @@ class TestTwoHalves:
                 electrical._both(scale, [1e308, 1.0])
         assert ran[(1e308,)] is not threading.main_thread()
         assert ran[(1.0,)] is threading.main_thread()
+
+    def test_concurrent_first_passes_give_the_streaming_bits(self, monkeypatch):
+        # threads racing through the first pass of one dense instance may
+        # each compute a block, but they store equal blocks
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        g = log_uniform_expander(40, 5)
+        v = np.linspace(0.0, 1.0, g.n_edges)
+        expected = TransferImpedance(g, mode="streaming").abs_matvec(v)
+        dense = TransferImpedance(g, mode="dense")
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(dense.abs_matvec(v))) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4 and all(np.array_equal(r, expected) for r in results)
+        assert all(block is not None for block in dense._abs_cache)
 
     def test_public_calls_stay_on_the_main_thread(self, monkeypatch, capsys):
         # wraps every public function and method of the ohmgraph modules, and
