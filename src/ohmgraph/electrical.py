@@ -76,8 +76,7 @@ def _both(fn, items):
 def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``|x|`` with entries below ``ABS_ZERO_TOL`` set to exactly zero."""
     out = np.abs(x, out=out)
-    if out.min(initial=np.inf) < ABS_ZERO_TOL:  # NaN stays NaN either way
-        np.copyto(out, 0.0, where=out < ABS_ZERO_TOL)
+    np.copyto(out, 0.0, where=out < ABS_ZERO_TOL)
     return out
 
 

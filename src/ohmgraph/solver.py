@@ -281,10 +281,10 @@ class LaplacianSystem:
         of B are not read.  Grounded at one vertex, a column of B that sums
         to 0 gives ``L^+ B[:, j]`` up to one constant.  The rows are
         gathered once into elimination order; each round forward-eliminates
-        its I_r, when nonzero, into the places before it, LAPACK solves the
-        Schur block S_k, and each round backward gives ``x_I = b_I / d_I +
-        D_I^-1 L_IS x``.  A non-finite solve raises ``FloatingPointError``,
-        whatever numpy's error state.
+        its I_r into the places before it, LAPACK solves the Schur block
+        S_k, and each round backward gives ``x_I = b_I / d_I + D_I^-1 L_IS
+        x``.  A non-finite solve raises ``FloatingPointError``, whatever
+        numpy's error state.
         """
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.n:
@@ -293,8 +293,7 @@ class LaplacianSystem:
         z = np.ascontiguousarray(B)[self._order]
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause
             for start, end, a, _, _ in self._rounds:
-                if z[start:end].any():  # a zero block would add only +0.0
-                    z[g:start] += a @ z[start:end]
+                z[g:start] += a @ z[start:end]
             z[:g] = 0.0
             if self._factor is not None:
                 z[g:n_s] = scipy.linalg.cho_solve(self._factor, z[g:n_s], check_finite=False)
