@@ -80,6 +80,38 @@ def _abs_zeroed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _abs_upper(upper: np.ndarray) -> np.ndarray:
+    """``|Pi|`` in place on Pi's rows lo..hi-1 over columns lo..m-1: the
+    leading square is symmetrized (the mean of itself and its transpose)
+    before the absolute value, so every pass applies an exactly symmetric
+    ``|Pi|``, and entries below ``ABS_ZERO_TOL`` are zeroed."""
+    square = upper[:, : upper.shape[0]]
+    square[...] = 0.5 * (square + square.T)
+    return _abs_zeroed(upper, out=upper)
+
+
+def _abs_pass(upper_block, v: np.ndarray) -> np.ndarray:
+    """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), from the upper
+    triangle: ``upper_block(lo)`` gives ``|Pi|`` rows lo..hi-1 over columns
+    lo..m-1 for ``hi = min(lo + _DEFAULT_BLOCK, m)``, and each block is
+    applied once as rows and once, past its leading square, as columns.
+    Each half of the blocks (see :func:`_both`) sums into its own vector,
+    and the result is always even + odd."""
+    m = v.shape[0]
+
+    def half(starts):
+        out = np.zeros(v.shape)
+        for lo in starts:
+            hi = min(lo + _DEFAULT_BLOCK, m)
+            upper = upper_block(lo)
+            out[lo:hi] += upper @ v[lo:]
+            out[hi:] += upper[:, hi - lo :].T @ v[lo:hi]
+        return out
+
+    even, odd = _both(half, range(0, m, _DEFAULT_BLOCK))
+    return even + odd
+
+
 def _check_weights(graph: Graph, w) -> np.ndarray:
     if not isinstance(w, np.ndarray) and np.ndim(w) == 1:
         # numpy reads [True, 2.0] as floats, so a bool among numbers is
@@ -146,14 +178,19 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray):
 class TransferImpedance:
     """The edge-space projection ``Pi = sqrt(C) B L^+ B^T sqrt(C)``.
 
-    Construction factors the Laplacian grounded at vertex 0 once (kept as
-    ``system``, see :class:`~ohmgraph.solver.LaplacianSystem`) and builds
-    the n x m edge-potential matrix ``Y = L^+ B^T sqrt(C)`` up to one
-    constant per column, with no n x n array beside it (see
-    :func:`_edge_potentials`).  Y's rows are in elimination order, and row
-    f of Pi is ``sqrt(c_f) (Y[where[tail(f)]] - Y[where[head(f)]])``: every
-    block of rows is two contiguous row gathers of Y, with no solve and no
-    column gather, and the diagonal costs O(m).
+    Construction factors the Laplacian grounded at vertex 0 once (see
+    :class:`~ohmgraph.solver.LaplacianSystem`) and builds the n x m
+    edge-potential matrix ``Y = L^+ B^T sqrt(C)`` up to one constant per
+    column, with no n x n array beside it (see :func:`_edge_potentials`);
+    the factor is released once Y is built.  Y's rows are in elimination
+    order, and row f of Pi is ``sqrt(c_f) (Y[where[tail(f)]] -
+    Y[where[head(f)]])``: every block of rows is two contiguous row gathers
+    of Y, with no solve and no column gather, and the diagonal costs O(m).
+    Y pays for itself where passes repeat, as in :meth:`abs_spectral_norm`
+    and dense mode's cache; the library's callers that read Pi once
+    (:func:`quadratic_form_abs`, the routing bound and the tracked
+    elimination) read it from the n x n grounded inverse instead, through
+    :class:`_PiReader`.
 
     The norms read ``|Pi|``, with entries below ``ABS_ZERO_TOL`` zeroed.  Pi
     is symmetric, so a pass reads only its upper triangle: row block
@@ -213,9 +250,8 @@ class TransferImpedance:
         # system's own check runs no second BFS.
         _check_connected(graph)
         y = _WORKER.submit(np.empty, (graph.n_vertices, m)).result()
-        self.system = LaplacianSystem(graph)
         self._sqrt_c = np.sqrt(graph.conductances)
-        self._y, self._tails, self._heads = _edge_potentials(self.system, graph, y)
+        self._y, self._tails, self._heads = _edge_potentials(LaplacianSystem(graph), graph, y)
         self._abs_cache = [None] * -(-m // _DEFAULT_BLOCK) if mode == "dense" else None
         self._stats = None
 
@@ -248,32 +284,14 @@ class TransferImpedance:
         cache, slot = self._abs_cache, lo // _DEFAULT_BLOCK
         if cache is not None and cache[slot] is not None:
             return cache[slot]
-        hi = min(lo + _DEFAULT_BLOCK, self.n_edges)
-        upper = self._rows(lo, hi, lo)
-        square = upper[:, : hi - lo]
-        square[...] = 0.5 * (square + square.T)
-        _abs_zeroed(upper, out=upper)
+        upper = _abs_upper(self._rows(lo, min(lo + _DEFAULT_BLOCK, self.n_edges), lo))
         if cache is not None:
             cache[slot] = upper
         return upper
 
     def _abs_apply(self, v: np.ndarray) -> np.ndarray:
-        """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), from the upper
-        triangle.  Each half of the blocks (see :func:`_both`) sums into its
-        own vector, and the result is always even + odd."""
-        m = self.n_edges
-
-        def half(starts):
-            out = np.zeros(v.shape)
-            for lo in starts:
-                hi = min(lo + _DEFAULT_BLOCK, m)
-                upper = self._upper_block(lo)
-                out[lo:hi] += upper @ v[lo:]
-                out[hi:] += upper[:, hi - lo :].T @ v[lo:hi]
-            return out
-
-        even, odd = _both(half, range(0, m, _DEFAULT_BLOCK))
-        return even + odd
+        """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p) (see :func:`_abs_pass`)."""
+        return _abs_pass(self._upper_block, v)
 
     def abs_matvec(self, v) -> np.ndarray:
         """Entrywise-absolute impedance applied to ``v``."""
@@ -317,6 +335,72 @@ class TransferImpedance:
         return spectral_norm_nonneg(self.abs_matvec, m, first_product=first)
 
 
+class _PiReader:
+    """Pi read from the n x n grounded inverse G, for a caller that reads it
+    once; no n x m Y is built.
+
+    G is the inverse of the Laplacian grounded at vertex 0, in elimination
+    order, with a zero row and column at the ground's place 0 (see
+    :meth:`~ohmgraph.solver.LaplacianSystem.grounded_inverse`); it is
+    allocated on the worker thread, as Y is (see
+    :class:`TransferImpedance`).  With ``t`` and ``h`` the places of the
+    edges' tails and heads, Pi's rows lo..hi-1 over columns start..m-1 are
+    ``r = G[t[lo:hi]] - G[h[lo:hi]]``, then ``(r[:, t[start:]] - r[:,
+    h[start:]]) sqrt(c[start:]) sqrt(c[lo:hi])``: two row gathers of G and
+    two column gathers of the n-wide difference.  Rows are subtracted
+    before columns, so the bits differ from a :class:`TransferImpedance`'s
+    in the last places.  The factored system stays available as
+    ``system``; G is released with the reader.
+    """
+
+    def __init__(self, graph: Graph):
+        self.n_edges = graph.n_edges
+        if self.n_edges < 1:
+            raise ValueError("graph has no edges")
+        _check_connected(graph)  # before G, so a disconnected graph allocates nothing
+        n = graph.n_vertices
+        g = _WORKER.submit(np.empty, (n, n)).result()
+        g[0] = 0.0
+        g[:, 0] = 0.0
+        self.system = LaplacianSystem(graph)
+        self.system.grounded_inverse(g[1:, 1:], _SOLVE_BLOCK)
+        self._g = g
+        self._tails = self.system._where[graph.tails]
+        self._heads = self.system._where[graph.heads]
+        self._sqrt_c = np.sqrt(graph.conductances)
+
+    def rows(self, lo: int, hi: int, start: int = 0) -> np.ndarray:
+        """Exact signed impedance rows ``lo..hi-1`` over columns ``start..m-1``."""
+        t, h = self._tails, self._heads
+        r = self._g[t[lo:hi]]
+        r -= self._g[h[lo:hi]]
+        rows = np.take(r, t[start:], axis=1)
+        rows -= np.take(r, h[start:], axis=1)
+        rows *= self._sqrt_c[start:]
+        rows *= self._sqrt_c[lo:hi, None]
+        return rows
+
+    def abs_apply(self, v: np.ndarray) -> np.ndarray:
+        """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), in one pass (see
+        :func:`_abs_pass`), with the blocks of a :class:`TransferImpedance`
+        pass."""
+        m = self.n_edges
+        return _abs_pass(lambda lo: _abs_upper(self.rows(lo, min(lo + _DEFAULT_BLOCK, m), lo)), v)
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Pi written into the (m, m) array ``out``, in row blocks split
+        into the two halves of :func:`_both`, and returned."""
+        m = self.n_edges
+
+        def half(starts):
+            for lo in starts:
+                hi = min(lo + _DEFAULT_BLOCK, m)
+                out[lo:hi] = self.rows(lo, hi)
+
+        _both(half, range(0, m, _DEFAULT_BLOCK))
+        return out
+
+
 def _pair_potentials(graph: Graph, u: int, v: int) -> np.ndarray:
     """Potentials of the unit current injected at ``u`` and extracted at ``v``."""
     n = graph.n_vertices
@@ -347,10 +431,11 @@ def effective_resistance(graph: Graph, u: int, v: int) -> float:
 
 def quadratic_form_abs(graph: Graph, w) -> float:
     """Quadratic form of the entrywise-absolute impedance on a finite
-    nonnegative vector, in one streaming pass over Pi.
+    nonnegative vector, in one pass over Pi read from the grounded inverse
+    (see :class:`_PiReader`): no n x m array and no m x m array is held.
 
     With all-ones ``w`` on an unweighted graph this equals the sum of per-edge
-    flow stretches.
+    flow stretches.  An edgeless graph raises ``ValueError``.
     """
     w = _check_weights(graph, w)
-    return float(w @ TransferImpedance(graph, mode="streaming").abs_matvec(w))
+    return float(w @ _PiReader(graph).abs_apply(w))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .electrical import DENSE_EDGE_CAP, TransferImpedance, _abs_zeroed, _check_weights, quadratic_form_abs
+from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, _PiReader, quadratic_form_abs
 from .graph import Graph, laplacian_matrix
 from .schur import SchurResidueError, _check_drop_energy, schur_complement
 from .solver import LaplacianSystem, _check_connected
@@ -201,9 +201,12 @@ def _downdate_rows(P: np.ndarray, row_vals: np.ndarray, w: np.ndarray, a: np.nda
 
 def _pair_value(f: np.ndarray, R: float, w: np.ndarray) -> float:
     """``w^T |f f^T / R| w`` with entries below ``ABS_ZERO_TOL`` zeroed;
-    ``f / sqrt(R)`` keeps the outer product in range."""
+    ``f / sqrt(R)`` keeps the outer product in range.  The outer product is
+    formed ``_VI_BLOCK`` rows at a time, so no m x m array is held; the
+    value is bitwise that of :func:`_abs_rows` on the whole product."""
     s = f / np.sqrt(R)
-    return float(w @ _abs_rows(np.outer(s, s), w))
+    blocks = (np.outer(s[lo : lo + _VI_BLOCK], s) for lo in range(0, s.size, _VI_BLOCK))
+    return float(w @ np.concatenate([_abs_zeroed(b, out=b) @ w for b in blocks]))
 
 
 def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrace:
@@ -235,11 +238,12 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
     ``FloatingPointError``.  A non-positive pivot diagonal raises
     :class:`~ohmgraph.schur.SchurResidueError` from the pivot step.
 
-    With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is every column of
-    a streaming :class:`~ohmgraph.electrical.TransferImpedance`, whose
-    factor the run keeps and whose Y it frees, and ``Pi_{i+1} = Pi_i - s_k
-    s_k^T / L[k, k]`` with the scaled drop ``s_k = sqrt(C) a_k``.  Entries
-    below ``ABS_ZERO_TOL`` are zeroed as in
+    With ``compute_vi`` the run tracks ``Pi_i``: ``Pi_0`` is filled block by
+    block from the n x n grounded inverse behind the run's factor (see
+    :class:`~ohmgraph.electrical._PiReader`), so its build holds no n x m
+    array, and the inverse is freed before L and D are built.  ``Pi_{i+1}
+    = Pi_i - s_k s_k^T / L[k, k]`` with the scaled drop ``s_k = sqrt(C)
+    a_k``.  Entries below ``ABS_ZERO_TOL`` are zeroed as in
     :func:`~ohmgraph.electrical.quadratic_form_abs`, so V_0 is that form and
     every V_i is unchanged when all conductances are scaled.  Only the rows
     of Pi in ``supp(a_k)`` change, so only they are downdated and only their
@@ -260,17 +264,17 @@ def run_elimination(graph: Graph, w, compute_vi: bool = True) -> EliminationTrac
             f"tracking V_i holds an m x m matrix and caps at m={DENSE_EDGE_CAP} "
             f"(got m={m}); use compute_vi=False (--skip-vi on the command line)"
         )
-    _check_connected(graph)  # refuses an edgeless graph before the impedance would
+    _check_connected(graph)  # refuses an edgeless graph before the reader would
     tails, heads, c = graph.tails, graph.heads, graph.conductances
     sqrt_c = np.sqrt(c)
     z = w * sqrt_c
     w_norm_sq = float(w @ w)
     v_now = v_initial = None  # V_i before the coming step
     if compute_vi:
-        tp = TransferImpedance(graph, mode="streaming")
-        system = tp.system
-        P = tp.column_block(0, m).T  # Pi_0, in C order
-        del tp  # and its Y
+        pi = _PiReader(graph)
+        system = pi.system
+        P = pi.fill(np.empty((m, m)))  # Pi_0
+        del pi  # and its G
         row_vals = _abs_rows(P, w)
         v_now = v_initial = float(w @ row_vals)
     else:
@@ -341,11 +345,11 @@ def harmonic_bound_check(graph: Graph, w) -> HarmonicBoundReport:
     elimination bound ``||w||^2 * (1 + sum_i (6*ceil(log2 |S_i|) + 6)/|S_i|)``.
 
     The left side is :func:`~ohmgraph.electrical.quadratic_form_abs`, one
-    factorization and one streaming pass over Pi, so no m x m array is held
-    and no edge count is refused; the bound depends only on ``||w||^2`` and
-    the vertex count, so no elimination runs.  Both sides scale with
-    ``||w||^2``, so the verdict's slack is relative: ``lhs <= bound * (1 +
-    1e-9)``.
+    factorization and one pass over Pi read from the n x n grounded
+    inverse, so no m x m array is held and no edge count is refused; the
+    bound depends only on ``||w||^2`` and the vertex count, so no
+    elimination runs.  Both sides scale with ``||w||^2``, so the verdict's
+    slack is relative: ``lhs <= bound * (1 + 1e-9)``.
     """
     w = _check_weights(graph, w)
     lhs = quadratic_form_abs(graph, w)

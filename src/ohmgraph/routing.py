@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import TransferImpedance
+from .electrical import _PiReader
 from .graph import _NOT_REAL, Graph, _check_index, _parse_triples
 from .solver import LaplacianSystem
 
@@ -67,19 +67,20 @@ def route_demands(graph: Graph, demands) -> RoutingReport:
     produces.  Electrical flows superpose, so the whole demand set is one
     solve: ``flow = C B L^+ r`` for the summed injections
     ``r = sum_j a_j (e_s - e_t)``.  An unweighted graph also gets its
-    competitive-ratio bound: the demands are solved on the Laplacian
-    factorization of the impedance that yields it, so the graph is factored
-    once; the impedance is dropped once the bound is read, before the demand
-    solve.
+    competitive-ratio bound, the largest entry of ``|Pi| 1``, from one pass
+    over Pi read from the n x n grounded inverse G (see
+    :class:`~ohmgraph.electrical._PiReader`), so no n x m array is built.
+    The demands are solved on the factorization behind G, so the graph is
+    factored once, and G is dropped before the demand solve.
     """
     demands = list(demands)
     _validate_demands(graph, demands)
     bound = None
     if graph.is_unweighted:
-        impedance = TransferImpedance(graph, mode="streaming")
-        bound = float(impedance.per_edge_stats()[0].max())
-        system = impedance.system
-        del impedance
+        pi = _PiReader(graph)
+        bound = float(pi.abs_apply(np.ones(graph.n_edges)).max())
+        system = pi.system
+        del pi  # and its G
     else:
         system = LaplacianSystem(graph)
     injections = np.zeros(graph.n_vertices)

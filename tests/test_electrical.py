@@ -13,8 +13,10 @@ import scipy.linalg
 import ohmgraph.cli as cli
 import ohmgraph.electrical as electrical
 import ohmgraph.graph as graph_module
+import ohmgraph.localization as localization
 from ohmgraph import (
     ABS_ZERO_TOL,
+    Demand,
     DisconnectedGraphError,
     LaplacianSystem,
     TransferImpedance,
@@ -27,6 +29,8 @@ from ohmgraph import (
     path,
     quadratic_form_abs,
     random_regular_expander,
+    route_demands,
+    run_elimination,
     spectral_norm_nonneg,
     torus,
     unit_flow,
@@ -331,7 +335,7 @@ class TestImpedanceOracle:
         monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
         g = log_uniform_expander(40, 5)
         tp = TransferImpedance(g, mode="streaming")
-        assert solved == [7, 7, 3] and tp.system._n_s == 18
+        assert solved == [7, 7, 3] and LaplacianSystem(g)._n_s == 18
         tp.per_edge_stats()
         result = tp.abs_spectral_norm()
         assert result.iterations > 2
@@ -366,6 +370,113 @@ class TestImpedanceOracle:
             tracemalloc.stop()
         assert allocated == [((16, 32),)]
         assert peak < 0.1 * 8 * g.n_vertices * g.n_edges
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestPiReader:
+    """Pi read once from the n x n grounded inverse, by the callers that
+    make one pass: the routing bound, quadratic_form_abs and the tracked
+    elimination's Pi_0."""
+
+    GRAPHS = TestImpedanceOracle.GRAPHS
+
+    @pytest.fixture(autouse=True)
+    def _blocks_of_seven(self, monkeypatch):
+        # 7 divides neither n nor m of any graph below
+        monkeypatch.setattr(electrical, "_DEFAULT_BLOCK", 7)
+        monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=["torus6", "hypercube4", "weighted_expander40"])
+    def test_matches_the_dense_impedance(self, g):
+        m = g.n_edges
+        reader, tp = electrical._PiReader(g), TransferImpedance(g, mode="dense")
+        v = np.linspace(0.0, 2.0, m)
+        want = tp.abs_matvec(v)
+        assert np.abs(reader.abs_apply(v) - want).max() <= 1e-12 * np.abs(want).max()
+        colsums = tp.per_edge_stats()[0]
+        assert np.abs(reader.abs_apply(np.ones(m)) - colsums).max() <= 1e-12 * colsums.max()
+        pi = tp.column_block(0, m)
+        assert np.abs(reader.fill(np.empty((m, m))) - pi).max() <= 1e-12 * np.abs(pi).max()
+
+    def test_two_runs_give_equal_bits(self):
+        g = log_uniform_expander(40, 5)
+        first, second = electrical._PiReader(g), electrical._PiReader(g)
+        v = np.linspace(0.0, 2.0, g.n_edges)
+        assert np.array_equal(first.abs_apply(v), second.abs_apply(v))
+        shape = (g.n_edges, g.n_edges)
+        assert np.array_equal(first.fill(np.empty(shape)), second.fill(np.empty(shape)))
+
+    @pytest.mark.parametrize("caller", ["route", "quadratic_form_abs", "tracked_elimination"])
+    def test_callers_hold_no_n_by_m_array(self, caller, monkeypatch):
+        built, peaks = [], []
+        original = TransferImpedance.__init__
+
+        def spy(self, graph, *args, **kwargs):
+            built.append(graph)
+            original(self, graph, *args, **kwargs)
+
+        def stop(*args):
+            # the tracked run first takes Pi_0's row values once Pi_0 is
+            # built and G freed, before L and D exist
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise _Stop
+
+        monkeypatch.setattr(TransferImpedance, "__init__", spy)
+        monkeypatch.setattr(localization, "_abs_rows", stop)
+        g = torus(16)
+        n, m = g.n_vertices, g.n_edges
+        tracemalloc.start()
+        try:
+            if caller == "route":
+                route_demands(g, [Demand(0, 100, 1.0)])
+            elif caller == "quadratic_form_abs":
+                quadratic_form_abs(g, np.ones(m))
+            else:
+                with pytest.raises(_Stop):
+                    run_elimination(g, np.ones(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if peaks:  # Pi_0 itself is m x m by design
+            peak = peaks[0] - 8 * m * m
+        assert built == []
+        assert peak < 8 * n * m
+
+    def test_connectivity_is_searched_once_and_before_g(self, monkeypatch):
+        # as for the impedance's Y: one BFS, and a disconnected graph is
+        # refused before G is allocated on the worker thread
+        searched, allocated = [], []
+        hops = graph_module._hops
+        monkeypatch.setattr(graph_module, "_hops", lambda g, source: searched.append(source) or hops(g, source))
+        submit = electrical._WORKER.submit
+
+        def spy(fn, *args):
+            if fn is np.empty:
+                allocated.append(args)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(electrical._WORKER, "submit", spy)
+        electrical._PiReader(torus(4))
+        assert searched == [0] and allocated == [((16, 16),)]
+        halves = [(v, v + 1, 1.0) for v in range(999)] + [(v, v + 1, 1.0) for v in range(1000, 1999)]
+        g = build_graph(halves + [(0, 1, 2.0)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError):
+                quadratic_form_abs(g, np.ones(g.n_edges))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated == [((16, 16),)]
+        assert peak < 0.1 * 8 * g.n_vertices**2
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_edgeless_graph_has_no_edges(self, n):
+        with pytest.raises(ValueError, match="graph has no edges"):
+            quadratic_form_abs(build_graph([], n_vertices=n), np.ones(0))
 
 
 class TestUpperTriangleApply:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -381,6 +382,26 @@ class TestIncrementalEngine:
         assert np.abs(P - ref).max() <= 1e-15 * np.abs(ref).max()
         assert np.array_equal(P[[1, 4, 9]], before[[1, 4, 9]])
         assert np.abs(row_vals - _abs_rows(ref, w)).max() <= 1e-14 * np.abs(row_vals).max()
+
+    def test_pair_value_forms_one_row_block_at_a_time(self, monkeypatch, rng):
+        # the outer product s s^T is built _VI_BLOCK rows at a time, with the
+        # bits of _abs_rows over the whole product
+        for block in (7, localization._VI_BLOCK):
+            monkeypatch.setattr(localization, "_VI_BLOCK", block)
+            f, w = rng.standard_normal(300), rng.uniform(0.0, 2.0, 300)
+            f[::5] = 0.0
+            s = f / np.sqrt(2.5)
+            assert _pair_value(f, 2.5, w) == float(w @ _abs_rows(np.outer(s, s), w))
+        monkeypatch.setattr(localization, "_VI_BLOCK", 100)
+        m = 3000
+        f, w = rng.standard_normal(m), rng.uniform(0.0, 2.0, m)
+        tracemalloc.start()
+        try:
+            _pair_value(f, 2.5, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * m * m
 
     def test_oracle_rejects_vi_drift(self, monkeypatch):
         monkeypatch.setattr(localization, "_pair_value", lambda *a: 1.0001 * _pair_value(*a))
