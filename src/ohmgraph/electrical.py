@@ -32,6 +32,13 @@ ABS_ZERO_TOL = 1e-12
 # the fastest measured width for a pass split between two threads.
 _DEFAULT_BLOCK = 64
 
+# Rows per piece of a block read from the grounded inverse.  A piece's row
+# difference, column gathers and products, 16 x n or 16 x m doubles each,
+# fit a 2 MB L2 cache together up to m = DENSE_EDGE_CAP.  Whole 64-row
+# blocks do not: they made a dense first pass over torus:32 and a
+# 1024-vertex expander about 1.2x as long (one BLAS thread).
+_PIECE = 16
+
 # Columns per block of the solves of S_k's columns and of the round products
 # that fill the rest of the grounded inverse behind Y.  Narrower blocks were
 # no faster and wider ones slower; the per-block temporaries stay n x 128.
@@ -175,35 +182,70 @@ def _edge_potentials(system: LaplacianSystem, graph: Graph, y: np.ndarray):
     return y, tails, heads
 
 
+class _EdgePotentials:
+    """Pi's rows from the n x m edge-potential matrix ``Y = L^+ B^T
+    sqrt(C)``, built once (see :func:`_edge_potentials`), for a caller that
+    passes over Pi again and again: a streaming :class:`TransferImpedance`.
+
+    Row f of Pi is ``sqrt(c_f) (Y[t_f] - Y[h_f])`` for the places t_f and
+    h_f of the edge's tail and head: every block of rows is two contiguous
+    row gathers of Y, with no solve and no column gather, and the diagonal
+    costs O(m).  Y is allocated on the worker thread, which glibc serves
+    from an arena of its own.  In the caller's arena the block a freed Y
+    leaves takes the caller's small allocations, and one that outlives the
+    call (a caller's captured output, a cache) splits it, so the next Y
+    grows the heap by most of its size; which allocation lands there
+    depends on thread timing.  The worker allocates only its halves'
+    blocks.  The graph is checked first, so a disconnected one allocates
+    nothing; it keeps the answer, so the system's own check runs no second
+    BFS.  The factor is released once Y is built.
+    """
+
+    def __init__(self, graph: Graph):
+        _check_connected(graph)
+        y = _WORKER.submit(np.empty, (graph.n_vertices, graph.n_edges)).result()
+        self._sqrt_c = np.sqrt(graph.conductances)
+        self._y, self._tails, self._heads = _edge_potentials(LaplacianSystem(graph), graph, y)
+
+    def rows(self, lo: int, hi: int, start: int = 0) -> np.ndarray:
+        """Exact signed impedance rows ``lo..hi-1`` over columns ``start..m-1``."""
+        y = self._y
+        rows = y[self._tails[lo:hi], start:]
+        rows -= y[self._heads[lo:hi], start:]
+        rows *= self._sqrt_c[lo:hi, None]
+        return rows
+
+    def diagonal(self) -> np.ndarray:
+        """Pi's diagonal, in O(m)."""
+        e = np.arange(self._sqrt_c.size)
+        return self._sqrt_c * (self._y[self._tails, e] - self._y[self._heads, e])
+
+
 class TransferImpedance:
     """The edge-space projection ``Pi = sqrt(C) B L^+ B^T sqrt(C)``.
 
     Construction factors the Laplacian grounded at vertex 0 once (see
-    :class:`~ohmgraph.solver.LaplacianSystem`) and builds the n x m
-    edge-potential matrix ``Y = L^+ B^T sqrt(C)`` up to one constant per
-    column, with no n x n array beside it (see :func:`_edge_potentials`);
-    the factor is released once Y is built.  Y's rows are in elimination
-    order, and row f of Pi is ``sqrt(c_f) (Y[where[tail(f)]] -
-    Y[where[head(f)]])``: every block of rows is two contiguous row gathers
-    of Y, with no solve and no column gather, and the diagonal costs O(m).
-    Y pays for itself where passes repeat, as in :meth:`abs_spectral_norm`
-    and dense mode's cache; the library's callers that read Pi once
-    (:func:`quadratic_form_abs`, the routing bound and the tracked
-    elimination) read it from the n x n grounded inverse instead, through
-    :class:`_PiReader`.
+    :class:`~ohmgraph.solver.LaplacianSystem`) and builds the source of
+    Pi's rows that its mode reads, then releases the factor.
+    ``mode='dense'`` (allowed for ``m <= DENSE_EDGE_CAP``) computes each
+    block once, so it reads the rows from the n x n grounded inverse (see
+    :class:`_PiReader`); ``mode='streaming'`` recomputes the blocks on
+    every pass, so it reads them from the n x m edge-potential matrix Y,
+    which costs a conversion from the grounded inverse but makes each block
+    two row gathers (see :class:`_EdgePotentials`).  A connected graph has
+    m >= n - 1, so the dense source is never the larger.
 
     The norms read ``|Pi|``, with entries below ``ABS_ZERO_TOL`` zeroed.  Pi
     is symmetric, so a pass reads only its upper triangle: row block
     lo..hi-1 over columns lo..m-1, applied once as rows and once, past its
     leading square, as columns.  The leading square is symmetrized (the
     mean of itself and its transpose) before the absolute value, so every
-    pass applies an exactly symmetric ``|Pi|``.  ``mode='dense'`` (allowed
-    for ``m <= DENSE_EDGE_CAP``) keeps the blocks its first pass computes,
-    about m^2/2 entries, so every later pass reads them and gives bitwise
-    the same result as a streaming pass;
-    ``mode='streaming'`` recomputes them on every pass, holding
-    O(n * m + m * block) memory and never an m x m array; on a d-regular
-    graph n * m is (d/2) n^2.
+    pass applies an exactly symmetric ``|Pi|``.  Dense mode keeps the
+    blocks its first pass computes, about m^2/2 entries, so every later
+    pass reads them and gives bitwise the result of :class:`_PiReader`'s
+    one pass; it holds O(n^2 + m^2) memory.  Streaming mode holds O(n * m +
+    m * block) memory and never an m x m array; on a d-regular graph n * m
+    is (d/2) n^2.  The two modes' entries agree to roundoff.
 
     Every pass and the conversion of G into Y split their blocks into two
     fixed halves (see :func:`_both`): the even-indexed blocks run on one
@@ -220,7 +262,7 @@ class TransferImpedance:
     another pass.  Entries are differences of entries of the grounded
     inverse, so their absolute error scales with machine epsilon times its
     largest entry, the largest resistance to vertex 0 (n - 1 on a unit
-    path).  Blocks are pure functions of the cached Y and safe to compute
+    path).  Blocks are pure functions of the source and safe to compute
     concurrently; two first passes at once store equal blocks.
     """
 
@@ -239,33 +281,18 @@ class TransferImpedance:
             )
         self.graph = graph
         self.mode = mode
-        # Y, the largest array, is allocated on the worker thread, which
-        # glibc serves from an arena of its own.  In the caller's arena the
-        # block a freed Y leaves takes the caller's small allocations, and
-        # one that outlives the call (a caller's captured output, a cache)
-        # splits it, so the next Y grows the heap by most of its size;
-        # which allocation lands there depends on thread timing.  The worker
-        # allocates only its halves' blocks.  The graph is checked first, so
-        # a disconnected one allocates nothing; it keeps the answer, so the
-        # system's own check runs no second BFS.
-        _check_connected(graph)
-        y = _WORKER.submit(np.empty, (graph.n_vertices, m)).result()
-        self._sqrt_c = np.sqrt(graph.conductances)
-        self._y, self._tails, self._heads = _edge_potentials(LaplacianSystem(graph), graph, y)
-        self._abs_cache = [None] * -(-m // _DEFAULT_BLOCK) if mode == "dense" else None
+        if mode == "dense":
+            self._source = _PiReader(graph)
+            del self._source.system  # nothing is solved once G is built
+            self._abs_cache = [None] * -(-m // _DEFAULT_BLOCK)
+        else:
+            self._source = _EdgePotentials(graph)
+            self._abs_cache = None
         self._stats = None
 
     @property
     def n_edges(self) -> int:
         return self.graph.n_edges
-
-    def _rows(self, lo: int, hi: int, start: int = 0) -> np.ndarray:
-        """Exact signed impedance rows ``lo..hi-1`` over columns ``start..m-1``."""
-        y = self._y
-        rows = y[self._tails[lo:hi], start:]
-        rows -= y[self._heads[lo:hi], start:]
-        rows *= self._sqrt_c[lo:hi, None]
-        return rows
 
     def column_block(self, lo: int, hi: int) -> np.ndarray:
         """Exact signed impedance columns ``lo..hi-1`` as an (m, hi-lo) array,
@@ -274,7 +301,7 @@ class TransferImpedance:
         hi = _check_index(hi, "hi", self.n_edges + 1)
         if hi <= lo:
             raise ValueError(f"hi must exceed lo, got lo={lo}, hi={hi}")
-        return self._rows(lo, hi).T
+        return self._source.rows(lo, hi).T
 
     def _upper_block(self, lo: int) -> np.ndarray:
         """``|Pi|`` rows lo..hi-1 over columns lo..m-1, for a block start
@@ -284,7 +311,7 @@ class TransferImpedance:
         cache, slot = self._abs_cache, lo // _DEFAULT_BLOCK
         if cache is not None and cache[slot] is not None:
             return cache[slot]
-        upper = _abs_upper(self._rows(lo, min(lo + _DEFAULT_BLOCK, self.n_edges), lo))
+        upper = _abs_upper(self._source.rows(lo, min(lo + _DEFAULT_BLOCK, self.n_edges), lo))
         if cache is not None:
             cache[slot] = upper
         return upper
@@ -310,14 +337,13 @@ class TransferImpedance:
         read-only arrays.
         """
         if self._stats is None:
-            y, sqrt_c = self._y, self._sqrt_c
+            sqrt_c = np.sqrt(self.graph.conductances)
             # |Pi| is symmetric, so its row sums are its column sums, and
             # |flow on e for unit injection across f| = sqrt(c_e/c_f) |Pi_fe|
             sums = self._abs_apply(np.column_stack([np.ones(self.n_edges), sqrt_c]))
             colsums = sums[:, 0].copy()
             l1 = sums[:, 1] / sqrt_c
-            e = np.arange(self.n_edges)
-            diag = sqrt_c * (y[self._tails, e] - y[self._heads, e])
+            diag = self._source.diagonal()
             for a in (colsums, l1, diag):
                 a.flags.writeable = False
             self._stats = (colsums, l1, diag)
@@ -336,21 +362,24 @@ class TransferImpedance:
 
 
 class _PiReader:
-    """Pi read from the n x n grounded inverse G, for a caller that reads it
-    once; no n x m Y is built.
+    """Pi read from the n x n grounded inverse G, with no n x m Y: the
+    source of every caller that computes each block of Pi once, that is a
+    dense :class:`TransferImpedance`, :func:`quadratic_form_abs`, the
+    routing bound and the tracked elimination.
 
     G is the inverse of the Laplacian grounded at vertex 0, in elimination
     order, with a zero row and column at the ground's place 0 (see
     :meth:`~ohmgraph.solver.LaplacianSystem.grounded_inverse`); it is
-    allocated on the worker thread, as Y is (see
-    :class:`TransferImpedance`).  With ``t`` and ``h`` the places of the
+    allocated on the worker thread after the connectivity check, as Y is
+    (see :class:`_EdgePotentials`).  With ``t`` and ``h`` the places of the
     edges' tails and heads, Pi's rows lo..hi-1 over columns start..m-1 are
     ``r = G[t[lo:hi]] - G[h[lo:hi]]``, then ``(r[:, t[start:]] - r[:,
     h[start:]]) sqrt(c[start:]) sqrt(c[lo:hi])``: two row gathers of G and
     two column gathers of the n-wide difference.  Rows are subtracted
-    before columns, so the bits differ from a :class:`TransferImpedance`'s
-    in the last places.  The factored system stays available as
-    ``system``; G is released with the reader.
+    before columns, so the bits differ from Y's rows in the last places;
+    the diagonal is bitwise that of the rows.  The factored system stays
+    available as ``system`` for a caller that solves after reading Pi; G
+    is released with the reader.
     """
 
     def __init__(self, graph: Graph):
@@ -371,14 +400,34 @@ class _PiReader:
 
     def rows(self, lo: int, hi: int, start: int = 0) -> np.ndarray:
         """Exact signed impedance rows ``lo..hi-1`` over columns ``start..m-1``."""
-        t, h = self._tails, self._heads
-        r = self._g[t[lo:hi]]
-        r -= self._g[h[lo:hi]]
-        rows = np.take(r, t[start:], axis=1)
-        rows -= np.take(r, h[start:], axis=1)
-        rows *= self._sqrt_c[start:]
-        rows *= self._sqrt_c[lo:hi, None]
-        return rows
+        return self._rows_into(np.empty((hi - lo, self.n_edges - start)), lo, start)
+
+    def _rows_into(self, out: np.ndarray, lo: int, start: int) -> np.ndarray:
+        """Pi's rows ``lo..lo+len(out)-1`` over columns ``start..m-1``,
+        written into ``out`` ``_PIECE`` rows at a time, and returned."""
+        t, h, sqrt_c = self._tails, self._heads, self._sqrt_c
+        cols_t, cols_h = t[start:], h[start:]
+        at_heads = np.empty((min(_PIECE, len(out)), cols_t.size))
+        for i in range(lo, lo + len(out), _PIECE):
+            piece = out[i - lo : i - lo + _PIECE]
+            j = i + len(piece)
+            r = self._g[t[i:j]]
+            r -= self._g[h[i:j]]
+            # the places are in range by construction, and mode "clip"
+            # spares np.take the buffered copy of ``out`` that "raise" makes
+            np.take(r, cols_t, axis=1, out=piece, mode="clip")
+            piece -= np.take(r, cols_h, axis=1, out=at_heads[: j - i], mode="clip")
+            piece *= sqrt_c[start:]
+            piece *= sqrt_c[i:j, None]
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """Pi's diagonal, in O(m), in the order of operations of :meth:`rows`."""
+        g, t, h = self._g, self._tails, self._heads
+        diag = (g[t, t] - g[h, t]) - (g[t, h] - g[h, h])
+        diag *= self._sqrt_c
+        diag *= self._sqrt_c
+        return diag
 
     def abs_apply(self, v: np.ndarray) -> np.ndarray:
         """``|Pi| @ v`` for ``v`` of shape (m,) or (m, p), in one pass (see
@@ -388,14 +437,14 @@ class _PiReader:
         return _abs_pass(lambda lo: _abs_upper(self.rows(lo, min(lo + _DEFAULT_BLOCK, m), lo)), v)
 
     def fill(self, out: np.ndarray) -> np.ndarray:
-        """Pi written into the (m, m) array ``out``, in row blocks split
-        into the two halves of :func:`_both`, and returned."""
+        """Pi written into the C-contiguous (m, m) array ``out``, straight
+        from G in row blocks split into the two halves of :func:`_both`, and
+        returned."""
         m = self.n_edges
 
         def half(starts):
             for lo in starts:
-                hi = min(lo + _DEFAULT_BLOCK, m)
-                out[lo:hi] = self.rows(lo, hi)
+                self._rows_into(out[lo : lo + _DEFAULT_BLOCK], lo, 0)
 
         _both(half, range(0, m, _DEFAULT_BLOCK))
         return out

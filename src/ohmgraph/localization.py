@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .electrical import DENSE_EDGE_CAP, _abs_zeroed, _check_weights, _PiReader, quadratic_form_abs
+from .electrical import DENSE_EDGE_CAP, _DEFAULT_BLOCK, _abs_zeroed, _check_weights, _PiReader, quadratic_form_abs
 from .graph import Graph, laplacian_matrix
 from .schur import SchurResidueError, _check_drop_energy, schur_complement
 from .solver import LaplacianSystem, _check_connected
@@ -173,11 +173,26 @@ def _eliminate_pivot(L: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, 
     return nb, updated
 
 
+def _row_blocks(k: int, block: int):
+    """``(lo, hi)`` of the blocks of ``block`` rows that cover rows 0..k-1.
+    A last row left alone joins the block before it: numpy multiplies a
+    one-row block by a dot product, whose bits differ from the
+    matrix-vector product that takes every other row."""
+    starts = list(range(0, max(k - 1, 1), block))
+    return zip(starts, starts[1:] + [k])
+
+
 def _abs_rows(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row values ``|P| w`` with entries below ``ABS_ZERO_TOL`` zeroed, so that
-    ``w^T |P| w = w . _abs_rows(P, w)``.  Works in row blocks, so
-    temporaries stay at ``_VI_BLOCK`` rows."""
-    return np.concatenate([_abs_zeroed(P[lo : lo + _VI_BLOCK]) @ w for lo in range(0, P.shape[0], _VI_BLOCK)])
+    ``w^T |P| w = w . _abs_rows(P, w)``.  Works in blocks of
+    ``_DEFAULT_BLOCK`` rows through one reused buffer, the only temporary,
+    so P's absolute value is never held whole (see :func:`_row_blocks`)."""
+    k = P.shape[0]
+    vals = np.empty(k)
+    buf = np.empty((min(_DEFAULT_BLOCK + 1, k), P.shape[1]))
+    for lo, hi in _row_blocks(k, _DEFAULT_BLOCK):
+        vals[lo:hi] = _abs_zeroed(P[lo:hi], out=buf[: hi - lo]) @ w
+    return vals
 
 
 def _downdate_rows(P: np.ndarray, row_vals: np.ndarray, w: np.ndarray, a: np.ndarray, d: float) -> None:
@@ -205,7 +220,7 @@ def _pair_value(f: np.ndarray, R: float, w: np.ndarray) -> float:
     formed ``_VI_BLOCK`` rows at a time, so no m x m array is held; the
     value is bitwise that of :func:`_abs_rows` on the whole product."""
     s = f / np.sqrt(R)
-    blocks = (np.outer(s[lo : lo + _VI_BLOCK], s) for lo in range(0, s.size, _VI_BLOCK))
+    blocks = (np.outer(s[lo:hi], s) for lo, hi in _row_blocks(s.size, _VI_BLOCK))
     return float(w @ np.concatenate([_abs_zeroed(b, out=b) @ w for b in blocks]))
 
 
